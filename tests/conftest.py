@@ -40,6 +40,13 @@ def dense_two_qubit(G: np.ndarray, p: int, q: int, m: int) -> np.ndarray:
     return U
 
 
+def dense_phase_oracle(f: cs.BooleanOracle, reg_start: int, m: int) -> np.ndarray:
+    """Diagonal (-1)^f(k) matrix, k read from qubits reg_start .. reg_start + f.n - 1."""
+    shift = m - (reg_start + f.n - 1)
+    window = (np.arange(1 << m) >> shift) & ((1 << f.n) - 1)
+    return np.diag([(-1.0) ** f(int(k)) for k in window])
+
+
 def grover_success_dense(n: int, marked: int, iterations: int) -> float:
     """Success probability from a dense-matrix Grover simulation."""
     N = 1 << n

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, DyadicReal, StateVector
-from conftest import dense_two_qubit, minus_state, random_exact_state, random_float_state
+from conftest import (
+    dense_one_qubit,
+    dense_phase_oracle,
+    dense_two_qubit,
+    minus_state,
+    random_exact_state,
+    random_float_state,
+)
 
 INV = DyadicReal(0, 1, 1)
 
@@ -291,3 +299,69 @@ class TestNormPreservation:
         s = StateVector.from_amplitudes([np.inf, 0.0], cs.FLOAT)
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
             cs.apply_gate1(s, 1, cs.hadamard())
+        s = StateVector.from_amplitudes([np.inf, 0.0, 0.0, 0.0], cs.FLOAT)
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+            cs.apply_gate2(s, 1, 2, cs.comparison_gate())
+
+
+R = 1 / np.sqrt(2)
+# Literal matrices, independent of the library's gate definitions.
+DENSE = {
+    "H": np.array([[R, R], [R, -R]]),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "C": R * np.array([[1, 0, 1, 0], [0, 1, 0, -1], [-1, 0, 1, 0], [0, 1, 0, 1]]),
+}
+LIBRARY = {"H": cs.hadamard(), "X": cs.pauli_x(), "Z": cs.pauli_z(), "C": cs.comparison_gate()}
+
+
+@st.composite
+def gate_words(draw):
+    """A width m, a basis input and a word of H/X/Z on any qubit, C on
+    any ordered pair (nonadjacent and reversed included) and phase
+    oracles on any window."""
+    m = draw(st.integers(2, 5))
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from("HXZCO"))
+        if kind == "C":
+            p, q = draw(st.permutations(range(1, m + 1)))[:2]
+            ops.append(("C", p, q))
+        elif kind == "O":
+            n = draw(st.integers(1, m))
+            start = draw(st.integers(1, m - n + 1))
+            f = BooleanOracle(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+            ops.append(("O", f, start))
+        else:
+            ops.append((kind, draw(st.integers(1, m))))
+    return m, draw(st.integers(0, (1 << m) - 1)), ops
+
+
+class TestKernelDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(gate_words())
+    def test_both_backends_match_dense_reference(self, word):
+        m, index, ops = word
+        exact = StateVector.basis_state(m, index)
+        flt = StateVector.basis_state(m, index, cs.FLOAT)
+        ref = np.zeros(1 << m)
+        ref[index] = 1.0
+        for op in ops:
+            if op[0] == "O":
+                _, f, start = op
+                ref = dense_phase_oracle(f, start, m) @ ref
+                for s in (exact, flt):
+                    cs.apply_phase_oracle(s, f, start)
+            elif op[0] == "C":
+                _, p, q = op
+                ref = dense_two_qubit(DENSE["C"], p, q, m) @ ref
+                for s in (exact, flt):
+                    cs.apply_gate2(s, p, q, LIBRARY["C"])
+            else:
+                name, q = op
+                ref = dense_one_qubit(DENSE[name], q, m) @ ref
+                for s in (exact, flt):
+                    cs.apply_gate1(s, q, LIBRARY[name])
+        assert exact.norm_squared() == 1
+        for s in (exact, flt):
+            assert np.max(np.abs(s.to_float_array() - ref)) <= 1e-12

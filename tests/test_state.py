@@ -151,10 +151,16 @@ class TestStateVector:
             StateVector.from_amplitudes([DyadicReal(1 << 70, 0, 0), 0])
 
     def test_gate_growth_guard(self):
-        big = 1 << 61
-        s = StateVector.from_amplitudes([DyadicReal(big, 0, 0), 0])
-        with pytest.raises(OverflowError):
-            cs.apply_gate1(s, 1, cs.hadamard())
+        big = DyadicReal(1 << 61, 0, 0)
+        for width, apply in (
+            (1, lambda s: cs.apply_gate1(s, 1, cs.hadamard())),
+            (2, lambda s: cs.apply_gate2(s, 1, 2, cs.comparison_gate())),
+        ):
+            s = StateVector.from_amplitudes([big] + [0] * ((1 << width) - 1))
+            before = s.copy()
+            with pytest.raises(OverflowError):
+                apply(s)
+            assert s == before
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
