@@ -24,12 +24,10 @@ from .state import (
 from .gates import (
     Gate1,
     Gate2,
-    apply_ancilla_oracle,
     apply_gate1,
     apply_gate2,
     apply_phase_oracle,
     comparison_gate,
-    discard_minus_ancilla,
     hadamard,
     identity_gate1,
     identity_gate2,

@@ -68,12 +68,9 @@ def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
 def _from_units(num_qubits: int, coeff: np.ndarray, unit: DyadicReal, backend: str) -> StateVector:
     """State whose amplitude at x is coeff[x] * unit."""
     if backend == EXACT:
-        return StateVector._from_exact_arrays(
-            num_qubits, coeff * unit.a, coeff * unit.b, unit.h
-        )
-    s = StateVector(num_qubits, backend)
-    s._amps = coeff.astype(np.complex128) * unit.to_float()
-    return s
+        return StateVector._from_planes(num_qubits, EXACT, (coeff * unit.a, coeff * unit.b), unit.h)
+    amps = coeff.astype(np.complex128) * unit.to_float()
+    return StateVector._from_planes(num_qubits, backend, (amps,))
 
 
 def psi0(n: int, backend: str = EXACT) -> StateVector:

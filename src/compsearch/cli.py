@@ -16,15 +16,19 @@ Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 timestamps, so identical invocations produce byte-identical bytes.
 The exact backend is capped at n <= 4 (override with the
 COMPSEARCH_EXACT_CAP environment variable); float runs are capped at
-n <= 12 to bound memory.
+n <= 12 to bound memory.  ``grover-compare`` is not subject to the exact
+cap: it always runs the comparison circuit on the exact backend, up to
+n = 12 (2^24 amplitudes).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import __version__, analytic
@@ -142,11 +146,26 @@ def _sweep_csv(report) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
+    """Write ``path`` through a unique temporary file in its directory,
+    so no reader sees a partial report and concurrent writers do not
+    share a file; the temporary file is removed on any failure."""
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+        )
+        try:
+            # mkstemp creates the file 0600; give the report the mode a
+            # plain open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise CLIError(3, f"cannot write {path}: {exc}") from exc
 
@@ -168,15 +187,9 @@ def cmd_verify(args) -> tuple[int, dict]:
     if args.all_f and args.n > EXHAUSTIVE_SWEEP_MAX_N:
         raise CLIError(2, f"--all-f capped at n <= {EXHAUSTIVE_SWEEP_MAX_N} (2^(2^n) oracles)")
 
-    checked = 0
-    all_match = True
-    max_dev = 0.0
     if args.all_f:
-        for table in range(1 << (1 << args.n)):
-            ok, dev = check_oracle(args.n, BooleanOracle(args.n, table), backend)
-            checked += 1
-            all_match = all_match and ok
-            max_dev = max(max_dev, dev)
+        report = sweep_all_f(args.n, backend, exhaustive=True)
+        checked, all_match, max_dev = report.oracle_count, report.all_match, report.max_deviation
     else:
         ok, dev = check_oracle(args.n, f, backend)
         checked, all_match, max_dev = 1, ok, dev

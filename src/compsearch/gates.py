@@ -8,23 +8,28 @@ applied to the ordered pair (p, q) is |b_p b_q>, i.e. row index
 consistent with its per-qubit action formula under this first-qubit-major
 order (checked column by column in the tests).
 
-Kernels mutate the state in place and return it.  Oracles are applied as
-diagonal sign flips over a register window rather than materialized
-matrices, so every application is O(2^m).
+Every gate compiles once per backend into rows over the state's planes
+(see :mod:`compsearch.state`), and one kernel applies those rows for
+both backends and both arities.  Kernels mutate the state in place and
+return it.  Oracles are applied as diagonal sign flips over a register
+window rather than materialized matrices, so every application is
+O(2^m).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector
+from .state import EXACT, FLOAT, BooleanOracle, StateVector
 
 
 class _GateBase:
     """Shared plumbing for small dyadic gate matrices."""
 
-    __slots__ = ("name", "matrix", "_exact", "_float")
+    __slots__ = ("name", "matrix", "_cache")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -32,30 +37,50 @@ class _GateBase:
             tuple(e if isinstance(e, DyadicReal) else DyadicReal.from_int(e) for e in row)
             for row in rows
         )
-        self._exact = None
-        self._float = None
+        self._cache = {}
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
-    def exact_coeffs(self) -> tuple[tuple, tuple, int, int]:
-        """Integer coefficient matrices (A, B), shared exponent g and the
-        largest |coefficient|, with entry = (A + B*sqrt(2)) / 2^g."""
-        if self._exact is None:
-            g = max(e.h for row in self.matrix for e in row)
-            A = tuple(tuple(e.a << (g - e.h) for e in row) for row in self.matrix)
-            B = tuple(tuple(e.b << (g - e.h) for e in row) for row in self.matrix)
-            gmax = max(max(abs(x) for x in row) for row in A + B)
-            self._exact = (A, B, g, gmax)
-        return self._exact
-
     def float_matrix(self) -> np.ndarray:
-        if self._float is None:
-            self._float = np.array(
-                [[e.to_float() for e in row] for row in self.matrix], dtype=np.complex128
-            )
-        return self._float.copy()
+        return np.array(
+            [[e.to_float() for e in row] for row in self.matrix], dtype=np.complex128
+        )
+
+    def _compiled(self, backend: str) -> tuple[list, int, int]:
+        """The gate as ``(rows, g, growth)`` over ``backend``'s planes.
+
+        Each row ``(out_plane, out_slot, ((coef, in_plane, in_slot), ...))``
+        writes one output slot as a sum over input slots, zero
+        coefficients dropped; a slot is a basis index of the gate.  The
+        state's exponent grows by ``g`` and no integer grows by more than
+        the factor ``growth``, the largest row 1-norm.  Cached per backend.
+        """
+        if backend not in self._cache:
+            dim = range(self.dim)
+            if backend == FLOAT:
+                G = self.float_matrix()
+                g, rows = 0, [(0, i, [(G[i, j], 0, j) for j in dim]) for i in dim]
+            else:
+                # entry (A + B sqrt2) / 2^g times amplitude (a + b sqrt2)
+                # is (A a + 2 B b) + (B a + A b) sqrt2, over 2^g.
+                g = max(e.h for row in self.matrix for e in row)
+                rows = []
+                for i, row in enumerate(self.matrix):
+                    A = [e.a << (g - e.h) for e in row]
+                    B = [e.b << (g - e.h) for e in row]
+                    a = [(A[j], 0, j) for j in dim] + [(2 * B[j], 1, j) for j in dim]
+                    b = [(A[j], 1, j) for j in dim] + [(B[j], 0, j) for j in dim]
+                    rows += [(0, i, a), (1, i, b)]
+            # An all-zero row keeps one zero term, so that it writes zeros.
+            rows = [
+                (plane, i, tuple(t for t in terms if t[0] != 0) or terms[:1])
+                for plane, i, terms in rows
+            ]
+            growth = max(sum(abs(t[0]) for t in terms) for _, _, terms in rows)
+            self._cache[backend] = (rows, g, growth)
+        return self._cache[backend]
 
     def is_unitary(self) -> bool:
         """Exact check of G^T G = I (all gates here are real)."""
@@ -155,47 +180,65 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise ValueError(f"qubit {q} out of range 1..{state.num_qubits}")
 
 
-def _linear_combo(terms) -> np.ndarray | int:
-    """Sum of coef * array over the given terms, skipping zero coefficients."""
-    acc = None
-    for coef, arr in terms:
-        if coef == 0:
-            continue
-        t = arr if coef == 1 else coef * arr
-        acc = t if acc is None else acc + t
-    return 0 if acc is None else acc
+def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> StateVector:
+    """Apply ``gate`` to the ordered ``qubits`` of ``state``, in place.
+
+    Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
+    (first qubit most significant).  Each plane is viewed as
+    (pre, 2, [mid, 2,] post) around the sorted qubits, the input slots
+    are copied, and each compiled row is written into its output slot.
+    """
+    rows, g, growth = gate._compiled(state.backend)
+    exact = state.backend == EXACT
+    if exact:
+        state._guard_growth(growth)
+    shape, slots = _layout(state.num_qubits, qubits)
+    views = [p.reshape(shape) for p in state._planes]
+    inputs = [[view[index].copy() for index in slots] for view in views]
+    for out_plane, out_slot, terms in rows:
+        out = views[out_plane][slots[out_slot]]
+        (coef, plane, slot), *rest = terms
+        np.multiply(inputs[plane][slot], coef, out=out)
+        for coef, plane, slot in rest:
+            x = inputs[plane][slot]
+            if coef == 1:
+                out += x
+            elif coef == -1:
+                out -= x
+            else:
+                # In-place add, so the product is freed before the next term.
+                out += coef * x
+    if exact:
+        state._h += g
+        state._canonical_reduce()
+    else:
+        state._check_finite()
+    return state
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout(m: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Plane view shape around the sorted ``qubits`` and, per gate slot,
+    the index of that slot's amplitudes in the view."""
+    order = sorted(qubits)
+    shape = []
+    for prev, q in zip([0] + order, order):
+        shape += [1 << (q - prev - 1), 2]
+    shape.append(1 << (m - order[-1]))
+    k = len(qubits)
+    slots = []
+    for r in range(1 << k):
+        index = [slice(None)]
+        for q in order:
+            index += [(r >> (k - 1 - qubits.index(q))) & 1, slice(None)]
+        slots.append(tuple(index))
+    return tuple(shape), tuple(slots)
 
 
 def apply_gate1(state: StateVector, q: int, gate: Gate1) -> StateVector:
     """Mix the amplitude pairs that differ in bit q by ``gate``."""
     _check_qubit(state, q)
-    m = state.num_qubits
-    pre, post = 1 << (q - 1), 1 << (m - q)
-    if state.backend == EXACT:
-        A, B, g, gmax = gate.exact_coeffs()
-        state._guard_growth(6 * gmax)
-        a = state._a.reshape(pre, 2, post)
-        b = state._b.reshape(pre, 2, post)
-        xs = [(a[:, j, :].copy(), b[:, j, :].copy()) for j in (0, 1)]
-        for i in (0, 1):
-            a[:, i, :] = _linear_combo(
-                [(A[i][j], xs[j][0]) for j in (0, 1)]
-                + [(2 * B[i][j], xs[j][1]) for j in (0, 1)]
-            )
-            b[:, i, :] = _linear_combo(
-                [(A[i][j], xs[j][1]) for j in (0, 1)]
-                + [(B[i][j], xs[j][0]) for j in (0, 1)]
-            )
-        state._h += g
-        state._canonical_reduce()
-    else:
-        G = gate.float_matrix()
-        amps = state._amps.reshape(pre, 2, post)
-        x0, x1 = amps[:, 0, :].copy(), amps[:, 1, :].copy()
-        amps[:, 0, :] = G[0, 0] * x0 + G[0, 1] * x1
-        amps[:, 1, :] = G[1, 0] * x0 + G[1, 1] * x1
-        state._check_finite()
-    return state
+    return _apply(state, (q,), gate)
 
 
 def apply_gate2(state: StateVector, p: int, q: int, gate: Gate2) -> StateVector:
@@ -204,41 +247,7 @@ def apply_gate2(state: StateVector, p: int, q: int, gate: Gate2) -> StateVector:
     _check_qubit(state, q)
     if p == q:
         raise ValueError("two-qubit gate needs distinct qubits")
-    m = state.num_qubits
-    u, v = min(p, q), max(p, q)
-    pre, mid, post = 1 << (u - 1), 1 << (v - u - 1), 1 << (m - v)
-
-    def groups(arr):
-        view = arr.reshape(pre, 2, mid, 2, post)
-        if p < q:
-            return view, [(r >> 1, r & 1) for r in range(4)]
-        return view, [(r & 1, r >> 1) for r in range(4)]
-
-    if state.backend == EXACT:
-        A, B, g, gmax = gate.exact_coeffs()
-        state._guard_growth(12 * gmax)
-        av, sel = groups(state._a)
-        bv, _ = groups(state._b)
-        xs = [(av[:, bu, :, bw, :].copy(), bv[:, bu, :, bw, :].copy()) for bu, bw in sel]
-        for i, (bu, bw) in enumerate(sel):
-            av[:, bu, :, bw, :] = _linear_combo(
-                [(A[i][j], xs[j][0]) for j in range(4)]
-                + [(2 * B[i][j], xs[j][1]) for j in range(4)]
-            )
-            bv[:, bu, :, bw, :] = _linear_combo(
-                [(A[i][j], xs[j][1]) for j in range(4)]
-                + [(B[i][j], xs[j][0]) for j in range(4)]
-            )
-        state._h += g
-        state._canonical_reduce()
-    else:
-        G = gate.float_matrix()
-        view, sel = groups(state._amps)
-        xs = [view[:, bu, :, bw, :].copy() for bu, bw in sel]
-        for i, (bu, bw) in enumerate(sel):
-            view[:, bu, :, bw, :] = sum(G[i, j] * xs[j] for j in range(4))
-        state._check_finite()
-    return state
+    return _apply(state, (p, q), gate)
 
 
 def apply_phase_oracle(state: StateVector, f: BooleanOracle, reg_start: int) -> StateVector:
@@ -254,60 +263,7 @@ def apply_phase_oracle(state: StateVector, f: BooleanOracle, reg_start: int) -> 
     pre = 1 << (reg_start - 1)
     post = 1 << (m - (reg_start + f.n - 1))
     signs = f.sign_array()[None, :, None]
-    if state.backend == EXACT:
-        for arr in (state._a, state._b):
-            view = arr.reshape(pre, 1 << f.n, post)
-            view *= signs
-    else:
-        view = state._amps.reshape(pre, 1 << f.n, post)
+    for plane in state._planes:
+        view = plane.reshape(pre, 1 << f.n, post)
         view *= signs
     return state
-
-
-def apply_ancilla_oracle(state: StateVector, f: BooleanOracle) -> StateVector:
-    """XOR-oracle form |k>|b> -> |k>|b xor f(k)>; ancilla is the last qubit."""
-    if state.num_qubits != f.n + 1:
-        raise ValueError(
-            f"ancilla oracle needs {f.n + 1} qubits, state has {state.num_qubits}"
-        )
-    rows = np.nonzero(f.truth_values())[0]
-    if rows.size == 0:
-        return state
-    if state.backend == EXACT:
-        for arr in (state._a, state._b):
-            pairs = arr.reshape(-1, 2)
-            pairs[rows] = pairs[rows][:, ::-1]
-    else:
-        pairs = state._amps.reshape(-1, 2)
-        pairs[rows] = pairs[rows][:, ::-1]
-    return state
-
-
-def discard_minus_ancilla(state: StateVector) -> StateVector:
-    """Drop a last qubit that is exactly |-> = (|0> - |1>)/sqrt(2).
-
-    Requires the ancilla to be unentangled in that state: every amplitude
-    must satisfy amp(x1) = -amp(x0).  Exact backend checks this with zero
-    tolerance; float within FLOAT_ATOL.  Raises ValueError otherwise.
-    """
-    if state.num_qubits < 2:
-        raise ValueError("need at least two qubits to discard one")
-    if state.backend == EXACT:
-        a = state._a.reshape(-1, 2)
-        b = state._b.reshape(-1, 2)
-        if not (np.array_equal(a[:, 1], -a[:, 0]) and np.array_equal(b[:, 1], -b[:, 0])):
-            raise ValueError("ancilla is not exactly |-> (state is entangled or rotated)")
-        # amp * sqrt(2): (a + b r) r = 2b + a r
-        return StateVector._from_exact_arrays(
-            state.num_qubits - 1, 2 * b[:, 0], a[:, 0], state._h
-        )
-    pairs = state._amps.reshape(-1, 2)
-    if float(np.max(np.abs(pairs[:, 1] + pairs[:, 0]))) > FLOAT_ATOL:
-        raise ValueError("ancilla is not |-> within tolerance")
-    out = StateVector.__new__(StateVector)
-    out.num_qubits = state.num_qubits - 1
-    out.backend = FLOAT
-    out._amps = pairs[:, 0] * np.sqrt(2.0)
-    out._a = out._b = None
-    out._h = 0
-    return out

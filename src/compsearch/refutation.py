@@ -82,8 +82,7 @@ class Distribution:
 def distribution(state: StateVector) -> Distribution:
     """Born-rule probabilities p(x) = |amp(x)|^2."""
     if state.backend == EXACT:
-        a = state._a.astype(object)
-        b = state._b.astype(object)
+        a, b = (p.astype(object) for p in state._planes)
         pa = a * a + 2 * b * b
         pb = 2 * a * b
         h = 2 * state._h
@@ -91,7 +90,7 @@ def distribution(state: StateVector) -> Distribution:
             [DyadicReal(int(x), int(y), h) for x, y in zip(pa, pb)], dtype=object
         )
         return Distribution(probs, state.num_qubits, exact=True)
-    probs = np.abs(state._amps) ** 2
+    probs = np.abs(state._planes[0]) ** 2
     return Distribution(probs, state.num_qubits, exact=False)
 
 
@@ -151,8 +150,7 @@ def empirical_distribution(counts: np.ndarray, num_qubits: int) -> Distribution:
 def _exact_prob_ints(state: StateVector) -> tuple[np.ndarray, np.ndarray, int]:
     """Probabilities of an exact state as integer pairs over 2^(2h):
     p(x) = (pa[x] + pb[x] * sqrt(2)) / 2^(2h).  Object dtype, never wraps."""
-    a = state._a.astype(object)
-    b = state._b.astype(object)
+    a, b = (p.astype(object) for p in state._planes)
     return a * a + 2 * b * b, 2 * a * b, 2 * state._h
 
 
@@ -164,12 +162,11 @@ def second_register_probability(state: StateVector, n: int, outcome: int):
     if n > state.num_qubits:
         raise ValueError("register wider than the state")
     if state.backend == EXACT:
-        a = state._a[outcome :: 1 << n].astype(object)
-        b = state._b[outcome :: 1 << n].astype(object)
+        a, b = (p[outcome :: 1 << n].astype(object) for p in state._planes)
         return DyadicReal(
             int((a * a + 2 * b * b).sum()), int(2 * (a * b).sum()), 2 * state._h
         )
-    amps = state._amps[outcome :: 1 << n]
+    amps = state._planes[0][outcome :: 1 << n]
     return float(np.vdot(amps, amps).real)
 
 
@@ -287,6 +284,8 @@ def sweep_all_f(
     uniform = 1.0 / (1 << n)
     first_probs: np.ndarray | None = None
     first_ints = None
+    # Kept only when _fill_pairwise_tv will compare every pair.
+    keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
     dists: list[np.ndarray] = []
     all_dists_identical = backend == EXACT
     for i, f in enumerate(_sweep_oracles(n, exhaustive, sample_count, seed)):
@@ -310,7 +309,8 @@ def sweep_all_f(
             tv = 0.0 if same else _tv_floats(probs, first_probs)
         else:
             tv = _tv_floats(probs, first_probs)
-        dists.append(probs)
+        if keep_dists:
+            dists.append(probs)
         marg_dev = _marginal_uniformity_deviation(probs, ints, n, uniform)
         report.marginal_uniformity_deviation = max(
             report.marginal_uniformity_deviation, marg_dev
@@ -353,7 +353,7 @@ def _fill_pairwise_tv(report: SweepReport, dists: list[np.ndarray], exact_zero: 
         report.max_pairwise_tv = 0.0
         report.max_pairwise_tv_is_exact = True
         return
-    if len(dists) <= _ALL_PAIRS_LIMIT:
+    if report.oracle_count <= _ALL_PAIRS_LIMIT:
         worst = 0.0
         for i in range(len(dists)):
             for j in range(i + 1, len(dists)):

@@ -5,16 +5,19 @@ so an m-qubit basis state |b_1 b_2 ... b_m> has index sum_i b_i 2^(m-i).
 With two n-qubit registers the product state |j>|k> sits at index
 j * 2^n + k.
 
-Two amplitude backends exist:
+A state is stored as a tuple of *planes*, flat arrays of length 2^m,
+plus one exponent h.  The two amplitude backends differ only in the
+planes:
 
-* ``"exact"`` -- every amplitude is (a[x] + b[x]*sqrt(2)) / 2^h with
-  int64 coordinate arrays a, b and a single shared exponent h.  All
-  gates in this library scale every amplitude by the same power of
-  1/sqrt(2), so one exponent suffices.  Integer growth is checked and
-  raises OverflowError rather than wrapping.
-* ``"float"`` -- a complex128 array.
+* ``"exact"`` -- two int64 planes (a, b); the amplitude at x is
+  (a[x] + b[x]*sqrt(2)) / 2^h.  All gates in this library scale every
+  amplitude by the same power of 1/sqrt(2), so one exponent suffices,
+  and it is kept minimal.  Integer growth is checked and raises
+  OverflowError rather than wrapping.
+* ``"float"`` -- one complex128 plane holding the amplitudes; h = 0.
 
-Exact states compare with ``==`` at zero tolerance.
+Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
+backends.  Exact states compare with ``==`` at zero tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ FLOAT_ATOL = 1e-12
 
 # Integer magnitudes in exact states must stay below this after a gate.
 _INT64_SAFE = 1 << 62
+
+# Plane dtype and count of each backend.
+_PLANES = {EXACT: (np.int64, 2), FLOAT: (np.complex128, 1)}
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_a", "_b", "_h", "_amps")
+    __slots__ = ("num_qubits", "backend", "_planes", "_h")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
@@ -158,18 +164,10 @@ class StateVector:
             raise ValueError(f"unknown backend {backend!r}")
         self.num_qubits = num_qubits
         self.backend = backend
-        size = 1 << num_qubits
-        if backend == EXACT:
-            self._a = np.zeros(size, dtype=np.int64)
-            self._b = np.zeros(size, dtype=np.int64)
-            self._a[0] = 1
-            self._h = 0
-            self._amps = None
-        else:
-            self._amps = np.zeros(size, dtype=np.complex128)
-            self._amps[0] = 1.0
-            self._a = self._b = None
-            self._h = 0
+        dtype, count = _PLANES[backend]
+        self._planes = tuple(np.zeros(1 << num_qubits, dtype=dtype) for _ in range(count))
+        self._planes[0][0] = 1
+        self._h = 0
 
     @property
     def num_states(self) -> int:
@@ -180,12 +178,8 @@ class StateVector:
         s = cls(num_qubits, backend)
         if not 0 <= index < s.num_states:
             raise ValueError(f"basis index {index} out of range")
-        if backend == EXACT:
-            s._a[0] = 0
-            s._a[index] = 1
-        else:
-            s._amps[0] = 0.0
-            s._amps[index] = 1.0
+        s._planes[0][0] = 0
+        s._planes[0][index] = 1
         return s
 
     @classmethod
@@ -200,47 +194,40 @@ class StateVector:
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {size}")
         m = size.bit_length() - 1
-        s = cls(m, backend)
         if backend == FLOAT:
-            s._amps = np.asarray(amps, dtype=np.complex128).copy()
-            return s
+            return cls._from_planes(m, FLOAT, (np.array(amps, dtype=np.complex128),))
+        if backend != EXACT:
+            raise ValueError(f"unknown backend {backend!r}")
         vals = [v if isinstance(v, DyadicReal) else DyadicReal.from_int(v) for v in amps]
         h = max(v.h for v in vals)
-        s._a = np.array([v.a << (h - v.h) for v in vals], dtype=np.int64)
-        s._b = np.array([v.b << (h - v.h) for v in vals], dtype=np.int64)
-        s._h = h
-        s._canonical_reduce()
-        return s
+        a = np.array([v.a << (h - v.h) for v in vals], dtype=np.int64)
+        b = np.array([v.b << (h - v.h) for v in vals], dtype=np.int64)
+        return cls._from_planes(m, EXACT, (a, b), h)
 
     @classmethod
-    def _from_exact_arrays(cls, num_qubits: int, a: np.ndarray, b: np.ndarray, h: int) -> StateVector:
-        s = cls(num_qubits, EXACT)
-        s._a = np.asarray(a, dtype=np.int64).copy()
-        s._b = np.asarray(b, dtype=np.int64).copy()
+    def _from_planes(cls, num_qubits: int, backend: str, planes, h: int = 0) -> StateVector:
+        """A state that takes ownership of ``planes`` (see the module
+        docstring); exact states are reduced to their minimal h."""
+        s = cls.__new__(cls)
+        s.num_qubits = num_qubits
+        s.backend = backend
+        s._planes = tuple(planes)
         s._h = h
-        s._canonical_reduce()
+        if backend == EXACT:
+            s._canonical_reduce()
         return s
 
     def copy(self) -> StateVector:
-        s = StateVector.__new__(StateVector)
-        s.num_qubits = self.num_qubits
-        s.backend = self.backend
-        s._h = self._h
-        if self.backend == EXACT:
-            s._a = self._a.copy()
-            s._b = self._b.copy()
-            s._amps = None
-        else:
-            s._amps = self._amps.copy()
-            s._a = s._b = None
-        return s
+        planes = [p.copy() for p in self._planes]
+        return StateVector._from_planes(self.num_qubits, self.backend, planes, self._h)
 
     def amplitude(self, x: int) -> DyadicReal | complex:
         if not 0 <= x < self.num_states:
             raise ValueError(f"basis index {x} out of range")
         if self.backend == EXACT:
-            return DyadicReal(int(self._a[x]), int(self._b[x]), self._h)
-        return complex(self._amps[x])
+            a, b = self._planes
+            return DyadicReal(int(a[x]), int(b[x]), self._h)
+        return complex(self._planes[0][x])
 
     def amplitudes(self) -> list:
         return [self.amplitude(x) for x in range(self.num_states)]
@@ -248,24 +235,20 @@ class StateVector:
     def to_float_array(self) -> np.ndarray:
         """Amplitudes as complex128, for either backend."""
         if self.backend == FLOAT:
-            return self._amps.copy()
-        re = np.ldexp(self._a.astype(np.float64) + SQRT2 * self._b.astype(np.float64), -self._h)
+            return self._planes[0].copy()
+        a, b = self._planes
+        re = np.ldexp(a.astype(np.float64) + SQRT2 * b.astype(np.float64), -self._h)
         return re.astype(np.complex128)
 
     def to_float(self) -> StateVector:
-        s = StateVector.__new__(StateVector)
-        s.num_qubits = self.num_qubits
-        s.backend = FLOAT
-        s._amps = self.to_float_array()
-        s._a = s._b = None
-        s._h = 0
-        return s
+        return StateVector._from_planes(self.num_qubits, FLOAT, (self.to_float_array(),))
 
     def norm_squared(self) -> DyadicReal | float:
         """Sum of squared amplitude magnitudes; exact in the exact backend."""
         if self.backend == FLOAT:
-            return float(np.vdot(self._amps, self._amps).real)
-        a, b = self._a, self._b
+            amps = self._planes[0]
+            return float(np.vdot(amps, amps).real)
+        a, b = self._planes
         ma = int(np.abs(a).max(initial=0))
         mb = int(np.abs(b).max(initial=0))
         # (a + b r)^2 = (a^2 + 2 b^2) + (2 a b) r over 2^(2h)
@@ -300,11 +283,11 @@ class StateVector:
         if self.num_qubits != other.num_qubits or self.backend != other.backend:
             return False
         if self.backend == FLOAT:
-            return bool(np.array_equal(self._amps, other._amps))
+            return bool(np.array_equal(self._planes[0], other._planes[0]))
         ha, hb = self._h, other._h
         da, db = max(ha, hb) - ha, max(ha, hb) - hb
-        xa, xb = self._a, self._b
-        ya, yb = other._a, other._b
+        xa, xb = self._planes
+        ya, yb = other._planes
         if da or db:
             # Align denominators; fall back to exact Python ints if the
             # shift could overflow int64.
@@ -329,38 +312,37 @@ class StateVector:
             raise ValueError("backends differ")
         m = self.num_qubits + other.num_qubits
         if self.backend == FLOAT:
-            s = StateVector.__new__(StateVector)
-            s.num_qubits = m
-            s.backend = FLOAT
-            s._amps = np.kron(self._amps, other._amps)
-            s._a = s._b = None
-            s._h = 0
-            return s
-        m1 = max(int(np.abs(self._a).max(initial=0)), int(np.abs(self._b).max(initial=0)))
-        m2 = max(int(np.abs(other._a).max(initial=0)), int(np.abs(other._b).max(initial=0)))
-        if 3 * m1 * m2 >= _INT64_SAFE:
+            return StateVector._from_planes(m, FLOAT, (np.kron(self._planes[0], other._planes[0]),))
+        (xa, xb), (ya, yb) = self._planes, other._planes
+        if 3 * self._max_int() * other._max_int() >= _INT64_SAFE:
             raise OverflowError("tensor product would exceed int64 amplitude range")
-        a = np.kron(self._a, other._a) + 2 * np.kron(self._b, other._b)
-        b = np.kron(self._a, other._b) + np.kron(self._b, other._a)
-        return StateVector._from_exact_arrays(m, a, b, self._h + other._h)
+        a = np.kron(xa, ya) + 2 * np.kron(xb, yb)
+        b = np.kron(xa, yb) + np.kron(xb, ya)
+        return StateVector._from_planes(m, EXACT, (a, b), self._h + other._h)
+
+    def _max_int(self) -> int:
+        """Largest integer magnitude in the exact planes."""
+        return max(int(np.abs(p).max(initial=0)) for p in self._planes)
 
     def _canonical_reduce(self) -> None:
         """Divide out common powers of two so the shared h is minimal."""
         if self._h == 0:
             return
-        mask = int(np.bitwise_or.reduce(np.abs(self._a)) | np.bitwise_or.reduce(np.abs(self._b)))
+        mask = 0
+        for p in self._planes:
+            mask |= int(np.bitwise_or.reduce(np.abs(p)))
         if mask == 0:
             self._h = 0
             return
         t = min((mask & -mask).bit_length() - 1, self._h)
         if t:
-            self._a >>= t
-            self._b >>= t
+            for p in self._planes:
+                p >>= t
             self._h -= t
 
     def _guard_growth(self, factor: int) -> None:
         """Raise before a gate whose outputs could exceed int64."""
-        cur = max(int(np.abs(self._a).max(initial=0)), int(np.abs(self._b).max(initial=0)))
+        cur = self._max_int()
         if cur and cur * factor >= _INT64_SAFE:
             raise OverflowError(
                 "exact amplitude integers would exceed int64; "
@@ -368,7 +350,7 @@ class StateVector:
             )
 
     def _check_finite(self) -> None:
-        if not np.all(np.isfinite(self._amps.view(np.float64))):
+        if not np.all(np.isfinite(self._planes[0].view(np.float64))):
             raise ArithmeticError("non-finite amplitude in float backend")
 
     def terms(self, max_terms: int = 16) -> str:

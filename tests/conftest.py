@@ -1,9 +1,11 @@
-"""Shared helpers: independent dense-matrix oracles and random states.
+"""Shared helpers: independent dense-matrix oracles, the ancilla form of
+the phase oracle, and random states.
 
 The dense-matrix routines build full 2^m x 2^m operators with plain
 numpy and serve as independent references for the reshape-based kernels
 and for Grover success probabilities; they share no code with the
-library's gate application paths.
+library's gate application paths.  The ancilla helpers work amplitude by
+amplitude through the public API for the same reason.
 """
 
 from __future__ import annotations
@@ -91,3 +93,29 @@ def minus_state() -> cs.StateVector:
     """(|0> - |1>)/sqrt(2) in the exact backend."""
     inv = cs.DyadicReal(0, 1, 1)
     return cs.StateVector.from_amplitudes([inv, -inv])
+
+
+def apply_ancilla_oracle(state: cs.StateVector, f: cs.BooleanOracle) -> cs.StateVector:
+    """XOR-oracle form |k>|b> -> |k>|b xor f(k)>, ancilla the last qubit;
+    returns a new state."""
+    if state.num_qubits != f.n + 1:
+        raise ValueError(
+            f"ancilla oracle needs {f.n + 1} qubits, state has {state.num_qubits}"
+        )
+    amps = state.amplitudes()
+    return cs.StateVector.from_amplitudes(
+        [amps[x ^ f(x >> 1)] for x in range(len(amps))], state.backend
+    )
+
+
+def discard_minus_ancilla(state: cs.StateVector) -> cs.StateVector:
+    """Drop a last qubit that is exactly |-> = (|0> - |1>)/sqrt(2) from an
+    exact state.  Raises ValueError unless amp(x1) = -amp(x0) for every
+    x, i.e. unless the ancilla is unentangled in that state."""
+    if state.num_qubits < 2:
+        raise ValueError("need at least two qubits to discard one")
+    amps = state.amplitudes()
+    if any(a1 != -a0 for a0, a1 in zip(amps[0::2], amps[1::2])):
+        raise ValueError("ancilla is not exactly |-> (state is entangled or rotated)")
+    sqrt2 = cs.DyadicReal(0, 1, 0)
+    return cs.StateVector.from_amplitudes([a0 * sqrt2 for a0 in amps[0::2]])

@@ -130,6 +130,23 @@ class TestSweep:
     def test_unwritable_path_exit_3(self):
         assert run_cli("sweep", "--n", "1", "--out", "/nonexistent-dir/x.json") == 3
 
+    def test_existing_tmp_file_untouched(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        stray = tmp_path / "sweep.json.tmp"
+        stray.write_text("not ours")
+        assert run_cli("sweep", "--n", "1", "--out", str(path)) == 0
+        assert stray.read_text() == "not ours"
+        assert json.loads(path.read_text())["command"] == "sweep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json", "sweep.json.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # The target is a directory, so the final rename fails after the
+        # temporary file has been written.
+        (tmp_path / "out").mkdir()
+        assert run_cli("sweep", "--n", "1", "--out", str(tmp_path / "out")) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestGroverCompare:
     def test_values_and_defaults(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector
+from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
 
 INV = DyadicReal(0, 1, 1)
 HALF = DyadicReal(1, 0, 1)
@@ -164,6 +164,16 @@ class TestSweep:
         assert rep.seed == 4 and rep.rng_algorithm == cs.RNG_ALGORITHM
         assert rep.all_match
         assert rep.max_deviation <= 1e-12
+
+    def test_pairwise_tv_switches_to_bound_past_limit(self):
+        limit = refutation._ALL_PAIRS_LIMIT
+        small = cs.sweep_all_f(1, cs.FLOAT, exhaustive=False, sample_count=3, seed=2)
+        assert small.max_pairwise_tv_is_exact
+        big = cs.sweep_all_f(1, cs.FLOAT, exhaustive=False, sample_count=limit + 1, seed=2)
+        assert big.oracle_count == limit + 1
+        assert not big.max_pairwise_tv_is_exact
+        top = sorted(v.tv_to_first for v in big.verdicts)[-2:]
+        assert big.max_pairwise_tv == sum(top)
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError):
