@@ -1,11 +1,13 @@
-"""Shared helpers: independent dense-matrix oracles, the ancilla form of
-the phase oracle, and random states.
+"""Shared helpers: independent dense-matrix oracles, an exact
+amplitude-by-amplitude reference, the ancilla form of the phase oracle,
+and random states.
 
 The dense-matrix routines build full 2^m x 2^m operators with plain
 numpy and serve as independent references for the reshape-based kernels
 and for Grover success probabilities; they share no code with the
-library's gate application paths.  The ancilla helpers work amplitude by
-amplitude through the public API for the same reason.
+library's gate application paths.  The exact reference applies
+DyadicReal matrices one amplitude at a time, and the ancilla helpers work
+amplitude by amplitude through the public API, for the same reason.
 """
 
 from __future__ import annotations
@@ -47,6 +49,49 @@ def dense_phase_oracle(f: cs.BooleanOracle, reg_start: int, m: int) -> np.ndarra
     shift = m - (reg_start + f.n - 1)
     window = (np.arange(1 << m) >> shift) & ((1 << f.n) - 1)
     return np.diag([(-1.0) ** f(int(k)) for k in window])
+
+
+_R = cs.DyadicReal(0, 1, 1)  # 1/sqrt(2)
+_O = cs.DyadicReal(0, 0)
+_I = cs.DyadicReal(1, 0)
+
+# Literal DyadicReal matrices, independent of the library's gate
+# definitions; basis |b_p b_q> for the two-qubit ones.
+EXACT_MATRICES = {
+    "H": ((_R, _R), (_R, -_R)),
+    "X": ((_O, _I), (_I, _O)),
+    "Z": ((_I, _O), (_O, -_I)),
+    "C": ((_R, _O, _R, _O), (_O, _R, _O, -_R), (-_R, _O, _R, _O), (_O, _R, _O, _R)),
+    # Controlled-H mixes entries with and without sqrt(2).
+    "CH": ((_I, _O, _O, _O), (_O, _I, _O, _O), (_O, _O, _R, _R), (_O, _O, _R, -_R)),
+}
+
+
+def exact_apply(amps: list, matrix, qubits: tuple[int, ...], m: int) -> list:
+    """Apply a k-qubit DyadicReal ``matrix`` to the ordered ``qubits``
+    (first qubit most significant in the matrix index) of an m-qubit
+    amplitude list, one amplitude at a time; returns a new list."""
+    k = len(qubits)
+    shifts = [m - q for q in qubits]
+    mask = sum(1 << s for s in shifts)
+    out = [_O] * len(amps)
+    for x, amp in enumerate(amps):
+        if amp == 0:
+            continue
+        col = sum(((x >> s) & 1) << (k - 1 - t) for t, s in enumerate(shifts))
+        for row in range(1 << k):
+            entry = matrix[row][col]
+            if entry == 0:
+                continue
+            y = (x & ~mask) | sum(((row >> (k - 1 - t)) & 1) << s for t, s in enumerate(shifts))
+            out[y] = out[y] + entry * amp
+    return out
+
+
+def exact_phase_oracle(amps: list, f: cs.BooleanOracle, reg_start: int, m: int) -> list:
+    """(-1)^f(k) times each amplitude, k read from qubits reg_start .. reg_start + f.n - 1."""
+    shift = m - (reg_start + f.n - 1)
+    return [-amp if f((x >> shift) & ((1 << f.n) - 1)) else amp for x, amp in enumerate(amps)]
 
 
 def grover_success_dense(n: int, marked: int, iterations: int) -> float:

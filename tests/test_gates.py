@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 import compsearch as cs
 from compsearch import BooleanOracle, DyadicReal, StateVector
 from conftest import (
+    EXACT_MATRICES,
     apply_ancilla_oracle,
     dense_one_qubit,
     dense_phase_oracle,
     dense_two_qubit,
     discard_minus_ancilla,
+    exact_apply,
+    exact_phase_oracle,
     minus_state,
     random_exact_state,
     random_float_state,
@@ -42,6 +45,17 @@ class TestHadamard:
             cs.apply_gate1(t, 2, cs.hadamard())
             cs.apply_gate1(t, 2, cs.hadamard())
             assert t == s
+
+    def test_long_run_returns_exactly(self):
+        # H^200 is the identity; the kernel must not raise OverflowError
+        # on the way, however loosely it tracks integer growth.
+        rng = np.random.Generator(np.random.PCG64(3))
+        s = random_exact_state(3, rng)
+        t = s.copy()
+        for _ in range(200):
+            cs.apply_gate1(t, 2, cs.hadamard())
+        assert t == s
+        assert t.amplitudes() == s.amplitudes()
 
     def test_unitary_exact(self):
         assert cs.hadamard().is_unitary()
@@ -319,21 +333,27 @@ DENSE = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
     "C": R * np.array([[1, 0, 1, 0], [0, 1, 0, -1], [-1, 0, 1, 0], [0, 1, 0, 1]]),
 }
-LIBRARY = {"H": cs.hadamard(), "X": cs.pauli_x(), "Z": cs.pauli_z(), "C": cs.comparison_gate()}
+LIBRARY = {
+    "H": cs.hadamard(),
+    "X": cs.pauli_x(),
+    "Z": cs.pauli_z(),
+    "C": cs.comparison_gate(),
+    "CH": cs.Gate2("CH", EXACT_MATRICES["CH"]),
+}
 
 
 @st.composite
-def gate_words(draw):
-    """A width m, a basis input and a word of H/X/Z on any qubit, C on
-    any ordered pair (nonadjacent and reversed included) and phase
-    oracles on any window."""
+def gate_words(draw, kinds=("H", "X", "Z", "C", "O"), min_size=1, max_size=12):
+    """A width m, a basis input and a word drawn from ``kinds``: H/X/Z on
+    any qubit, C or CH (controlled-H) on any ordered pair (nonadjacent
+    and reversed included) and phase oracles ("O") on any window."""
     m = draw(st.integers(2, 5))
     ops = []
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from("HXZCO"))
-        if kind == "C":
+    for _ in range(draw(st.integers(min_size, max_size))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("C", "CH"):
             p, q = draw(st.permutations(range(1, m + 1)))[:2]
-            ops.append(("C", p, q))
+            ops.append((kind, p, q))
         elif kind == "O":
             n = draw(st.integers(1, m))
             start = draw(st.integers(1, m - n + 1))
@@ -372,3 +392,40 @@ class TestKernelDifferential:
         assert exact.norm_squared() == 1
         for s in (exact, flt):
             assert np.max(np.abs(s.to_float_array() - ref)) <= 1e-12
+
+
+def _run_exact_word(word) -> None:
+    """Run ``word`` on the exact kernels and on ``conftest.exact_apply``;
+    the two must agree with zero tolerance."""
+    m, index, ops = word
+    s = StateVector.basis_state(m, index)
+    ref = [DyadicReal(int(x == index), 0) for x in range(1 << m)]
+    for op in ops:
+        if op[0] == "O":
+            _, f, start = op
+            ref = exact_phase_oracle(ref, f, start, m)
+            cs.apply_phase_oracle(s, f, start)
+        elif len(op) == 3:
+            name, p, q = op
+            ref = exact_apply(ref, EXACT_MATRICES[name], (p, q), m)
+            cs.apply_gate2(s, p, q, LIBRARY[name])
+        else:
+            name, q = op
+            ref = exact_apply(ref, EXACT_MATRICES[name], (q,), m)
+            cs.apply_gate1(s, q, LIBRARY[name])
+    assert s.amplitudes() == ref
+    assert s == StateVector.from_amplitudes(ref)
+
+
+class TestExactKernelDifferential:
+    @settings(max_examples=80, deadline=None)
+    @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O")))
+    def test_words_match_exact_reference(self, word):
+        _run_exact_word(word)
+
+    @settings(max_examples=25, deadline=None)
+    @given(gate_words(kinds=("H", "C", "CH"), min_size=40, max_size=64))
+    def test_long_words_match_exact_reference(self, word):
+        # Each of these gates may grow an integer fourfold, so 40 of them
+        # leave int64's checked range unless the kernel reduces on the way.
+        _run_exact_word(word)
