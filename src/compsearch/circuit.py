@@ -183,6 +183,7 @@ def run(circuit: Circuit, s0: StateVector) -> StateVector:
     state = _start_state(circuit, s0)
     for op in circuit.ops:
         _apply(op, state)
+    state._canonical_reduce()
     return state
 
 
@@ -195,6 +196,7 @@ def run_with_trace(circuit: Circuit, s0: StateVector) -> Trace:
             trace.checkpoints[op.label] = state.copy()
         else:
             _apply(op, state)
+    state._canonical_reduce()
     trace.final = state
     return trace
 

@@ -39,7 +39,7 @@ from .circuit import (
     run_with_trace,
 )
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector
+from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector, all_oracles
 from .refutation import (
     EXHAUSTIVE_SWEEP_MAX_N,
     check_oracle,
@@ -188,8 +188,10 @@ def cmd_verify(args) -> tuple[int, dict]:
         raise CLIError(2, f"--all-f capped at n <= {EXHAUSTIVE_SWEEP_MAX_N} (2^(2^n) oracles)")
 
     if args.all_f:
-        report = sweep_all_f(args.n, backend, exhaustive=True)
-        checked, all_match, max_dev = report.oracle_count, report.all_match, report.max_deviation
+        verdicts = [check_oracle(args.n, g, backend) for g in all_oracles(args.n)]
+        checked = len(verdicts)
+        all_match = all(ok for ok, _ in verdicts)
+        max_dev = max(dev for _, dev in verdicts)
     else:
         ok, dev = check_oracle(args.n, f, backend)
         checked, all_match, max_dev = 1, ok, dev

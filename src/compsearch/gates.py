@@ -19,6 +19,7 @@ O(2^m).
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -48,38 +49,22 @@ class _GateBase:
             [[e.to_float() for e in row] for row in self.matrix], dtype=np.complex128
         )
 
-    def _compiled(self, backend: str) -> tuple[list, int, int]:
-        """The gate as ``(rows, g, growth)`` over ``backend``'s planes.
+    def _compiled(self, backend: str) -> tuple:
+        """The gate as ``(steps, saves, scratch, g, growth, swap)`` over
+        ``backend``'s planes, cached per backend.
 
-        Each row ``(out_plane, out_slot, ((coef, in_plane, in_slot), ...))``
-        writes one output slot as a sum over input slots, zero
-        coefficients dropped; a slot is a basis index of the gate.  The
-        state's exponent grows by ``g`` and no integer grows by more than
-        the factor ``growth``, the largest row 1-norm.  Cached per backend.
+        The kernel lists the slot arrays of every plane (plane p, gate
+        slot j at ``p * dim + j``), then a buffer: copies of the
+        ``saves`` slots, which some row reads after an earlier row
+        overwrote them, and one ``scratch`` slot at index -1 if a term
+        needs it.  Each step ``(ufunc, x, y, y_is_slot, out)`` is one
+        ``ufunc(arrays[x], arrays[y] or y, out=arrays[out])``.  The
+        exponent grows by ``g``, no integer grows by more than the factor
+        ``growth``, and ``swap`` says the two exact planes trade places
+        afterwards.
         """
         if backend not in self._cache:
-            dim = range(self.dim)
-            if backend == FLOAT:
-                G = self.float_matrix()
-                g, rows = 0, [(0, i, [(G[i, j], 0, j) for j in dim]) for i in dim]
-            else:
-                # entry (A + B sqrt2) / 2^g times amplitude (a + b sqrt2)
-                # is (A a + 2 B b) + (B a + A b) sqrt2, over 2^g.
-                g = max(e.h for row in self.matrix for e in row)
-                rows = []
-                for i, row in enumerate(self.matrix):
-                    A = [e.a << (g - e.h) for e in row]
-                    B = [e.b << (g - e.h) for e in row]
-                    a = [(A[j], 0, j) for j in dim] + [(2 * B[j], 1, j) for j in dim]
-                    b = [(A[j], 1, j) for j in dim] + [(B[j], 0, j) for j in dim]
-                    rows += [(0, i, a), (1, i, b)]
-            # An all-zero row keeps one zero term, so that it writes zeros.
-            rows = [
-                (plane, i, tuple(t for t in terms if t[0] != 0) or terms[:1])
-                for plane, i, terms in rows
-            ]
-            growth = max(sum(abs(t[0]) for t in terms) for _, _, terms in rows)
-            self._cache[backend] = (rows, g, growth)
+            self._cache[backend] = _compile(self, backend)
         return self._cache[backend]
 
     def is_unitary(self) -> bool:
@@ -175,6 +160,85 @@ def comparison_gate() -> Gate2:
     return _COMPARISON
 
 
+def _compile(gate: _GateBase, backend: str) -> tuple:
+    """See :meth:`_GateBase._compiled`."""
+    matrix = gate.matrix
+    dim = range(gate.dim)
+    exact = backend == EXACT
+    swap = False
+    if not exact:
+        G = gate.float_matrix()
+        g, rows = 0, [(0, i, [(G[i, j], 0, j) for j in dim]) for i in dim]
+    else:
+        # entry (A + B sqrt2) / 2^g times amplitude (a + b sqrt2)
+        # is (A a + 2 B b) + (B a + A b) sqrt2, over 2^g.
+        g = max(e.h for row in matrix for e in row)
+        A = [[e.a << (g - e.h) for e in row] for row in matrix]
+        B = [[e.b << (g - e.h) for e in row] for row in matrix]
+        swap = not any(map(any, A))
+        rows = []
+        for i in dim:
+            if swap:
+                # All A = 0: the new a = 2 B b overwrites b and the new
+                # b = B a overwrites a, each plane mixed on its own.
+                rows += [(0, i, [(B[i][j], 0, j) for j in dim]),
+                         (1, i, [(2 * B[i][j], 1, j) for j in dim])]
+            else:
+                rows += [(0, i, [(A[i][j], 0, j) for j in dim] + [(2 * B[i][j], 1, j) for j in dim]),
+                         (1, i, [(A[i][j], 1, j) for j in dim] + [(B[i][j], 0, j) for j in dim])]
+    size = gate.dim
+    first_saved = (2 if exact else 1) * size
+    written, saves, steps, growth = set(), [], [], 1
+
+    def slot(p: int, j: int) -> int:
+        if (p, j) not in written:
+            return p * size + j
+        if (p, j) not in saves:
+            saves.append((p, j))
+        return first_saved + saves.index((p, j))
+
+    for plane, i, terms in rows:
+        # An all-zero row keeps one zero term, so that it writes zeros.
+        terms = [t for t in terms if t[0] != 0] or terms[:1]
+        shift = 0
+        if exact:
+            # Pull the terms' common power of two out as a final shift.
+            common = functools.reduce(operator.or_, (c for c, _, _ in terms))
+            shift = (common & -common).bit_length() - 1 if common else 0
+            terms = [(c >> shift, p, j) for c, p, j in terms]
+            growth = max(growth, sum(abs(c) for c, _, _ in terms) << shift)
+        if exact or len(terms) <= 2:
+            # Reading the output's own slot first saves copying it; integer
+            # sums and two-term float sums are unchanged by the order.
+            terms.sort(key=lambda t: (t[1], t[2]) != (plane, i))
+        out = plane * size + i
+        units = [c for c, _, _ in terms[:2]]
+        if exact and len(units) == 2 and set(units) <= {1, -1} and units != [-1, -1]:
+            # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
+            x0, x1 = (slot(p, j) for _, p, j in terms[:2])
+            if units[0] == -1:
+                x0, x1 = x1, x0
+            steps.append((np.add if units[0] == units[1] else np.subtract, x0, x1, True, out))
+            rest = terms[2:]
+        else:
+            (c, p, j), *rest = terms
+            x = slot(p, j)
+            if not (exact and x == out and c == 1):
+                steps.append((np.multiply, x, c, False, out))
+        written.add((plane, i))
+        for c, p, j in rest:
+            x = slot(p, j)
+            if c == 1 or c == -1:
+                steps.append((np.add if c == 1 else np.subtract, out, x, True, out))
+            else:
+                steps += [(np.multiply, x, c, False, -1), (np.add, out, -1, True, out)]
+        if shift:
+            steps.append((np.left_shift, out, shift, False, out))
+    scratch = any(step[4] == -1 for step in steps)
+    saves = tuple(p * size + j for p, j in saves)
+    return tuple(steps), saves, scratch, g, growth, swap
+
+
 def _check_qubit(state: StateVector, q: int) -> None:
     if not 1 <= q <= state.num_qubits:
         raise ValueError(f"qubit {q} out of range 1..{state.num_qubits}")
@@ -185,32 +249,30 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
 
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  Each plane is viewed as
-    (pre, 2, [mid, 2,] post) around the sorted qubits, the input slots
-    are copied, and each compiled row is written into its output slot.
+    (pre, 2, [mid, 2,] post) around the sorted qubits; the slots that a
+    row reads after an earlier row overwrote them are copied once, and
+    the compiled steps write each output slot in place by ufuncs with
+    ``out=``.  Exact integers are checked against the state's tracked
+    bound, so a gate raises OverflowError before any write.
     """
-    rows, g, growth = gate._compiled(state.backend)
+    steps, saves, scratch, g, growth, swap = gate._compiled(state.backend)
     exact = state.backend == EXACT
     if exact:
-        state._guard_growth(growth)
+        state._make_room(growth)
     shape, slots = _layout(state.num_qubits, qubits)
-    views = [p.reshape(shape) for p in state._planes]
-    inputs = [[view[index].copy() for index in slots] for view in views]
-    for out_plane, out_slot, terms in rows:
-        out = views[out_plane][slots[out_slot]]
-        (coef, plane, slot), *rest = terms
-        np.multiply(inputs[plane][slot], coef, out=out)
-        for coef, plane, slot in rest:
-            x = inputs[plane][slot]
-            if coef == 1:
-                out += x
-            elif coef == -1:
-                out -= x
-            else:
-                # In-place add, so the product is freed before the next term.
-                out += coef * x
+    arrays = [p.reshape(shape)[index] for p in state._planes for index in slots]
+    if saves or scratch:
+        buf = np.empty((len(saves) + scratch,) + arrays[0].shape, arrays[0].dtype)
+        for copy, src in zip(buf, saves):
+            np.copyto(copy, arrays[src])
+        arrays += list(buf)
+    for ufunc, x, y, y_is_slot, out in steps:
+        ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
     if exact:
         state._h += g
-        state._canonical_reduce()
+        state._bound *= growth
+        if swap:
+            state._planes = state._planes[::-1]
     else:
         state._check_finite()
     return state

@@ -149,7 +149,9 @@ def empirical_distribution(counts: np.ndarray, num_qubits: int) -> Distribution:
 
 def _exact_prob_ints(state: StateVector) -> tuple[np.ndarray, np.ndarray, int]:
     """Probabilities of an exact state as integer pairs over 2^(2h):
-    p(x) = (pa[x] + pb[x] * sqrt(2)) / 2^(2h).  Object dtype, never wraps."""
+    p(x) = (pa[x] + pb[x] * sqrt(2)) / 2^(2h), h minimal, so that the
+    tables of equal states are equal.  Object dtype, never wraps."""
+    state._canonical_reduce()
     a, b = (p.astype(object) for p in state._planes)
     return a * a + 2 * b * b, 2 * a * b, 2 * state._h
 
@@ -172,7 +174,12 @@ def second_register_probability(state: StateVector, n: int, outcome: int):
 
 def second_register_marginal_floats(state: StateVector, n: int) -> np.ndarray:
     """Float marginal distribution of the last n qubits."""
-    probs = np.abs(state.to_float_array()) ** 2
+    if state.backend == EXACT:
+        # Real amplitudes: re**2 is |re + 0j|**2 bit for bit.
+        probs = state._real_floats()
+        np.square(probs, out=probs)
+    else:
+        probs = np.abs(state._planes[0]) ** 2
     return probs.reshape(-1, 1 << n).sum(axis=0)
 
 
@@ -233,12 +240,19 @@ def check_oracle(n: int, f: BooleanOracle, backend: str = EXACT) -> tuple[bool, 
     """Run the comparison circuit for ``f`` and compare against the
     diagonal target.  Returns (match, max per-amplitude deviation); the
     match is zero-tolerance in the exact backend and FLOAT_ATOL in float."""
-    out = simulate(build_comparison_search(n, f), backend)
-    target = target_output(n, f, backend=backend)
-    if backend == EXACT:
-        return out == target, out.max_abs_diff(target)
-    dev = out.max_abs_diff(target)
-    return dev <= FLOAT_ATOL, dev
+    _, _, match, dev = next(_verdicts(n, backend, [f]))
+    return match, dev
+
+
+def _verdicts(n: int, backend: str, oracles):
+    """Per oracle, run the comparison circuit and compare its output with
+    the diagonal target: yields ``(f, out, match, max deviation)``."""
+    for f in oracles:
+        out = simulate(build_comparison_search(n, f), backend)
+        target = target_output(n, f, backend=backend)
+        dev = out.max_abs_diff(target)
+        match = (out == target) if backend == EXACT else dev <= FLOAT_ATOL
+        yield f, out, match, dev
 
 
 def _sweep_oracles(n: int, exhaustive: bool, count: int, seed: int):
@@ -288,11 +302,8 @@ def sweep_all_f(
     keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
     dists: list[np.ndarray] = []
     all_dists_identical = backend == EXACT
-    for i, f in enumerate(_sweep_oracles(n, exhaustive, sample_count, seed)):
-        out = simulate(build_comparison_search(n, f), backend)
-        target = target_output(n, f, backend=backend)
-        dev = out.max_abs_diff(target)
-        match = (out == target) if backend == EXACT else dev <= FLOAT_ATOL
+    oracles = _sweep_oracles(n, exhaustive, sample_count, seed)
+    for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
         probs = np.abs(out.to_float_array()) ** 2
         ints = _exact_prob_ints(out) if backend == EXACT else None
         if first_probs is None:

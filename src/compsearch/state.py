@@ -11,9 +11,14 @@ planes:
 
 * ``"exact"`` -- two int64 planes (a, b); the amplitude at x is
   (a[x] + b[x]*sqrt(2)) / 2^h.  All gates in this library scale every
-  amplitude by the same power of 1/sqrt(2), so one exponent suffices,
-  and it is kept minimal.  Integer growth is checked and raises
-  OverflowError rather than wrapping.
+  amplitude by the same power of 1/sqrt(2), so one exponent suffices.
+  h is minimal (not every integer even) after construction, ``copy()``
+  and ``circuit.run``; gate kernels may leave it larger, and ``==``
+  aligns denominators, so that never changes a comparison.  Each exact
+  state tracks ``_bound``, an upper bound on every |a[x]| and |b[x]|: a
+  gate that might push an integer to 2^62 first reduces h and rescans,
+  and raises OverflowError, before any write, if that does not make
+  room.  Integers never wrap.
 * ``"float"`` -- one complex128 plane holding the amplitudes; h = 0.
 
 Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
@@ -155,7 +160,7 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_planes", "_h")
+    __slots__ = ("num_qubits", "backend", "_planes", "_h", "_bound")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
@@ -168,6 +173,7 @@ class StateVector:
         self._planes = tuple(np.zeros(1 << num_qubits, dtype=dtype) for _ in range(count))
         self._planes[0][0] = 1
         self._h = 0
+        self._bound = 1
 
     @property
     def num_states(self) -> int:
@@ -213,7 +219,9 @@ class StateVector:
         s.backend = backend
         s._planes = tuple(planes)
         s._h = h
+        s._bound = 0
         if backend == EXACT:
+            s._bound = s._max_int()
             s._canonical_reduce()
         return s
 
@@ -236,9 +244,15 @@ class StateVector:
         """Amplitudes as complex128, for either backend."""
         if self.backend == FLOAT:
             return self._planes[0].copy()
+        return self._real_floats().astype(np.complex128)
+
+    def _real_floats(self) -> np.ndarray:
+        """An exact state's amplitudes as one new float64 array,
+        fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
         a, b = self._planes
-        re = np.ldexp(a.astype(np.float64) + SQRT2 * b.astype(np.float64), -self._h)
-        return re.astype(np.complex128)
+        re = np.multiply(b, SQRT2, dtype=np.float64)
+        np.add(re, a, out=re)
+        return np.ldexp(re, -self._h, out=re)
 
     def to_float(self) -> StateVector:
         return StateVector._from_planes(self.num_qubits, FLOAT, (self.to_float_array(),))
@@ -249,8 +263,7 @@ class StateVector:
             amps = self._planes[0]
             return float(np.vdot(amps, amps).real)
         a, b = self._planes
-        ma = int(np.abs(a).max(initial=0))
-        mb = int(np.abs(b).max(initial=0))
+        ma, mb = (max(int(p.max()), -int(p.min())) for p in self._planes)
         # (a + b r)^2 = (a^2 + 2 b^2) + (2 a b) r over 2^(2h)
         bound = max(ma * ma + 2 * mb * mb, 2 * ma * mb) * a.size
         if bound < _INT64_SAFE:
@@ -291,10 +304,7 @@ class StateVector:
         if da or db:
             # Align denominators; fall back to exact Python ints if the
             # shift could overflow int64.
-            bits = max(
-                int(np.abs(xa).max(initial=0)) | int(np.abs(xb).max(initial=0)),
-                int(np.abs(ya).max(initial=0)) | int(np.abs(yb).max(initial=0)),
-            ).bit_length()
+            bits = max(self._max_int(), other._max_int()).bit_length()
             if bits + max(da, db) >= 63:
                 xa, xb = xa.astype(object) << da, xb.astype(object) << da
                 ya, yb = ya.astype(object) << db, yb.astype(object) << db
@@ -321,29 +331,39 @@ class StateVector:
         return StateVector._from_planes(m, EXACT, (a, b), self._h + other._h)
 
     def _max_int(self) -> int:
-        """Largest integer magnitude in the exact planes."""
-        return max(int(np.abs(p).max(initial=0)) for p in self._planes)
+        """Largest integer magnitude in the exact planes (one scan, no
+        temporary plane)."""
+        return max(max(int(p.max()), -int(p.min())) for p in self._planes)
 
     def _canonical_reduce(self) -> None:
         """Divide out common powers of two so the shared h is minimal."""
         if self._h == 0:
             return
+        # Two's complement keeps the lowest set bit of -v, so OR-ing the
+        # raw values finds the common power of two.
         mask = 0
         for p in self._planes:
-            mask |= int(np.bitwise_or.reduce(np.abs(p)))
+            mask |= int(np.bitwise_or.reduce(p))
         if mask == 0:
-            self._h = 0
+            self._h = self._bound = 0
             return
         t = min((mask & -mask).bit_length() - 1, self._h)
         if t:
             for p in self._planes:
                 p >>= t
             self._h -= t
+            self._bound >>= t
 
-    def _guard_growth(self, factor: int) -> None:
-        """Raise before a gate whose outputs could exceed int64."""
-        cur = self._max_int()
-        if cur and cur * factor >= _INT64_SAFE:
+    def _make_room(self, growth: int) -> None:
+        """Make sure a gate that grows integers by at most ``growth`` stays
+        below 2^62: when the tracked bound allows no such gate, reduce h
+        and rescan; raise OverflowError if there is still no room.  The
+        state's value never changes here."""
+        if self._bound * growth < _INT64_SAFE:
+            return
+        self._canonical_reduce()
+        self._bound = self._max_int()
+        if self._bound * growth >= _INT64_SAFE:
             raise OverflowError(
                 "exact amplitude integers would exceed int64; "
                 "state has grown beyond this backend's checked range"
