@@ -187,12 +187,13 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
                 rows += [(0, i, [(A[i][j], 0, j) for j in dim] + [(2 * B[i][j], 1, j) for j in dim]),
                          (1, i, [(A[i][j], 1, j) for j in dim] + [(B[i][j], 0, j) for j in dim])]
     size = gate.dim
-    first_saved = (2 if exact else 1) * size
-    written, saves, steps, growth = set(), [], [], 1
+    planes = 2 if exact else 1
+    first_saved = planes + planes * size
+    written, saves, steps, shifts, growth = set(), [], [], {}, 1
 
     def slot(p: int, j: int) -> int:
         if (p, j) not in written:
-            return p * size + j
+            return planes + p * size + j
         if (p, j) not in saves:
             saves.append((p, j))
         return first_saved + saves.index((p, j))
@@ -211,7 +212,7 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
             # Reading the output's own slot first saves copying it; integer
             # sums and two-term float sums are unchanged by the order.
             terms.sort(key=lambda t: (t[1], t[2]) != (plane, i))
-        out = plane * size + i
+        out = planes + plane * size + i
         units = [c for c, _, _ in terms[:2]]
         if exact and len(units) == 2 and set(units) <= {1, -1} and units != [-1, -1]:
             # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
@@ -232,10 +233,20 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
                 steps.append((np.add if c == 1 else np.subtract, out, x, True, out))
             else:
                 steps += [(np.multiply, x, c, False, -1), (np.add, out, -1, True, out)]
-        if shift:
-            steps.append((np.left_shift, out, shift, False, out))
+        shifts.setdefault(plane, {})[out] = shift
+    # Shifts go last, as no row reads a live slot once it is written; a
+    # plane whose rows all shift alike shifts whole, which stays
+    # contiguous however low the gate's qubits are.
+    for plane, by_out in shifts.items():
+        common = set(by_out.values())
+        if common == {0}:
+            continue
+        if len(common) == 1:
+            steps.append((np.left_shift, plane, common.pop(), False, plane))
+        else:
+            steps += [(np.left_shift, out, k, False, out) for out, k in by_out.items() if k]
     scratch = any(step[4] == -1 for step in steps)
-    saves = tuple(p * size + j for p, j in saves)
+    saves = tuple(planes + p * size + j for p, j in saves)
     return tuple(steps), saves, scratch, g, growth, swap
 
 
@@ -260,12 +271,13 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     if exact:
         state._make_room(growth)
     shape, slots = _layout(state.num_qubits, qubits)
-    arrays = [p.reshape(shape)[index] for p in state._planes for index in slots]
-    if saves or scratch:
-        buf = np.empty((len(saves) + scratch,) + arrays[0].shape, arrays[0].dtype)
-        for copy, src in zip(buf, saves):
-            np.copyto(copy, arrays[src])
-        arrays += list(buf)
+    arrays = [*state._planes]
+    for p in state._planes:
+        view = p.reshape(shape)
+        arrays += [view[i] for i in slots]
+    arrays += [arrays[src].copy() for src in saves]
+    if scratch:
+        arrays.append(np.empty_like(arrays[-1]))
     for ufunc, x, y, y_is_slot, out in steps:
         ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
     if exact:
