@@ -8,9 +8,9 @@ applied to the ordered pair (p, q) is |b_p b_q>, i.e. row index
 consistent with its per-qubit action formula under this first-qubit-major
 order (checked column by column in the tests).
 
-Every gate compiles once per backend into rows over the state's planes
-(see :mod:`compsearch.state`), and one kernel applies those rows for
-both backends and both arities.  Kernels mutate the state in place and
+Every gate compiles once per backend into in-place ufunc steps over the
+state's planes (see :mod:`compsearch.state`), and one kernel runs those
+steps for both backends and both arities.  Kernels mutate the state in place and
 return it.  Oracles are applied as diagonal sign flips over a register
 window rather than materialized matrices, so every application is
 O(2^m).
@@ -53,15 +53,15 @@ class _GateBase:
         """The gate as ``(steps, saves, scratch, g, growth, swap)`` over
         ``backend``'s planes, cached per backend.
 
-        The kernel lists the slot arrays of every plane (plane p, gate
-        slot j at ``p * dim + j``), then a buffer: copies of the
+        The kernel lists the flat planes, the slot arrays of every plane
+        (plane p, gate slot j at ``planes + p * dim + j``), copies of the
         ``saves`` slots, which some row reads after an earlier row
-        overwrote them, and one ``scratch`` slot at index -1 if a term
-        needs it.  Each step ``(ufunc, x, y, y_is_slot, out)`` is one
-        ``ufunc(arrays[x], arrays[y] or y, out=arrays[out])``.  The
-        exponent grows by ``g``, no integer grows by more than the factor
-        ``growth``, and ``swap`` says the two exact planes trade places
-        afterwards.
+        overwrote them, and last, if ``scratch``, one scratch slot.  Each
+        step ``(ufunc, x, y, y_is_slot, out)`` is one call
+        ``ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])``.
+        The exponent grows by ``g``, no integer grows by more than the
+        factor ``growth``, and ``swap`` says the two exact planes trade
+        places afterwards.
         """
         if backend not in self._cache:
             self._cache[backend] = _compile(self, backend)

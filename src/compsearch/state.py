@@ -48,6 +48,11 @@ _INT64_SAFE = 1 << 62
 _PLANES = {EXACT: (np.int64, 2), FLOAT: (np.complex128, 1)}
 
 
+def _abs_max(plane: np.ndarray) -> int:
+    """max |plane| as a Python int, without a temporary plane."""
+    return max(int(plane.max()), -int(plane.min()))
+
+
 @dataclass(frozen=True)
 class BitString:
     """An n-bit value; bit(1) is the most significant bit."""
@@ -263,7 +268,7 @@ class StateVector:
             amps = self._planes[0]
             return float(np.vdot(amps, amps).real)
         a, b = self._planes
-        ma, mb = (max(int(p.max()), -int(p.min())) for p in self._planes)
+        ma, mb = (_abs_max(p) for p in self._planes)
         # (a + b r)^2 = (a^2 + 2 b^2) + (2 a b) r over 2^(2h)
         bound = max(ma * ma + 2 * mb * mb, 2 * ma * mb) * a.size
         if bound < _INT64_SAFE:
@@ -331,9 +336,8 @@ class StateVector:
         return StateVector._from_planes(m, EXACT, (a, b), self._h + other._h)
 
     def _max_int(self) -> int:
-        """Largest integer magnitude in the exact planes (one scan, no
-        temporary plane)."""
-        return max(max(int(p.max()), -int(p.min())) for p in self._planes)
+        """Largest integer magnitude in the exact planes."""
+        return max(_abs_max(p) for p in self._planes)
 
     def _canonical_reduce(self) -> None:
         """Divide out common powers of two so the shared h is minimal."""
