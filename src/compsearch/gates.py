@@ -270,16 +270,23 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     exact = state.backend == EXACT
     if exact:
         state._make_room(growth)
-    shape, slots = _layout(state.num_qubits, qubits)
-    arrays = [*state._planes]
-    for p in state._planes:
-        view = p.reshape(shape)
-        arrays += [view[i] for i in slots]
-    arrays += [arrays[src].copy() for src in saves]
-    if scratch:
-        arrays.append(np.empty_like(arrays[-1]))
-    for ufunc, x, y, y_is_slot, out in steps:
-        ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
+    shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
+    views = [p.reshape(shape) for p in state._planes]
+    for chunk in chunks:
+        regions = [v[chunk] for v in views] if chunk else views
+        arrays = regions + [r[i] for r in regions for i in slots]
+        if perm:
+            arrays[len(regions):] = [a.transpose(perm) for a in arrays[len(regions):]]
+        arrays += [arrays[src].copy() for src in saves]
+        if scratch:
+            arrays.append(np.empty(arrays[-1].shape, arrays[-1].dtype))
+        if perm:
+            for ufunc, x, y, y_is_slot, out in steps:
+                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+        else:
+            # The same loop without order=, whose parsing small states feel.
+            for ufunc, x, y, y_is_slot, out in steps:
+                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
     if exact:
         state._h += g
         state._bound *= growth
@@ -290,10 +297,28 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     return state
 
 
+# Amplitudes per slot that one chunk of a gate covers, so that every
+# step of the chunk runs in cache, and the inner-axis length below which
+# a chunk's slots are iterated along their longest axis instead.
+_CHUNK = 1 << 14
+_SHORT_INNER = 8
+
+
 @functools.lru_cache(maxsize=1024)
-def _layout(m: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Plane view shape around the sorted ``qubits`` and, per gate slot,
-    the index of that slot's amplitudes in the view."""
+def _layout(m: int, qubits: tuple[int, ...]) -> tuple:
+    """How the kernel walks a plane for a gate on ``qubits``:
+    ``(shape, slots, chunks, perm)``.
+
+    ``shape`` views a plane as (pre, 2, [mid, 2,] post) around the sorted
+    qubits; ``slots`` holds, per gate slot, the index of that slot's
+    amplitudes in the view or in a chunk of it.  ``chunks`` index the
+    view, each keeping the gate axes whole and covering about ``_CHUNK``
+    amplitudes per slot: whole outer indices while the rest is larger,
+    then a slice of the next axis.  ``perm``, when set, reorders the axes
+    of a chunk's slots so that their longest one is innermost; ufuncs
+    then run in that (C) order, as numpy would otherwise loop innermost
+    over a short post axis.
+    """
     order = sorted(qubits)
     shape = []
     for prev, q in zip([0] + order, order):
@@ -306,7 +331,22 @@ def _layout(m: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tup
         for q in order:
             index += [(r >> (k - 1 - qubits.index(q))) & 1, slice(None)]
         slots.append(tuple(index))
-    return tuple(shape), tuple(slots)
+    chunks = [()]
+    dims = shape[::2]
+    inner = 1 << (m - k)
+    for axis in range(0, len(shape), 2):
+        if inner <= _CHUNK:
+            break
+        inner //= shape[axis]
+        step = max(1, _CHUNK // inner)
+        dims[axis // 2] = step
+        gap = (slice(None),) if axis else ()
+        chunks = [c + gap + (slice(i, i + step),) for c in chunks for i in range(0, shape[axis], step)]
+    perm = None
+    longest = max(range(len(dims)), key=dims.__getitem__)
+    if len(chunks) > 1 and dims[-1] < _SHORT_INNER and longest != len(dims) - 1:
+        perm = tuple(t for t in range(len(dims)) if t != longest) + (longest,)
+    return tuple(shape), tuple(slots), tuple(chunks), perm
 
 
 def apply_gate1(state: StateVector, q: int, gate: Gate1) -> StateVector:

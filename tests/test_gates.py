@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
-from compsearch import BooleanOracle, DyadicReal, StateVector
+from compsearch import BooleanOracle, DyadicReal, StateVector, gates
 from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
@@ -394,11 +396,12 @@ class TestKernelDifferential:
             assert np.max(np.abs(s.to_float_array() - ref)) <= 1e-12
 
 
-def _run_exact_word(word) -> None:
-    """Run ``word`` on the exact kernels and on ``conftest.exact_apply``;
-    the two must agree with zero tolerance."""
+def _run_word(word, backend: str = cs.EXACT) -> StateVector:
+    """Run ``word`` on the library kernels and return the state; on the
+    exact backend, also require zero-tolerance agreement with
+    ``conftest.exact_apply``."""
     m, index, ops = word
-    s = StateVector.basis_state(m, index)
+    s = StateVector.basis_state(m, index, backend)
     ref = [DyadicReal(int(x == index), 0) for x in range(1 << m)]
     for op in ops:
         if op[0] == "O":
@@ -413,19 +416,38 @@ def _run_exact_word(word) -> None:
             name, q = op
             ref = exact_apply(ref, EXACT_MATRICES[name], (q,), m)
             cs.apply_gate1(s, q, LIBRARY[name])
-    assert s.amplitudes() == ref
-    assert s == StateVector.from_amplitudes(ref)
+    if backend == cs.EXACT:
+        assert s.amplitudes() == ref
+        assert s == StateVector.from_amplitudes(ref)
+    return s
 
 
 class TestExactKernelDifferential:
     @settings(max_examples=80, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O")))
     def test_words_match_exact_reference(self, word):
-        _run_exact_word(word)
+        _run_word(word)
 
     @settings(max_examples=25, deadline=None)
     @given(gate_words(kinds=("H", "C", "CH"), min_size=40, max_size=64))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
         # leave int64's checked range unless the kernel reduces on the way.
-        _run_exact_word(word)
+        _run_word(word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O"), max_size=20))
+    def test_chunked_walk_matches(self, word):
+        # Large states are walked in chunks, short inner axes transposed.
+        # Chunks of two amplitudes per slot take those paths at any width:
+        # exact results must still match the reference, and float results
+        # must be bitwise those of the unchunked walk.
+        flat = _run_word(word, cs.FLOAT)._planes[0]
+        with mock.patch.object(gates, "_CHUNK", 2):
+            gates._layout.cache_clear()
+            try:
+                _run_word(word)
+                chunked = _run_word(word, cs.FLOAT)._planes[0]
+            finally:
+                gates._layout.cache_clear()
+        assert chunked.tobytes() == flat.tobytes()
