@@ -374,7 +374,7 @@ class StateVector:
             )
 
     def _check_finite(self) -> None:
-        if not np.all(np.isfinite(self._planes[0].view(np.float64))):
+        if not np.isfinite(self._planes[0].view(np.float64)).all():
             raise ArithmeticError("non-finite amplitude in float backend")
 
     def terms(self, max_terms: int = 16) -> str:
