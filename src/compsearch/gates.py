@@ -10,10 +10,10 @@ order (checked column by column in the tests).
 
 Every gate compiles once per backend into in-place ufunc steps over the
 state's planes (see :mod:`compsearch.state`), and one kernel runs those
-steps for both backends and both arities.  Kernels mutate the state in place and
-return it.  Oracles are applied as diagonal sign flips over a register
-window rather than materialized matrices, so every application is
-O(2^m).
+steps for both backends and both arities.  Kernels mutate the state in
+place and return it.  Oracles are applied as diagonal sign flips over a
+register window rather than materialized matrices, so every application
+is O(2^m).
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
                 rows += [(0, i, [(B[i][j], 0, j) for j in dim]),
                          (1, i, [(2 * B[i][j], 1, j) for j in dim])]
             else:
-                rows += [(0, i, [(A[i][j], 0, j) for j in dim] + [(2 * B[i][j], 1, j) for j in dim]),
-                         (1, i, [(A[i][j], 1, j) for j in dim] + [(B[i][j], 0, j) for j in dim])]
+                a = [(A[i][j], 0, j) for j in dim] + [(2 * B[i][j], 1, j) for j in dim]
+                b = [(A[i][j], 1, j) for j in dim] + [(B[i][j], 0, j) for j in dim]
+                rows += [(0, i, a), (1, i, b)]
     size = gate.dim
     planes = 2 if exact else 1
     first_saved = planes + planes * size
@@ -341,7 +342,8 @@ def _layout(m: int, qubits: tuple[int, ...]) -> tuple:
         step = max(1, _CHUNK // inner)
         dims[axis // 2] = step
         gap = (slice(None),) if axis else ()
-        chunks = [c + gap + (slice(i, i + step),) for c in chunks for i in range(0, shape[axis], step)]
+        cuts = [slice(i, i + step) for i in range(0, shape[axis], step)]
+        chunks = [c + gap + (cut,) for c in chunks for cut in cuts]
     perm = None
     longest = max(range(len(dims)), key=dims.__getitem__)
     if len(chunks) > 1 and dims[-1] < _SHORT_INNER and longest != len(dims) - 1:
