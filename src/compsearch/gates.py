@@ -24,7 +24,7 @@ import operator
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, BooleanOracle, StateVector
+from .state import EXACT, BooleanOracle, StateVector
 
 
 class _GateBase:
@@ -261,9 +261,10 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
 
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  Each plane is viewed as
-    (pre, 2, [mid, 2,] post) around the sorted qubits; the slots that a
-    row reads after an earlier row overwrote them are copied once, and
-    the compiled steps write each output slot in place by ufuncs with
+    (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
+    by chunk (see :func:`_layout`); in each chunk the slots that a row
+    reads after an earlier row overwrote them are copied, and the
+    compiled steps write each output slot in place by ufuncs with
     ``out=``.  Exact integers are checked against the state's tracked
     bound, so a gate raises OverflowError before any write.
     """
