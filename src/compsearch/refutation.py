@@ -174,13 +174,25 @@ def second_register_probability(state: StateVector, n: int, outcome: int):
 
 def second_register_marginal_floats(state: StateVector, n: int) -> np.ndarray:
     """Float marginal distribution of the last n qubits."""
-    if state.backend == EXACT:
-        # Real amplitudes: re**2 is |re + 0j|**2 bit for bit.
-        probs = state._real_floats()
-        np.square(probs, out=probs)
-    else:
+    width = 1 << n
+    if state.backend != EXACT:
         probs = np.abs(state._planes[0]) ** 2
-    return probs.reshape(-1, 1 << n).sum(axis=0)
+        return probs.reshape(-1, width).sum(axis=0)
+    # Real amplitudes: re**2 is |re + 0j|**2 bit for bit.  Rows are squared
+    # a block at a time, the running sum stacked on each block as its first
+    # row; numpy sums axis 0 row by row, so the additions are those of one
+    # sum(axis=0) over the whole table, without a float copy of the state.
+    rows = max(1, _MARGINAL_BLOCK // width)
+    marg = np.zeros((0, width))
+    for start in range(0, state.num_states, rows * width):
+        probs = state._real_floats(start, start + rows * width)
+        np.square(probs, out=probs)
+        marg = np.concatenate([marg, probs.reshape(-1, width)]).sum(axis=0, keepdims=True)
+    return marg[0]
+
+
+# Amplitudes per block of the exact second-register marginal.
+_MARGINAL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)

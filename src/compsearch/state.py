@@ -251,10 +251,10 @@ class StateVector:
             return self._planes[0].copy()
         return self._real_floats().astype(np.complex128)
 
-    def _real_floats(self) -> np.ndarray:
-        """An exact state's amplitudes as one new float64 array,
-        fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
-        a, b = self._planes
+    def _real_floats(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """An exact state's amplitudes ``start:stop`` as one new float64
+        array, fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
+        a, b = (p[start:stop] for p in self._planes)
         re = np.multiply(b, SQRT2, dtype=np.float64)
         np.add(re, a, out=re)
         return np.ldexp(re, -self._h, out=re)

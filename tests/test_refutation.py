@@ -3,6 +3,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
+from conftest import random_exact_state
 
 INV = DyadicReal(0, 1, 1)
 HALF = DyadicReal(1, 0, 1)
@@ -87,6 +88,24 @@ class TestMarginal:
         marg = cs.marginal(cs.distribution(out), 4, 6)
         for k in range(8):
             assert marg[k] == cs.second_register_probability(out, 3, k)
+
+
+    @pytest.mark.parametrize("block", [1 << 20, 8, 3])
+    def test_float_marginal_blocks_sum_like_one_table(self, monkeypatch, block):
+        # The exact float marginal squares a block of rows at a time; it
+        # must equal squaring the whole float array and summing it at once,
+        # bit for bit, whatever the block size.
+        monkeypatch.setattr(refutation, "_MARGINAL_BLOCK", block)
+        rng = np.random.Generator(np.random.PCG64(21))
+        # Amplitudes (a + b sqrt2)/2^10 with random a, b round when summed;
+        # the marginal does not need a normalized state.
+        ab = rng.integers(-999, 1000, size=(1 << 10, 2))
+        rough = StateVector.from_amplitudes([DyadicReal(int(a), int(b), 10) for a, b in ab])
+        for s in (rough, random_exact_state(8, rng, depth=30)):
+            for n in (1, 3, 7):
+                table = (np.abs(s.to_float_array()) ** 2).reshape(-1, 1 << n).sum(axis=0)
+                got = cs.second_register_marginal_floats(s, n)
+                assert got.tobytes() == table.tobytes()
 
 
 class TestTvDistance:
