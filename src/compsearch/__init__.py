@@ -77,8 +77,6 @@ from .refutation import (
     marginal,
     sample,
     sample_distribution,
-    second_register_marginal_floats,
-    second_register_probability,
     sweep_all_f,
     tv_distance,
 )

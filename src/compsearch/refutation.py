@@ -22,8 +22,9 @@ import numpy as np
 
 from .analytic import target_output
 from .circuit import build_comparison_search, build_grover, grover_optimal_iterations, simulate
-from .dyadic import DyadicReal
+from .dyadic import SQRT2, DyadicReal
 from .state import (
+    _INT64_SAFE,
     EXACT,
     FLOAT,
     FLOAT_ATOL,
@@ -31,6 +32,7 @@ from .state import (
     BitString,
     BooleanOracle,
     StateVector,
+    _abs_max,
     random_oracle,
 )
 
@@ -42,84 +44,158 @@ SAMPLED_SWEEP_COUNT = 1000
 
 
 class Distribution:
-    """Dense probability table over the 2^m basis outcomes of m qubits.
+    """Dense probability table over the 2^m basis outcomes of m qubits,
+    held like a :class:`StateVector` as planes plus one exponent h:
 
-    Exact distributions hold DyadicReal entries (squares stay inside the
-    ring); float distributions hold float64.
+    * exact -- two integer planes (pa, pb), and
+      p(x) = (pa[x] + pb[x]*sqrt(2)) / 2^h;
+    * float -- one float64 plane, and h = 0.
+
+    The constructor stores exact planes as Python ints, so that no sum
+    over them can wrap, and checks that the table sums to 1.
     """
 
-    __slots__ = ("probs", "num_qubits", "exact")
+    __slots__ = ("planes", "h", "num_qubits", "exact")
 
-    def __init__(self, probs: np.ndarray, num_qubits: int, exact: bool) -> None:
-        if len(probs) != 1 << num_qubits:
-            raise ValueError("probability table size does not match qubit count")
-        self.probs = probs
-        self.num_qubits = num_qubits
-        self.exact = exact
+    def __init__(self, planes, h: int = 0) -> None:
+        if len(planes) not in (1, 2):
+            raise ValueError("a table has one float plane or two integer planes")
+        exact = len(planes) == 2
+        if h < 0 or (h and not exact):
+            raise ValueError(f"exponent h={h} invalid: exact tables need h >= 0, float ones h = 0")
+        planes = tuple(np.array(p, dtype=object if exact else np.float64) for p in planes)
+        size = len(planes[0])
+        if size < 2 or size & (size - 1) or any(len(p) != size for p in planes):
+            raise ValueError("probability table size is not a power of two >= 2")
+        self._init(planes, h)
+        self._check_total()
+
+    @classmethod
+    def _of(cls, planes: tuple, h: int = 0) -> Distribution:
+        """A table over ``planes`` as they are, unchecked."""
+        dist = cls.__new__(cls)
+        dist._init(planes, h)
+        return dist
+
+    def _init(self, planes: tuple, h: int) -> None:
+        self.planes = planes
+        self.h = h
+        self.num_qubits = len(planes[0]).bit_length() - 1
+        self.exact = len(planes) == 2
+
+    def _check_total(self) -> None:
         total = self.total
-        if exact:
+        if self.exact:
             if total != 1:
                 raise ValueError("exact probabilities do not sum to 1")
         elif abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property
-    def total(self):
-        return self.probs.sum()
+    def total(self) -> DyadicReal | float:
+        if self.exact:
+            pa, pb = self.planes
+            return DyadicReal(int(pa.sum()), int(pb.sum()), self.h)
+        return float(self.planes[0].sum())
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The entries one by one: DyadicReal objects for an exact table,
+        the float plane itself for a float one."""
+        if self.exact:
+            return np.array([self[x] for x in range(len(self))], dtype=object)
+        return self.planes[0]
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.planes[0])
 
-    def __getitem__(self, x: int):
-        return self.probs[x]
+    def __getitem__(self, x: int) -> DyadicReal | float:
+        if self.exact:
+            pa, pb = self.planes
+            return DyadicReal(int(pa[x]), int(pb[x]), self.h)
+        return float(self.planes[0][x])
 
     def as_float_array(self) -> np.ndarray:
-        if self.exact:
-            return np.array([p.to_float() for p in self.probs], dtype=np.float64)
-        return self.probs.astype(np.float64)
+        """The table as float64; a float table returns its own plane."""
+        if not self.exact:
+            return self.planes[0]
+        pa, pb = (p.astype(np.float64) for p in self.planes)
+        return np.ldexp(pa + pb * SQRT2, -self.h)
 
 
-def distribution(state: StateVector) -> Distribution:
-    """Born-rule probabilities p(x) = |amp(x)|^2."""
-    if state.backend == EXACT:
-        a, b = (p.astype(object) for p in state._planes)
-        pa = a * a + 2 * b * b
-        pb = 2 * a * b
-        h = 2 * state._h
-        probs = np.array(
-            [DyadicReal(int(x), int(y), h) for x, y in zip(pa, pb)], dtype=object
-        )
-        return Distribution(probs, state.num_qubits, exact=True)
-    probs = np.abs(state._planes[0]) ** 2
-    return Distribution(probs, state.num_qubits, exact=False)
+def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
+    """(pre, keep, post): a table over m qubits viewed around qubits
+    first..last (inclusive, 1-based)."""
+    if not 1 <= first <= last <= m:
+        raise ValueError(f"qubit range {first}..{last} invalid for {m} qubits")
+    return 1 << (first - 1), 1 << (last - first + 1), 1 << (m - last)
+
+
+def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
+    if pre == post == 1:
+        return plane
+    return plane.reshape(pre, keep, post).sum(axis=(0, 2))
+
+
+def distribution(state: StateVector, first: int = 1, last: int | None = None) -> Distribution:
+    """Born-rule probabilities p(x) = |amp(x)|^2 of qubits first..last
+    (inclusive, 1-based; every qubit by default), summing out the rest.
+
+    This is the one place that squares amplitudes.  An exact table keeps
+    int64 planes when 3 * bound^2 * 2^m < 2^62 for the state's largest
+    integer, which bounds every entry, every sum of entries and the
+    total; otherwise it squares Python ints.
+    """
+    m = state.num_qubits
+    pre, keep, post = _qubit_range(m, first, m if last is None else last)
+    if state.backend == FLOAT:
+        probs = np.abs(state._planes[0]) ** 2
+        dist = Distribution._of((_sum_out(probs, pre, keep, post),))
+    else:
+        state._canonical_reduce()
+        if 3 * state._bound**2 << m >= _INT64_SAFE:
+            # The tracked bound can be far above the largest integer (2^35
+            # against 1 after the n = 10 circuit): rescan before leaving int64.
+            state._bound = state._max_int()
+        planes = state._planes
+        if 3 * state._bound**2 << m >= _INT64_SAFE:
+            planes = tuple(p.astype(object) for p in planes)
+        a, b = (p.reshape(pre, keep, post) for p in planes)
+        aa, bb, ab = (np.einsum("ijk,ijk->j", x, y) for x, y in ((a, a), (b, b), (a, b)))
+        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2
+        bb *= 2
+        aa += bb
+        ab *= 2
+        dist = Distribution._of((aa, ab), 2 * state._h)
+    dist._check_total()
+    return dist
 
 
 def marginal(dist: Distribution, first: int, last: int) -> Distribution:
     """Marginal over qubits first..last (inclusive, 1-based), summing out
     the rest."""
-    m = dist.num_qubits
-    if not 1 <= first <= last <= m:
-        raise ValueError(f"qubit range {first}..{last} invalid for {m} qubits")
-    pre = 1 << (first - 1)
-    keep = 1 << (last - first + 1)
-    post = 1 << (m - last)
-    table = dist.probs.reshape(pre, keep, post).sum(axis=(0, 2))
-    return Distribution(table, last - first + 1, dist.exact)
+    pre, keep, post = _qubit_range(dist.num_qubits, first, last)
+    return Distribution._of(tuple([_sum_out(p, pre, keep, post) for p in dist.planes]), dist.h)
 
 
-def tv_distance(p: Distribution, q: Distribution):
+def tv_distance(p: Distribution, q: Distribution) -> DyadicReal | float:
     """Total variation distance (1/2) sum_x |p(x) - q(x)|.
 
     Exact (DyadicReal) if both inputs are exact, float otherwise.
     """
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
-    if p.exact and q.exact:
-        total = DyadicReal(0, 0)
-        for x, y in zip(p.probs, q.probs):
-            total = total + abs(x - y)
-        return total * DyadicReal(1, 0, 1)
-    return 0.5 * float(np.abs(p.as_float_array() - q.as_float_array()).sum())
+    if not (p.exact and q.exact):
+        return 0.5 * float(np.abs(p.as_float_array() - q.as_float_array()).sum())
+    h = max(p.h, q.h)
+    shifted = [(x, h - d.h) for d in (p, q) for x in d.planes]
+    # Differences below 2^31 square within int64; larger ones use Python ints.
+    small = all(x.dtype == np.int64 and _abs_max(x) << s < 1 << 30 for x, s in shifted)
+    pa, pb, qa, qb = (x.astype(np.int64 if small else object) << s for x, s in shifted)
+    da, db = pa - qa, pb - qb
+    # da + db sqrt2 has the sign of da when da^2 > 2 db^2, else that of db.
+    sign = np.where(da * da > 2 * db * db, np.sign(da), np.sign(db))
+    return DyadicReal(int((sign * da).sum()), int((sign * db).sum()), h + 1)
 
 
 def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.ndarray:
@@ -141,58 +217,12 @@ def sample(state: StateVector, count: int, seed: int = 0) -> np.ndarray:
 
 def empirical_distribution(counts: np.ndarray, num_qubits: int) -> Distribution:
     """Normalized counts as a float distribution."""
+    if len(counts) != 1 << num_qubits:
+        raise ValueError("count table size does not match qubit count")
     total = int(counts.sum())
     if total < 1:
         raise ValueError("empty counts")
-    return Distribution(counts.astype(np.float64) / total, num_qubits, exact=False)
-
-
-def _exact_prob_ints(state: StateVector) -> tuple[np.ndarray, np.ndarray, int]:
-    """Probabilities of an exact state as integer pairs over 2^(2h):
-    p(x) = (pa[x] + pb[x] * sqrt(2)) / 2^(2h), h minimal, so that the
-    tables of equal states are equal.  Object dtype, never wraps."""
-    state._canonical_reduce()
-    a, b = (p.astype(object) for p in state._planes)
-    return a * a + 2 * b * b, 2 * a * b, 2 * state._h
-
-
-def second_register_probability(state: StateVector, n: int, outcome: int):
-    """Probability that the last n qubits read ``outcome``; exact when the
-    state is exact.  Avoids materializing the full distribution."""
-    if not 0 <= outcome < (1 << n):
-        raise ValueError(f"outcome {outcome} out of range for {n} bits")
-    if n > state.num_qubits:
-        raise ValueError("register wider than the state")
-    if state.backend == EXACT:
-        a, b = (p[outcome :: 1 << n].astype(object) for p in state._planes)
-        return DyadicReal(
-            int((a * a + 2 * b * b).sum()), int(2 * (a * b).sum()), 2 * state._h
-        )
-    amps = state._planes[0][outcome :: 1 << n]
-    return float(np.vdot(amps, amps).real)
-
-
-def second_register_marginal_floats(state: StateVector, n: int) -> np.ndarray:
-    """Float marginal distribution of the last n qubits."""
-    width = 1 << n
-    if state.backend != EXACT:
-        probs = np.abs(state._planes[0]) ** 2
-        return probs.reshape(-1, width).sum(axis=0)
-    # Real amplitudes: re**2 is |re + 0j|**2 bit for bit.  Rows are squared
-    # a block at a time, the running sum stacked on each block as its first
-    # row; numpy sums axis 0 row by row, so the additions are those of one
-    # sum(axis=0) over the whole table, without a float copy of the state.
-    rows = max(1, _MARGINAL_BLOCK // width)
-    marg = np.zeros((0, width))
-    for start in range(0, state.num_states, rows * width):
-        probs = state._real_floats(start, start + rows * width)
-        np.square(probs, out=probs)
-        marg = np.concatenate([marg, probs.reshape(-1, width)]).sum(axis=0, keepdims=True)
-    return marg[0]
-
-
-# Amplitudes per block of the exact second-register marginal.
-_MARGINAL_BLOCK = 1 << 20
+    return Distribution((counts.astype(np.float64) / total,))
 
 
 @dataclass(frozen=True)
@@ -308,59 +338,34 @@ def sweep_all_f(
         rng_algorithm=None if exhaustive else RNG_ALGORITHM,
     )
     uniform = 1.0 / (1 << n)
-    first_probs: np.ndarray | None = None
-    first_ints = None
+    flat = Distribution(([1] * (1 << n), [0] * (1 << n)), n)  # exactly 2^-n each
+    first: Distribution | None = None
     # Kept only when _fill_pairwise_tv will compare every pair.
     keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
-    dists: list[np.ndarray] = []
+    dists: list[Distribution] = []
     all_dists_identical = backend == EXACT
     oracles = _sweep_oracles(n, exhaustive, sample_count, seed)
     for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
-        probs = np.abs(out.to_float_array()) ** 2
-        ints = _exact_prob_ints(out) if backend == EXACT else None
-        if first_probs is None:
-            first_probs = probs
-            first_ints = ints
-            tv = 0.0
-        elif backend == EXACT:
-            same = (
-                ints[2] == first_ints[2]
-                and np.array_equal(ints[0], first_ints[0])
-                and np.array_equal(ints[1], first_ints[1])
-            )
-            all_dists_identical = all_dists_identical and same
-            tv = 0.0 if same else _tv_floats(probs, first_probs)
-        else:
-            tv = _tv_floats(probs, first_probs)
+        dist = distribution(out)
+        if first is None:
+            first = dist
+        tv = tv_distance(dist, first)
+        all_dists_identical = all_dists_identical and tv == 0
         if keep_dists:
-            dists.append(probs)
-        marg_dev = _marginal_uniformity_deviation(probs, ints, n, uniform)
+            dists.append(dist)
+        marg = marginal(dist, n + 1, 2 * n)
+        if marg.exact and tv_distance(marg, flat) == 0:
+            marg_dev = 0.0
+        else:
+            marg_dev = float(np.abs(marg.as_float_array() - uniform).max())
         report.marginal_uniformity_deviation = max(
             report.marginal_uniformity_deviation, marg_dev
         )
-        report.verdicts.append(OracleVerdict(i, f.table, match, dev, tv))
+        report.verdicts.append(OracleVerdict(i, f.table, match, dev, float(tv)))
         report.all_match = report.all_match and match
         report.max_deviation = max(report.max_deviation, dev)
     _fill_pairwise_tv(report, dists, all_dists_identical)
     return report
-
-
-def _marginal_uniformity_deviation(probs, ints, n: int, uniform: float) -> float:
-    """Largest |second-register marginal - 2^-n|; zero tolerance when the
-    exact integer tables are available."""
-    if ints is not None:
-        pa, pb, ph = ints
-        ma = pa.reshape(-1, 1 << n).sum(axis=0)
-        mb = pb.reshape(-1, 1 << n).sum(axis=0)
-        want = 1 << (ph - n)  # 2^-n over the common denominator 2^ph
-        if ph >= n and all(x == 0 for x in mb) and all(x == want for x in ma):
-            return 0.0
-    marg = probs.reshape(-1, 1 << n).sum(axis=0)
-    return float(np.abs(marg - uniform).max())
-
-
-def _tv_floats(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
 
 
 # All-pairs TV is quadratic in the oracle count; beyond this many
@@ -369,7 +374,7 @@ def _tv_floats(p: np.ndarray, q: np.ndarray) -> float:
 _ALL_PAIRS_LIMIT = 512
 
 
-def _fill_pairwise_tv(report: SweepReport, dists: list[np.ndarray], exact_zero: bool) -> None:
+def _fill_pairwise_tv(report: SweepReport, dists: list[Distribution], exact_zero: bool) -> None:
     if exact_zero:
         # Every distribution equals the first one exactly, so every
         # pairwise distance is zero by the triangle inequality.
@@ -380,7 +385,7 @@ def _fill_pairwise_tv(report: SweepReport, dists: list[np.ndarray], exact_zero: 
         worst = 0.0
         for i in range(len(dists)):
             for j in range(i + 1, len(dists)):
-                worst = max(worst, _tv_floats(dists[i], dists[j]))
+                worst = max(worst, float(tv_distance(dists[i], dists[j])))
         report.max_pairwise_tv = worst
         report.max_pairwise_tv_is_exact = True
         return
@@ -443,17 +448,14 @@ def compare_grover(
     f = BooleanOracle.from_marked(n, [marked_value])
 
     out = simulate(build_comparison_search(n, f), EXACT)
-    p_exact = second_register_probability(out, n, marked_value)
-    p_is_pow2 = p_exact == DyadicReal(1, 0, n)
-    marg = second_register_marginal_floats(out, n)
-    comp_counts = sample_distribution(Distribution(marg, n, exact=False), samples, seed)
+    marg = distribution(out, n + 1, 2 * n)
+    p_exact = marg[marked_value]
+    comp_counts = sample_distribution(marg, samples, seed)
     comp_freq = float(comp_counts[marked_value]) / samples
 
     iters = grover_optimal_iterations(n, 1)
-    gout = simulate(build_grover(n, f, iters), FLOAT)
-    gprobs = np.abs(gout.to_float_array()) ** 2
-    gp = float(gprobs[marked_value])
-    gcounts = sample_distribution(Distribution(gprobs, n, exact=False), samples, seed + 1)
+    gdist = distribution(simulate(build_grover(n, f, iters), FLOAT))
+    gcounts = sample_distribution(gdist, samples, seed + 1)
     gfreq = float(gcounts[marked_value]) / samples
 
     return GroverComparison(
@@ -463,9 +465,9 @@ def compare_grover(
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         comparison_probability=p_exact.to_float(),
-        comparison_probability_is_exact=bool(p_is_pow2),
+        comparison_probability_is_exact=p_exact == DyadicReal(1, 0, n),
         comparison_empirical_frequency=comp_freq,
         grover_iterations=iters,
-        grover_probability=gp,
+        grover_probability=gdist[marked_value],
         grover_empirical_frequency=gfreq,
     )

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
-from conftest import random_exact_state
+from conftest import EXACT_MATRICES, random_exact_state, random_float_state
 
 INV = DyadicReal(0, 1, 1)
 HALF = DyadicReal(1, 0, 1)
@@ -15,6 +16,23 @@ def bell_plus() -> StateVector:
 
 def output_for(n: int, f: BooleanOracle) -> StateVector:
     return cs.simulate(cs.build_comparison_search(n, f))
+
+
+def wide_exact_state() -> StateVector:
+    """A normalized 3-qubit state whose integers pass 2^30, so that their
+    squares summed over the table do not fit in int64: 400 random H and
+    controlled-H gates (controlled-H mixes entries with and without
+    sqrt(2), so the integers keep growing)."""
+    ch = cs.Gate2("CH", EXACT_MATRICES["CH"])
+    rng = np.random.Generator(np.random.PCG64(1))
+    s = StateVector(3)
+    for _ in range(400):
+        if rng.integers(2):
+            cs.apply_gate1(s, int(rng.integers(1, 4)), cs.hadamard())
+        else:
+            p, q = rng.choice(3, size=2, replace=False) + 1
+            cs.apply_gate2(s, int(p), int(q), ch)
+    return s
 
 
 class TestDistribution:
@@ -54,7 +72,9 @@ class TestDistribution:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.1]), 1, exact=False)
+            Distribution((np.array([0.5, 0.1]),))
+        with pytest.raises(ValueError):
+            Distribution(([1, 0], [0, 1]), 0)
 
 
 class TestMarginal:
@@ -86,26 +106,80 @@ class TestMarginal:
         f = BooleanOracle.from_marked(3, [5])
         out = output_for(3, f)
         marg = cs.marginal(cs.distribution(out), 4, 6)
+        direct = cs.distribution(out, 4, 6)
+        assert direct.num_qubits == 3
         for k in range(8):
-            assert marg[k] == cs.second_register_probability(out, 3, k)
+            assert marg[k] == direct[k] == DyadicReal(1, 0, 3)
 
-
-    @pytest.mark.parametrize("block", [1 << 20, 8, 3])
-    def test_float_marginal_blocks_sum_like_one_table(self, monkeypatch, block):
-        # The exact float marginal squares a block of rows at a time; it
-        # must equal squaring the whole float array and summing it at once,
-        # bit for bit, whatever the block size.
-        monkeypatch.setattr(refutation, "_MARGINAL_BLOCK", block)
+    @pytest.mark.parametrize("backend", [cs.EXACT, cs.FLOAT])
+    def test_distribution_of_range_equals_marginal(self, backend):
+        # Squaring only qubits first..last must equal squaring everything
+        # and summing out the rest: == for exact tables, bit for bit for
+        # float ones.  Both must match squares of the amplitudes summed one
+        # by one, exactly or to 1e-15.
         rng = np.random.Generator(np.random.PCG64(21))
-        # Amplitudes (a + b sqrt2)/2^10 with random a, b round when summed;
-        # the marginal does not need a normalized state.
-        ab = rng.integers(-999, 1000, size=(1 << 10, 2))
-        rough = StateVector.from_amplitudes([DyadicReal(int(a), int(b), 10) for a, b in ab])
-        for s in (rough, random_exact_state(8, rng, depth=30)):
-            for n in (1, 3, 7):
-                table = (np.abs(s.to_float_array()) ** 2).reshape(-1, 1 << n).sum(axis=0)
-                got = cs.second_register_marginal_floats(s, n)
-                assert got.tobytes() == table.tobytes()
+        if backend == cs.EXACT:
+            wide = wide_exact_state()
+            assert 3 * wide._max_int() ** 2 << wide.num_qubits >= 1 << 62
+            states = [random_exact_state(6, rng, depth=30), output_for(3, BooleanOracle(3, 0x5a)), wide]
+        else:
+            states = [random_float_state(6, rng), output_for(3, BooleanOracle(3, 0x5a)).to_float()]
+        for s in states:
+            m = s.num_qubits
+            full = cs.distribution(s)
+            squares = [a * a if backend == cs.EXACT else abs(a) ** 2 for a in s.amplitudes()]
+            for first in range(1, m + 1):
+                for last in range(first, m + 1):
+                    got = cs.distribution(s, first, last)
+                    want = cs.marginal(full, first, last)
+                    ref = [0] * len(got)
+                    for x, sq in enumerate(squares):
+                        ref[(x >> (m - last)) % len(got)] += sq
+                    assert got.exact == want.exact == (backend == cs.EXACT)
+                    if got.exact:
+                        assert list(got.probs) == list(want.probs) == ref
+                        assert got.as_float_array().tolist() == [p.to_float() for p in ref]
+                    else:
+                        assert got.planes[0].tobytes() == want.planes[0].tobytes()
+                        np.testing.assert_allclose(got.planes[0], ref, rtol=0, atol=1e-15)
+
+    def test_range_validation(self):
+        with pytest.raises(ValueError):
+            cs.distribution(bell_plus(), 2, 1)
+        with pytest.raises(ValueError):
+            cs.distribution(bell_plus(), 1, 3)
+
+
+@st.composite
+def exact_tables(draw, size: int = 8):
+    """(pa, pb, h) with mixed signs and zeros, the last entry chosen so
+    that the table sums to 1; entries are small, or fit int64 but square
+    beyond it, or pass int64 themselves."""
+    bits, top_h = draw(st.sampled_from([(12, 8), (40, 20), (90, 80)]))
+    h = draw(st.integers(0, top_h))
+    bound = 1 << bits
+    ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-bound, bound))
+    pa = draw(st.lists(ints, min_size=size - 1, max_size=size - 1))
+    pb = draw(st.lists(ints, min_size=size - 1, max_size=size - 1))
+    return pa + [(1 << h) - sum(pa)], pb + [-sum(pb)], h
+
+
+class TestTvDistanceDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_tables(), exact_tables(), st.booleans())
+    def test_exact_matches_dyadic_loop(self, p, q, as_int64):
+        # as_int64 stores the planes as int64 where they fit, the layout
+        # distribution() builds; the constructor keeps Python ints.
+        dists = []
+        for pa, pb, h in (p, q):
+            d = Distribution((pa, pb), h)
+            if as_int64 and max(map(abs, pa + pb)) < 1 << 62:
+                d.planes = tuple(x.astype(np.int64) for x in d.planes)
+            dists.append(d)
+        want = DyadicReal(0, 0)
+        for x in range(8):
+            want = want + abs(DyadicReal(p[0][x], p[1][x], p[2]) - DyadicReal(q[0][x], q[1][x], q[2]))
+        assert cs.tv_distance(*dists) == want * DyadicReal(1, 0, 1)
 
 
 class TestTvDistance:
@@ -131,8 +205,8 @@ class TestTvDistance:
             )
 
     def test_float_value(self):
-        p = Distribution(np.array([0.75, 0.25]), 1, exact=False)
-        q = Distribution(np.array([0.25, 0.75]), 1, exact=False)
+        p = Distribution((np.array([0.75, 0.25]),))
+        q = Distribution((np.array([0.25, 0.75]),))
         assert cs.tv_distance(p, q) == pytest.approx(0.5)
 
 
@@ -144,7 +218,7 @@ class TestSampling:
     def test_bell_empirical_tv_small(self):
         counts = cs.sample(bell_plus(), 100_000, seed=0)
         emp = cs.empirical_distribution(counts, 2)
-        ideal = Distribution(np.array([0.5, 0.0, 0.0, 0.5]), 2, exact=False)
+        ideal = Distribution((np.array([0.5, 0.0, 0.0, 0.5]),))
         assert cs.tv_distance(emp, ideal) < 0.01
 
     def test_two_oracles_empirically_indistinguishable(self):
