@@ -178,29 +178,31 @@ def _start_state(circuit: Circuit, s0: StateVector) -> StateVector:
     return s0.copy()
 
 
-def run(circuit: Circuit, s0: StateVector) -> StateVector:
-    """Execute the circuit on a copy of ``s0`` and return the final state."""
-    state = _start_state(circuit, s0)
+def _run(circuit: Circuit, state: StateVector, trace: Trace | None = None) -> StateVector:
+    """Apply the circuit to ``state`` in place, snapshotting it into
+    ``trace`` at every checkpoint when one is given."""
     for op in circuit.ops:
-        _apply(op, state)
+        if isinstance(op, Checkpoint):
+            if trace is not None:
+                trace.checkpoints[op.label] = state.copy()
+        else:
+            _apply(op, state)
     state._canonical_reduce()
     return state
 
 
+def run(circuit: Circuit, s0: StateVector) -> StateVector:
+    """Execute the circuit on a copy of ``s0`` and return the final state."""
+    return _run(circuit, _start_state(circuit, s0))
+
+
 def run_with_trace(circuit: Circuit, s0: StateVector) -> Trace:
     """Like :func:`run`, also snapshotting the state at every checkpoint."""
-    state = _start_state(circuit, s0)
     trace = Trace()
-    for op in circuit.ops:
-        if isinstance(op, Checkpoint):
-            trace.checkpoints[op.label] = state.copy()
-        else:
-            _apply(op, state)
-    state._canonical_reduce()
-    trace.final = state
+    trace.final = _run(circuit, _start_state(circuit, s0), trace)
     return trace
 
 
 def simulate(circuit: Circuit, backend: str = EXACT) -> StateVector:
     """Run the circuit from |0...0> on the chosen backend."""
-    return run(circuit, StateVector(circuit.width, backend))
+    return _run(circuit, StateVector(circuit.width, backend))
