@@ -337,40 +337,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=False, out=True):
+    def command(name, func, help, *, backend=True, oracle=True, seed=False):
+        """A subcommand with exactly the options its function reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--n", type=int, required=True, help="register size in qubits")
-        p.add_argument("--backend", choices=[EXACT, FLOAT], default=None,
-                       help="amplitude backend (default: exact for n<=3, else float)")
-        p.add_argument("--marked", type=str, default=None,
-                       help="comma-separated marked elements")
-        p.add_argument("--truth-table", type=str, default=None,
-                       help="oracle truth table as 0x<hex>, LSB = f(0)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        if samples:
-            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                           help=f"measurement draws (default {DEFAULT_SAMPLES})")
-        if out:
-            p.add_argument("--out", type=str, default=None, help="report file path")
+        if backend:
+            p.add_argument("--backend", choices=[EXACT, FLOAT], default=None,
+                           help="amplitude backend (default: exact for n<=3, else float)")
+        if oracle:
+            p.add_argument("--marked", type=str, default=None,
+                           help="comma-separated marked elements")
+            p.add_argument("--truth-table", type=str, default=None,
+                           help="oracle truth table as 0x<hex>, LSB = f(0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--out", type=str, default=None, help="report file path")
+        p.set_defaults(func=func)
+        return p
 
-    p_verify = sub.add_parser("verify", help="check circuit output against the diagonal target")
-    common(p_verify)
+    p_verify = command("verify", cmd_verify, "check circuit output against the diagonal target")
     p_verify.add_argument("--all-f", action="store_true",
                           help="check every oracle on n bits")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_trace = sub.add_parser("trace", help="print checkpoint states and their closed forms")
-    common(p_trace)
-    p_trace.set_defaults(func=cmd_trace)
+    command("trace", cmd_trace, "print checkpoint states and their closed forms")
 
-    p_sweep = sub.add_parser("sweep", help="write per-oracle verdicts to a report file")
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "write per-oracle verdicts to a report file",
+                      oracle=False, seed=True)
     p_sweep.add_argument("--format", choices=["json", "csv"], default="json")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_gc = sub.add_parser("grover-compare",
-                          help="marked-element probability, comparison circuit vs Grover")
-    common(p_gc, samples=True)
-    p_gc.set_defaults(func=cmd_grover_compare)
+    p_gc = command("grover-compare", cmd_grover_compare,
+                   "marked-element probability, comparison circuit vs Grover",
+                   backend=False, oracle=False, seed=True)
+    p_gc.add_argument("--marked", type=str, default=None, help="the marked element")
+    p_gc.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                      help=f"measurement draws (default {DEFAULT_SAMPLES})")
 
     return parser
 

@@ -184,6 +184,21 @@ class TestMisc:
     def test_help_exits_zero(self):
         assert run_cli("--help") == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover-compare", "--n", "3", "--marked", "5", "--backend", "float"],
+            ["grover-compare", "--n", "3", "--marked", "5", "--truth-table", "0xff"],
+            ["sweep", "--n", "1", "--marked", "1"],
+            ["sweep", "--n", "1", "--truth-table", "0x1"],
+            ["verify", "--n", "2", "--all-f", "--seed", "1"],
+            ["trace", "--n", "1", "--marked", "1", "--seed", "1"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "r.json")) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_seeded_reports_identical_across_commands(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
