@@ -29,8 +29,6 @@ from .gates import (
     apply_phase_oracle,
     comparison_gate,
     hadamard,
-    identity_gate1,
-    identity_gate2,
     pauli_x,
     pauli_z,
 )

@@ -100,21 +100,12 @@ class Gate2(_GateBase):
         if self.dim != 4 or any(len(r) != 4 for r in self.matrix):
             raise ValueError("Gate2 needs a 4x4 matrix")
 
-    def swapped(self) -> Gate2:
-        """The same operator expressed for the reversed pair (q, p)."""
-        perm = (0, 2, 1, 3)  # swap the two bits of each basis index
-        rows = tuple(
-            tuple(self.matrix[perm[i]][perm[j]] for j in range(4)) for i in range(4)
-        )
-        return Gate2(self.name + "_swapped", rows)
-
 
 _C = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
 _HADAMARD = Gate1("H", ((_C, _C), (_C, -_C)))
 _PAULI_X = Gate1("X", ((0, 1), (1, 0)))
 _PAULI_Z = Gate1("Z", ((1, 0), (0, -1)))
-_IDENTITY1 = Gate1("I", ((1, 0), (0, 1)))
 _COMPARISON = Gate2(
     "C",
     (
@@ -124,7 +115,6 @@ _COMPARISON = Gate2(
         (0, _C, 0, _C),
     ),
 )
-_IDENTITY2 = Gate2("I2", tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
 
 
 def hadamard() -> Gate1:
@@ -138,14 +128,6 @@ def pauli_x() -> Gate1:
 
 def pauli_z() -> Gate1:
     return _PAULI_Z
-
-
-def identity_gate1() -> Gate1:
-    return _IDENTITY1
-
-
-def identity_gate2() -> Gate2:
-    return _IDENTITY2
 
 
 def comparison_gate() -> Gate2:

@@ -321,20 +321,6 @@ class StateVector:
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("StateVector is mutable and unhashable")
 
-    def tensor(self, other: StateVector) -> StateVector:
-        """Kronecker product; ``self``'s qubits become the high bits."""
-        if self.backend != other.backend:
-            raise ValueError("backends differ")
-        m = self.num_qubits + other.num_qubits
-        if self.backend == FLOAT:
-            return StateVector._from_planes(m, FLOAT, (np.kron(self._planes[0], other._planes[0]),))
-        (xa, xb), (ya, yb) = self._planes, other._planes
-        if 3 * self._max_int() * other._max_int() >= _INT64_SAFE:
-            raise OverflowError("tensor product would exceed int64 amplitude range")
-        a = np.kron(xa, ya) + 2 * np.kron(xb, yb)
-        b = np.kron(xa, yb) + np.kron(xb, ya)
-        return StateVector._from_planes(m, EXACT, (a, b), self._h + other._h)
-
     def _max_int(self) -> int:
         """Largest integer magnitude in the exact planes."""
         return max(_abs_max(p) for p in self._planes)

@@ -7,7 +7,9 @@ numpy and serve as independent references for the reshape-based kernels
 and for Grover success probabilities; they share no code with the
 library's gate application paths.  The exact reference applies
 DyadicReal matrices one amplitude at a time, and the ancilla helpers work
-amplitude by amplitude through the public API, for the same reason.
+amplitude by amplitude through the public API, for the same reason.  The
+identity gates, the pair-reversed gate and the tensor product are built
+on the public API too.
 """
 
 from __future__ import annotations
@@ -164,3 +166,27 @@ def discard_minus_ancilla(state: cs.StateVector) -> cs.StateVector:
         raise ValueError("ancilla is not exactly |-> (state is entangled or rotated)")
     sqrt2 = cs.DyadicReal(0, 1, 0)
     return cs.StateVector.from_amplitudes([a0 * sqrt2 for a0 in amps[0::2]])
+
+
+def identity_gate1() -> cs.Gate1:
+    return cs.Gate1("I", ((1, 0), (0, 1)))
+
+
+def identity_gate2() -> cs.Gate2:
+    return cs.Gate2("I2", tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+
+
+def swapped(gate: cs.Gate2) -> cs.Gate2:
+    """The same operator expressed for the reversed pair (q, p)."""
+    perm = (0, 2, 1, 3)  # swap the two bits of each basis index
+    rows = tuple(tuple(gate.matrix[perm[i]][perm[j]] for j in range(4)) for i in range(4))
+    return cs.Gate2(gate.name + "_swapped", rows)
+
+
+def tensor(s: cs.StateVector, t: cs.StateVector) -> cs.StateVector:
+    """Kronecker product; ``s``'s qubits become the high bits."""
+    if s.backend != t.backend:
+        raise ValueError("backends differ")
+    return cs.StateVector.from_amplitudes(
+        [x * y for x in s.amplitudes() for y in t.amplitudes()], s.backend
+    )

@@ -15,9 +15,13 @@ from conftest import (
     discard_minus_ancilla,
     exact_apply,
     exact_phase_oracle,
+    identity_gate1,
+    identity_gate2,
     minus_state,
     random_exact_state,
     random_float_state,
+    swapped,
+    tensor,
 )
 
 INV = DyadicReal(0, 1, 1)
@@ -91,7 +95,7 @@ class TestComparisonGate:
 
     def test_unitary_exact(self):
         assert cs.comparison_gate().is_unitary()
-        assert cs.identity_gate2().is_unitary()
+        assert identity_gate2().is_unitary()
         assert cs.pauli_x().is_unitary()
         assert cs.pauli_z().is_unitary()
 
@@ -104,7 +108,7 @@ class TestApplyGate1:
     def test_identity_is_noop(self):
         rng = np.random.Generator(np.random.PCG64(2))
         s = random_exact_state(3, rng)
-        assert cs.apply_gate1(s.copy(), 2, cs.identity_gate1()) == s
+        assert cs.apply_gate1(s.copy(), 2, identity_gate1()) == s
 
     def test_h_on_every_qubit_gives_uniform(self):
         s = StateVector(2)
@@ -147,13 +151,13 @@ class TestApplyGate2:
     def test_identity_is_noop(self):
         rng = np.random.Generator(np.random.PCG64(4))
         s = random_exact_state(4, rng)
-        assert cs.apply_gate2(s.copy(), 2, 4, cs.identity_gate2()) == s
+        assert cs.apply_gate2(s.copy(), 2, 4, identity_gate2()) == s
 
     def test_swapped_pair_relabeling(self):
         # Applying C to (p, q) equals applying the bit-relabeled matrix to
         # (q, p), for every 4-qubit basis input.
         C = cs.comparison_gate()
-        Cs = C.swapped()
+        Cs = swapped(C)
         for x in range(16):
             a = cs.apply_gate2(StateVector.basis_state(4, x), 2, 4, C)
             b = cs.apply_gate2(StateVector.basis_state(4, x), 4, 2, Cs)
@@ -250,8 +254,8 @@ class TestAncillaOracle:
         for n in (1, 2):
             f = BooleanOracle(n, 0b0110 & ((1 << (1 << n)) - 1))
             for k in range(1 << n):
-                s = apply_ancilla_oracle(StateVector.basis_state(n, k).tensor(minus_state()), f)
-                want = StateVector.basis_state(n, k).tensor(minus_state())
+                s = apply_ancilla_oracle(tensor(StateVector.basis_state(n, k), minus_state()), f)
+                want = tensor(StateVector.basis_state(n, k), minus_state())
                 if f(k):
                     want = StateVector.from_amplitudes([-a for a in want.amplitudes()])
                 assert s == want
@@ -286,7 +290,7 @@ class TestKickbackEquivalence:
         states.append(uniform)
         for f in cs.all_oracles(n):
             for s in states:
-                with_ancilla = apply_ancilla_oracle(s.tensor(minus_state()), f)
+                with_ancilla = apply_ancilla_oracle(tensor(s, minus_state()), f)
                 reduced = discard_minus_ancilla(with_ancilla)
                 assert reduced == cs.apply_phase_oracle(s.copy(), f, 1)
 

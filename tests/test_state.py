@@ -3,6 +3,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
+from conftest import tensor
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
@@ -124,9 +125,9 @@ class TestStateVector:
     def test_tensor(self):
         zero = StateVector.basis_state(1, 0)
         one = StateVector.basis_state(1, 1)
-        assert zero.tensor(one) == StateVector.basis_state(2, 0b01)
+        assert tensor(zero, one) == StateVector.basis_state(2, 0b01)
         plus = StateVector.from_amplitudes([INV, INV])
-        both = plus.tensor(one)
+        both = tensor(plus, one)
         assert both.amplitude(0b01) == INV
         assert both.amplitude(0b11) == INV
         assert both.amplitude(0b00) == 0
