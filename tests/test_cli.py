@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -205,3 +206,26 @@ class TestMisc:
             assert run_cli("grover-compare", "--n", "2", "--marked", "3",
                            "--samples", "2000", "--seed", "11", "--out", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the report file of each command line; a change of amplitude
+# storage or of the probability code must leave every byte in place.
+REPORT_DIGESTS = {
+    "trace --n 2 --backend float --truth-table 0x6":
+        "cd05978e56b5949f77401e1db87604ebad8989be1446d9db3531e4e78216dbf7",
+    "sweep --n 3 --backend float":
+        "e222eb2fcc877a5b98e95ebc51b4631700f3bf38c0e34fda245e5c65616df007",
+    "sweep --n 3 --backend float --format csv":
+        "7b7fb0afc50cc01e6fb67e8f3cce2fbc261e63e4fd5797b6a2e197f0f95860d7",
+    "verify --n 4 --backend float --marked 3":
+        "59e0860104838936c516c34d3832a617da5ff07355c20f1fffd6715f44485469",
+    "grover-compare --n 6 --marked 5":
+        "1c6ed041136d55f9400e4d1f60062d1b3d9933f8f5c91252fbdd2ba0064828f0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_digest_pinned(tmp_path, command):
+    path = tmp_path / "report"
+    assert run_cli(*command.split(), "--out", str(path)) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[command]
