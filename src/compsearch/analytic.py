@@ -69,8 +69,7 @@ def _from_units(num_qubits: int, coeff: np.ndarray, unit: DyadicReal, backend: s
     """State whose amplitude at x is coeff[x] * unit."""
     if backend == EXACT:
         return StateVector._from_planes(num_qubits, EXACT, (coeff * unit.a, coeff * unit.b), unit.h)
-    amps = coeff.astype(np.complex128) * unit.to_float()
-    return StateVector._from_planes(num_qubits, backend, (amps,))
+    return StateVector._from_planes(num_qubits, backend, (coeff * unit.to_float(),))
 
 
 def psi0(n: int, backend: str = EXACT) -> StateVector:

@@ -15,10 +15,10 @@ Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 3 I/O error.  Report files are deterministic: stable key order, no
 timestamps, so identical invocations produce byte-identical bytes.
 The exact backend is capped at n <= 4 (override with the
-COMPSEARCH_EXACT_CAP environment variable); float runs are capped at
-n <= 12 to bound memory.  ``grover-compare`` is not subject to the exact
-cap: it always runs the comparison circuit on the exact backend, up to
-n = 12 (2^24 amplitudes).
+COMPSEARCH_EXACT_CAP environment variable); both backends are capped at
+n <= 12, whatever the override, to bound memory.  ``grover-compare`` is
+not subject to the exact cap: it always runs the comparison circuit on
+the exact backend, up to n = 12 (2^24 amplitudes).
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ def _resolve_backend(args) -> str:
 def _check_caps(n: int, backend: str) -> None:
     if n < 1:
         raise CLIError(2, f"--n must be >= 1, got {n}")
-    if backend == EXACT and n > exact_cap():
-        raise CLIError(2, f"exact backend capped at n <= {exact_cap()} (got n={n})")
-    if backend == FLOAT and n > FLOAT_N_CAP:
-        raise CLIError(2, f"float backend capped at n <= {FLOAT_N_CAP} (got n={n})")
+    # No override lifts the exact cap above FLOAT_N_CAP (2^24 amplitudes).
+    cap = FLOAT_N_CAP if backend == FLOAT else min(exact_cap(), FLOAT_N_CAP)
+    if n > cap:
+        raise CLIError(2, f"{backend} backend capped at n <= {cap} (got n={n})")
 
 
 def _parse_oracle(args, n: int) -> BooleanOracle | None:
@@ -120,7 +120,7 @@ def _oracle_params(f: BooleanOracle | None) -> dict | None:
 def _amplitude_json(amp) -> list:
     if isinstance(amp, DyadicReal):
         return [amp.a, amp.b, amp.h]
-    return [amp.real, amp.imag]
+    return [amp, 0.0]  # [re, im]; float amplitudes are real
 
 
 def _document(command: str, parameters: dict, results: dict) -> dict:

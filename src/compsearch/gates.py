@@ -45,9 +45,7 @@ class _GateBase:
         return len(self.matrix)
 
     def float_matrix(self) -> np.ndarray:
-        return np.array(
-            [[e.to_float() for e in row] for row in self.matrix], dtype=np.complex128
-        )
+        return np.array([[e.to_float() for e in row] for row in self.matrix])
 
     def _compiled(self, backend: str) -> tuple:
         """The gate as ``(steps, saves, scratch, g, growth, swap)`` over
@@ -276,8 +274,8 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
         state._bound *= growth
         if swap:
             state._planes = state._planes[::-1]
-    else:
-        state._check_finite()
+    elif not np.isfinite(state._planes[0]).all():
+        raise ArithmeticError("non-finite amplitude in float backend")
     return state
 
 

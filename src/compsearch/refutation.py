@@ -24,7 +24,6 @@ from .analytic import target_output
 from .circuit import build_comparison_search, build_grover, grover_optimal_iterations, simulate
 from .dyadic import SQRT2, DyadicReal
 from .state import (
-    _INT64_SAFE,
     EXACT,
     FLOAT,
     FLOAT_ATOL,
@@ -33,6 +32,8 @@ from .state import (
     BooleanOracle,
     StateVector,
     _abs_max,
+    _sum_out,
+    all_oracles,
     random_oracle,
 )
 
@@ -131,42 +132,14 @@ def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
     return 1 << (first - 1), 1 << (last - first + 1), 1 << (m - last)
 
 
-def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
-    if pre == post == 1:
-        return plane
-    return plane.reshape(pre, keep, post).sum(axis=(0, 2))
-
-
 def distribution(state: StateVector, first: int = 1, last: int | None = None) -> Distribution:
     """Born-rule probabilities p(x) = |amp(x)|^2 of qubits first..last
-    (inclusive, 1-based; every qubit by default), summing out the rest.
-
-    This is the one place that squares amplitudes.  An exact table keeps
-    int64 planes when 3 * bound^2 * 2^m < 2^62 for the state's largest
-    integer, which bounds every entry, every sum of entries and the
-    total; otherwise it squares Python ints.
+    (inclusive, 1-based; every qubit by default), summing out the rest,
+    squared by :meth:`StateVector._squares` as the state's norm is.
     """
     m = state.num_qubits
     pre, keep, post = _qubit_range(m, first, m if last is None else last)
-    if state.backend == FLOAT:
-        probs = np.abs(state._planes[0]) ** 2
-        dist = Distribution._of((_sum_out(probs, pre, keep, post),))
-    else:
-        state._canonical_reduce()
-        if 3 * state._bound**2 << m >= _INT64_SAFE:
-            # The tracked bound can be far above the largest integer (2^35
-            # against 1 after the n = 10 circuit): rescan before leaving int64.
-            state._bound = state._max_int()
-        planes = state._planes
-        if 3 * state._bound**2 << m >= _INT64_SAFE:
-            planes = tuple(p.astype(object) for p in planes)
-        a, b = (p.reshape(pre, keep, post) for p in planes)
-        aa, bb, ab = (np.einsum("ijk,ijk->j", x, y) for x, y in ((a, a), (b, b), (a, b)))
-        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2
-        bb *= 2
-        aa += bb
-        ab *= 2
-        dist = Distribution._of((aa, ab), 2 * state._h)
+    dist = Distribution._of(*state._squares(pre, keep, post))
     dist._check_total()
     return dist
 
@@ -299,8 +272,7 @@ def _verdicts(n: int, backend: str, oracles):
 
 def _sweep_oracles(n: int, exhaustive: bool, count: int, seed: int):
     if exhaustive:
-        for table in range(1 << (1 << n)):
-            yield BooleanOracle(n, table)
+        yield from all_oracles(n)
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         for _ in range(count):
@@ -343,14 +315,15 @@ def sweep_all_f(
     # Kept only when _fill_pairwise_tv will compare every pair.
     keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
     dists: list[Distribution] = []
-    all_dists_identical = backend == EXACT
+    identical = True
     oracles = _sweep_oracles(n, exhaustive, sample_count, seed)
     for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
         dist = distribution(out)
         if first is None:
             first = dist
         tv = tv_distance(dist, first)
-        all_dists_identical = all_dists_identical and tv == 0
+        if identical:
+            identical = tv == 0 if dist.exact else np.array_equal(dist.planes[0], first.planes[0])
         if keep_dists:
             dists.append(dist)
         marg = marginal(dist, n + 1, 2 * n)
@@ -364,7 +337,7 @@ def sweep_all_f(
         report.verdicts.append(OracleVerdict(i, f.table, match, dev, float(tv)))
         report.all_match = report.all_match and match
         report.max_deviation = max(report.max_deviation, dev)
-    _fill_pairwise_tv(report, dists, all_dists_identical)
+    _fill_pairwise_tv(report, dists, identical)
     return report
 
 
@@ -374,18 +347,16 @@ def sweep_all_f(
 _ALL_PAIRS_LIMIT = 512
 
 
-def _fill_pairwise_tv(report: SweepReport, dists: list[Distribution], exact_zero: bool) -> None:
-    if exact_zero:
-        # Every distribution equals the first one exactly, so every
-        # pairwise distance is zero by the triangle inequality.
-        report.max_pairwise_tv = 0.0
-        report.max_pairwise_tv_is_exact = True
-        return
-    if report.oracle_count <= _ALL_PAIRS_LIMIT:
+def _fill_pairwise_tv(report: SweepReport, dists: list[Distribution], identical: bool) -> None:
+    """Set the largest TV distance between any two tables; ``identical``
+    says every table equals the first one, which makes it exactly 0.  A
+    float sweep past the limit still reports the bound, flagged inexact."""
+    if report.oracle_count <= _ALL_PAIRS_LIMIT or (identical and report.backend == EXACT):
         worst = 0.0
-        for i in range(len(dists)):
-            for j in range(i + 1, len(dists)):
-                worst = max(worst, float(tv_distance(dists[i], dists[j])))
+        if not identical:
+            for i in range(len(dists)):
+                for j in range(i + 1, len(dists)):
+                    worst = max(worst, float(tv_distance(dists[i], dists[j])))
         report.max_pairwise_tv = worst
         report.max_pairwise_tv_is_exact = True
         return

@@ -19,7 +19,9 @@ planes:
   gate that might push an integer to 2^62 first reduces h and rescans,
   and raises OverflowError, before any write, if that does not make
   room.  Integers never wrap.
-* ``"float"`` -- one complex128 plane holding the amplitudes; h = 0.
+* ``"float"`` -- one float64 plane holding the amplitudes; h = 0.
+  Every amplitude here is real: the ring is real, so are the gates and
+  the +-1 oracles, so a real plane holds any state this library makes.
 
 Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
 backends.  Exact states compare with ``==`` at zero tolerance.
@@ -45,12 +47,19 @@ FLOAT_ATOL = 1e-12
 _INT64_SAFE = 1 << 62
 
 # Plane dtype and count of each backend.
-_PLANES = {EXACT: (np.int64, 2), FLOAT: (np.complex128, 1)}
+_PLANES = {EXACT: (np.int64, 2), FLOAT: (np.float64, 1)}
 
 
 def _abs_max(plane: np.ndarray) -> int:
     """max |plane| as a Python int, without a temporary plane."""
     return max(int(plane.max()), -int(plane.min()))
+
+
+def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
+    """``plane`` viewed as (pre, keep, post), summed over the outer axes."""
+    if pre == post == 1:
+        return plane
+    return plane.reshape(pre, keep, post).sum(axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -197,16 +206,21 @@ class StateVector:
     def from_amplitudes(cls, amps: Sequence, backend: str = EXACT) -> StateVector:
         """Build a state from explicit amplitudes.
 
-        Exact backend accepts DyadicReal or int entries; float accepts
-        anything convertible to complex.  The result is not normalized
-        here; callers own that invariant.
+        Exact backend accepts DyadicReal or int entries.  Float accepts
+        real numbers (DyadicReal included) and complex ones whose
+        imaginary part is zero; a nonzero imaginary part raises
+        ValueError, as float planes hold real amplitudes.  The result is
+        not normalized here; callers own that invariant.
         """
         size = len(amps)
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {size}")
         m = size.bit_length() - 1
         if backend == FLOAT:
-            return cls._from_planes(m, FLOAT, (np.array(amps, dtype=np.complex128),))
+            vals = np.array(amps, dtype=complex)
+            if vals.imag.any():
+                raise ValueError("float amplitudes are real; got a nonzero imaginary part")
+            return cls._from_planes(m, FLOAT, (vals.real.copy(),))
         if backend != EXACT:
             raise ValueError(f"unknown backend {backend!r}")
         vals = [v if isinstance(v, DyadicReal) else DyadicReal.from_int(v) for v in amps]
@@ -234,27 +248,23 @@ class StateVector:
         planes = [p.copy() for p in self._planes]
         return StateVector._from_planes(self.num_qubits, self.backend, planes, self._h)
 
-    def amplitude(self, x: int) -> DyadicReal | complex:
+    def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:
             raise ValueError(f"basis index {x} out of range")
         if self.backend == EXACT:
             a, b = self._planes
             return DyadicReal(int(a[x]), int(b[x]), self._h)
-        return complex(self._planes[0][x])
+        return float(self._planes[0][x])
 
     def amplitudes(self) -> list:
         return [self.amplitude(x) for x in range(self.num_states)]
 
     def to_float_array(self) -> np.ndarray:
-        """Amplitudes as complex128, for either backend."""
+        """Amplitudes as one new float64 array, for either backend; an
+        exact amplitude becomes fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
         if self.backend == FLOAT:
             return self._planes[0].copy()
-        return self._real_floats().astype(np.complex128)
-
-    def _real_floats(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """An exact state's amplitudes ``start:stop`` as one new float64
-        array, fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
-        a, b = (p[start:stop] for p in self._planes)
+        a, b = self._planes
         re = np.multiply(b, SQRT2, dtype=np.float64)
         np.add(re, a, out=re)
         return np.ldexp(re, -self._h, out=re)
@@ -263,23 +273,44 @@ class StateVector:
         return StateVector._from_planes(self.num_qubits, FLOAT, (self.to_float_array(),))
 
     def norm_squared(self) -> DyadicReal | float:
-        """Sum of squared amplitude magnitudes; exact in the exact backend."""
+        """Sum of squared amplitudes; exact in the exact backend."""
+        planes, h = self._squares(1, 1, self.num_states)
         if self.backend == FLOAT:
-            amps = self._planes[0]
-            return float(np.vdot(amps, amps).real)
-        a, b = self._planes
-        ma, mb = (_abs_max(p) for p in self._planes)
-        # (a + b r)^2 = (a^2 + 2 b^2) + (2 a b) r over 2^(2h)
-        bound = max(ma * ma + 2 * mb * mb, 2 * ma * mb) * a.size
-        if bound < _INT64_SAFE:
-            sa = int(np.dot(a, a)) + 2 * int(np.dot(b, b))
-            sb = 2 * int(np.dot(a, b))
-        else:
-            ao = a.astype(object)
-            bo = b.astype(object)
-            sa = int((ao * ao + 2 * bo * bo).sum())
-            sb = int(2 * (ao * bo).sum())
-        return DyadicReal(sa, sb, 2 * self._h)
+            return float(planes[0][0])
+        return DyadicReal(int(planes[0][0]), int(planes[1][0]), h)
+
+    def _squares(self, pre: int, keep: int, post: int) -> tuple[tuple, int]:
+        """Born-rule probabilities |amp(x)|^2 of the state viewed as
+        (pre, keep, post), summed over the outer axes: ``(planes, h)``,
+        laid out like a :class:`~compsearch.refutation.Distribution`.
+
+        This is the one place that squares amplitudes.  A float plane is
+        squared whole, x*x (|x|*|x| bit for bit), and reshape-summed.
+        Exact planes are squared and summed by ``einsum``, with no
+        plane-sized temporary; that stays in int64 while
+        3 * bound^2 * 2^m < 2^62 for the largest integer, which bounds
+        every entry, every sum of entries and the total, and squares
+        Python ints otherwise.  An exact state is first reduced to its
+        minimal h, which leaves its value alone.
+        """
+        if self.backend == FLOAT:
+            return (_sum_out(np.square(self._planes[0]), pre, keep, post),), 0
+        self._canonical_reduce()
+        m = self.num_qubits
+        if 3 * self._bound**2 << m >= _INT64_SAFE:
+            # The tracked bound can be far above the largest integer (2^35
+            # against 1 after the n = 10 circuit): rescan before leaving int64.
+            self._bound = self._max_int()
+        planes = self._planes
+        if 3 * self._bound**2 << m >= _INT64_SAFE:
+            planes = tuple(p.astype(object) for p in planes)
+        a, b = (p.reshape(pre, keep, post) for p in planes)
+        aa, bb, ab = (np.einsum("ijk,ijk->j", x, y) for x, y in ((a, a), (b, b), (a, b)))
+        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2
+        bb *= 2
+        aa += bb
+        ab *= 2
+        return (aa, ab), 2 * self._h
 
     def is_normalized(self, atol: float = FLOAT_ATOL) -> bool:
         if self.backend == EXACT:
@@ -359,23 +390,15 @@ class StateVector:
                 "state has grown beyond this backend's checked range"
             )
 
-    def _check_finite(self) -> None:
-        if not np.isfinite(self._planes[0].view(np.float64)).all():
-            raise ArithmeticError("non-finite amplitude in float backend")
-
     def terms(self, max_terms: int = 16) -> str:
         """Nonzero amplitudes as a ket string, for small states."""
         out = []
         for x in range(self.num_states):
             amp = self.amplitude(x)
-            if isinstance(amp, DyadicReal):
-                if amp.is_zero:
-                    continue
-                label = str(amp)
-            else:
-                if abs(amp) < 1e-14:
-                    continue
-                label = f"{amp.real:+.6g}" if amp.imag == 0 else f"{amp:.6g}"
+            exact = isinstance(amp, DyadicReal)
+            if amp.is_zero if exact else abs(amp) < 1e-14:
+                continue
+            label = str(amp) if exact else f"{amp:+.6g}"
             out.append(f"{label}|{x:0{self.num_qubits}b}>")
             if len(out) >= max_terms:
                 out.append("...")

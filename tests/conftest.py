@@ -131,7 +131,8 @@ def random_exact_state(num_qubits: int, rng: np.random.Generator, depth: int = 1
 
 
 def random_float_state(num_qubits: int, rng: np.random.Generator) -> cs.StateVector:
-    v = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    """A random real unit vector (float amplitudes are real)."""
+    v = rng.normal(size=1 << num_qubits)
     v /= np.linalg.norm(v)
     return cs.StateVector.from_amplitudes(v, cs.FLOAT)
 

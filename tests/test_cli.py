@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from compsearch import __version__
+from compsearch import __version__, cli
 from compsearch.cli import main
 
 
@@ -61,6 +61,13 @@ class TestVerify:
         assert run_cli("verify", "--n", "5", "--backend", "exact", "--marked", "3") == 0
         monkeypatch.setenv("COMPSEARCH_EXACT_CAP", "nope")
         assert run_cli("verify", "--n", "5", "--backend", "exact", "--marked", "3") == 2
+
+    def test_exact_cap_override_stops_at_the_float_ceiling(self, monkeypatch):
+        # The ceiling is lowered so that the refused run would be small.
+        monkeypatch.setattr(cli, "FLOAT_N_CAP", 3)
+        monkeypatch.setenv("COMPSEARCH_EXACT_CAP", "5")
+        assert run_cli("verify", "--n", "4", "--backend", "exact", "--marked", "1") == 2
+        assert run_cli("verify", "--n", "3", "--backend", "exact", "--marked", "1") == 0
 
 
 class TestTrace:

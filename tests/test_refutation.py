@@ -70,6 +70,18 @@ class TestDistribution:
         assert not d.exact
         np.testing.assert_allclose(d.as_float_array(), [0.5, 0, 0, 0.5], atol=1e-15)
 
+    def test_norm_squared_is_the_table_total(self):
+        # norm_squared and distribution square amplitudes in one routine,
+        # so their sums agree exactly on both backends.
+        rng = np.random.Generator(np.random.PCG64(5))
+        for m in (1, 3, 6):
+            s = random_exact_state(m, rng, depth=20)
+            assert s.norm_squared() == cs.distribution(s).total == 1
+            f = random_float_state(m, rng)
+            assert f.norm_squared() == cs.distribution(f).total
+        wide = wide_exact_state()
+        assert wide.norm_squared() == cs.distribution(wide).total == 1
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             Distribution((np.array([0.5, 0.1]),))
@@ -267,6 +279,23 @@ class TestSweep:
         assert not big.max_pairwise_tv_is_exact
         top = sorted(v.tv_to_first for v in big.verdicts)[-2:]
         assert big.max_pairwise_tv == sum(top)
+
+    def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
+        # Every float table at n = 3 is bitwise the first one, so no pair
+        # is compared: one tv_distance call per oracle, to the first table.
+        calls = []
+        tv = refutation.tv_distance
+        monkeypatch.setattr(refutation, "tv_distance", lambda p, q: calls.append(1) or tv(p, q))
+        rep = cs.sweep_all_f(3, cs.FLOAT)
+        assert rep.oracle_count == len(calls) == 256
+        assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
+
+    def test_all_pairs_when_tables_differ(self):
+        dists = [Distribution((np.array(p),)) for p in ([1.0, 0.0], [0.5, 0.5], [0.0, 1.0])]
+        rep = refutation.SweepReport(1, cs.FLOAT, False, 0, cs.RNG_ALGORITHM)
+        rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
+        refutation._fill_pairwise_tv(rep, dists, identical=False)
+        assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
 
     def test_exhaustive_cap(self):
         with pytest.raises(ValueError):

@@ -83,10 +83,31 @@ class TestStateVector:
         assert s.norm_squared() == 1
 
     def test_from_amplitudes_float(self):
-        s = StateVector.from_amplitudes([0.6, 0.8j], cs.FLOAT)
+        s = StateVector.from_amplitudes([0.6, -0.8], cs.FLOAT)
         assert s.backend == cs.FLOAT
-        assert s.amplitude(1) == 0.8j
+        assert s.amplitude(1) == -0.8
         assert s.norm_squared() == pytest.approx(1.0)
+        # Complex input is taken when its imaginary part is zero.
+        t = StateVector.from_amplitudes(np.array([0.6 + 0j, -0.8 + 0j]), cs.FLOAT)
+        assert t == s
+
+    @pytest.mark.parametrize("amps", [np.array([0.6, 0.8j]), [0.6, 0.8j], [INV, 0.8j]])
+    def test_from_amplitudes_float_rejects_imaginary_parts(self, amps):
+        with pytest.raises(ValueError, match="imaginary"):
+            StateVector.from_amplitudes(amps, cs.FLOAT)
+
+    def test_float_amplitudes_are_real(self):
+        s = StateVector.from_amplitudes([INV, -INV]).to_float()
+        assert type(s.amplitude(1)) is float
+        assert all(type(a) is float for a in s.amplitudes())
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    def test_to_float_array_is_float64(self, backend):
+        s = StateVector.from_amplitudes([INV, 0, 0, -INV])
+        if backend == cs.FLOAT:
+            s = s.to_float()
+        assert s.to_float_array().dtype == np.float64
+        assert s.to_float_array().tolist() == [2**-0.5, 0.0, 0.0, -(2**-0.5)]
 
     def test_norm_uniform_two_qubits(self):
         half = DyadicReal(1, 0, 1)
