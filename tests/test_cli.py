@@ -228,6 +228,10 @@ REPORT_DIGESTS = {
         "59e0860104838936c516c34d3832a617da5ff07355c20f1fffd6715f44485469",
     "grover-compare --n 6 --marked 5":
         "1c6ed041136d55f9400e4d1f60062d1b3d9933f8f5c91252fbdd2ba0064828f0",
+    "trace --n 3 --backend exact --truth-table 0x5a":
+        "01db131d68894c6aa4c1f5678b9799cf68d6dcab3fc495b400bbfc4311153cbb",
+    "verify --n 3 --all-f":
+        "d10b2b5c45144165536b51a2ca6597705041c56c8f0a0dc7af0d7fd37d8e873b",
 }
 
 
