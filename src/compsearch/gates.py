@@ -9,11 +9,12 @@ consistent with its per-qubit action formula under this first-qubit-major
 order (checked column by column in the tests).
 
 Every gate compiles once per backend into in-place ufunc steps over the
-state's planes (see :mod:`compsearch.state`), and one kernel runs those
-steps for both backends and both arities.  Kernels mutate the state in
-place and return it.  Oracles are applied as diagonal sign flips over a
-register window rather than materialized matrices, so every application
-is O(2^m).
+state's planes (see :mod:`compsearch.state`), and on the exact backend
+once per pattern of zero planes, whose steps it leaves out.  One kernel
+runs those steps for both backends and both arities.  Kernels mutate
+the state in place and return it.  Oracles are applied as diagonal sign
+flips over a register window rather than materialized matrices, so
+every application is O(2^m).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, BooleanOracle, StateVector
+from .state import EXACT, FLOAT, BooleanOracle, StateVector
 
 
 class _GateBase:
@@ -47,9 +48,10 @@ class _GateBase:
     def float_matrix(self) -> np.ndarray:
         return np.array([[e.to_float() for e in row] for row in self.matrix])
 
-    def _compiled(self, backend: str) -> tuple:
-        """The gate as ``(steps, saves, scratch, g, growth, swap)`` over
-        ``backend``'s planes, cached per backend.
+    def _compiled(self, key) -> tuple:
+        """The gate as ``(steps, saves, scratch, g, growth, swap, cross)``,
+        cached per ``key``: ``FLOAT``, or for an exact state the pair of
+        flags saying which of its two planes is nonzero.
 
         The kernel lists the flat planes, the slot arrays of every plane
         (plane p, gate slot j at ``planes + p * dim + j``), copies of the
@@ -59,11 +61,14 @@ class _GateBase:
         ``ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])``.
         The exponent grows by ``g``, no integer grows by more than the
         factor ``growth``, and ``swap`` says the two exact planes trade
-        places afterwards.
+        places afterwards.  The steps and saved slots that write a zero
+        exact plane are left out, as that plane stays zero, unless
+        ``cross``: some row reads a plane other than the one it writes
+        (controlled-H), and then every step runs.
         """
-        if backend not in self._cache:
-            self._cache[backend] = _compile(self, backend)
-        return self._cache[backend]
+        if key not in self._cache:
+            self._cache[key] = _compile(self, key)
+        return self._cache[key]
 
     def is_unitary(self) -> bool:
         """Exact check of G^T G = I (all gates here are real)."""
@@ -140,11 +145,12 @@ def comparison_gate() -> Gate2:
     return _COMPARISON
 
 
-def _compile(gate: _GateBase, backend: str) -> tuple:
+def _compile(gate: _GateBase, key) -> tuple:
     """See :meth:`_GateBase._compiled`."""
     matrix = gate.matrix
     dim = range(gate.dim)
-    exact = backend == EXACT
+    exact = key != FLOAT
+    live = key if exact else (True,)
     swap = False
     if not exact:
         G = gate.float_matrix()
@@ -171,6 +177,7 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
     planes = 2 if exact else 1
     first_saved = planes + planes * size
     written, saves, steps, shifts, growth = set(), [], [], {}, 1
+    cross = any(p != plane for plane, _, terms in rows for c, p, _ in terms if c)
 
     def slot(p: int, j: int) -> int:
         if (p, j) not in written:
@@ -189,6 +196,11 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
             shift = (common & -common).bit_length() - 1 if common else 0
             terms = [(c >> shift, p, j) for c, p, j in terms]
             growth = max(growth, sum(abs(c) for c, _, _ in terms) << shift)
+        if not (cross or live[plane]):
+            # A zero plane that no other plane feeds stays zero.  Its rows
+            # still count in growth, so the int64 guard is the same for
+            # every pattern of zero planes.
+            continue
         if exact or len(terms) <= 2:
             # Reading the output's own slot first saves copying it; integer
             # sums and two-term float sums are unchanged by the order.
@@ -228,7 +240,7 @@ def _compile(gate: _GateBase, backend: str) -> tuple:
             steps += [(np.left_shift, out, k, False, out) for out, k in by_out.items() if k]
     scratch = any(step[4] == -1 for step in steps)
     saves = tuple(planes + p * size + j for p, j in saves)
-    return tuple(steps), saves, scratch, g, growth, swap
+    return tuple(steps), saves, scratch, g, growth, swap, cross
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
@@ -246,12 +258,17 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     reads after an earlier row overwrote them are copied, and the
     compiled steps write each output slot in place by ufuncs with
     ``out=``.  Exact integers are checked against the state's tracked
-    bound, so a gate raises OverflowError before any write.
+    bounds, so a gate raises OverflowError before any write, and a plane
+    whose bound is 0 is neither read nor written unless the gate crosses
+    planes.
     """
-    steps, saves, scratch, g, growth, swap = gate._compiled(state.backend)
     exact = state.backend == EXACT
     if exact:
+        live = tuple(bound > 0 for bound in state._bounds)
+        steps, saves, scratch, g, growth, swap, cross = gate._compiled(live)
         state._make_room(growth)
+    else:
+        steps, saves, scratch, g, growth, swap, cross = gate._compiled(FLOAT)
     shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
     views = [p.reshape(shape) for p in state._planes]
     for chunk in chunks:
@@ -271,9 +288,12 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
                 ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
     if exact:
         state._h += g
-        state._bound *= growth
-        if swap:
-            state._planes = state._planes[::-1]
+        bounds = tuple(b * growth for b in state._bounds)
+        if cross:
+            bounds = (max(bounds),) * 2
+        elif swap:
+            bounds, state._planes = bounds[::-1], state._planes[::-1]
+        state._bounds = bounds
     elif not np.isfinite(state._planes[0]).all():
         raise ArithmeticError("non-finite amplitude in float backend")
     return state
@@ -360,7 +380,8 @@ def apply_phase_oracle(state: StateVector, f: BooleanOracle, reg_start: int) -> 
     pre = 1 << (reg_start - 1)
     post = 1 << (m - (reg_start + f.n - 1))
     signs = f.sign_array()[None, :, None]
-    for plane in state._planes:
-        view = plane.reshape(pre, 1 << f.n, post)
-        view *= signs
+    for plane, bound in zip(state._planes, state._bounds):
+        if bound:  # a zero plane stays zero
+            view = plane.reshape(pre, 1 << f.n, post)
+            view *= signs
     return state

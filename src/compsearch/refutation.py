@@ -315,7 +315,9 @@ def sweep_all_f(
     # Kept only when _fill_pairwise_tv will compare every pair.
     keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
     dists: list[Distribution] = []
-    identical = True
+    # Whether every table equals the first, worked out only where
+    # _fill_pairwise_tv reads it.
+    identical = keep_dists or backend == EXACT
     oracles = _sweep_oracles(n, exhaustive, sample_count, seed)
     for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
         dist = distribution(out)

@@ -15,13 +15,19 @@ planes:
   h is minimal (not every integer even) after construction, ``copy()``
   and ``circuit.run``; gate kernels may leave it larger, and ``==``
   aligns denominators, so that never changes a comparison.  Each exact
-  state tracks ``_bound``, an upper bound on every |a[x]| and |b[x]|: a
-  gate that might push an integer to 2^62 first reduces h and rescans,
-  and raises OverflowError, before any write, if that does not make
-  room.  Integers never wrap.
+  state tracks ``_bounds``, one upper bound per plane on its integer
+  magnitudes, so a bound of 0 means that plane is all zero.  The gates
+  that build the paper's states (H and C, multiples of sqrt(2), and the
+  +-1 oracles) keep a zero plane zero, so gates, oracles, squaring and
+  reduction never read or write a plane whose bound is 0; only a gate
+  that mixes the planes (controlled-H) makes both nonzero.  A gate that
+  might push an integer to 2^62 first reduces h and rescans, and raises
+  OverflowError, before any write, if that does not make room.  Integers
+  never wrap.
 * ``"float"`` -- one float64 plane holding the amplitudes; h = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.
+  Its one bound stays 1, so no code that skips zero planes skips it.
 
 Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
 backends.  Exact states compare with ``==`` at zero tolerance.
@@ -174,7 +180,7 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_planes", "_h", "_bound")
+    __slots__ = ("num_qubits", "backend", "_planes", "_h", "_bounds")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
@@ -187,7 +193,7 @@ class StateVector:
         self._planes = tuple(np.zeros(1 << num_qubits, dtype=dtype) for _ in range(count))
         self._planes[0][0] = 1
         self._h = 0
-        self._bound = 1
+        self._bounds = (1,) + (0,) * (count - 1)
 
     @property
     def num_states(self) -> int:
@@ -238,9 +244,9 @@ class StateVector:
         s.backend = backend
         s._planes = tuple(planes)
         s._h = h
-        s._bound = 0
+        s._bounds = (1,)
         if backend == EXACT:
-            s._bound = s._max_int()
+            s._bounds = tuple(_abs_max(p) for p in s._planes)
             s._canonical_reduce()
         return s
 
@@ -297,17 +303,26 @@ class StateVector:
             return (_sum_out(np.square(self._planes[0]), pre, keep, post),), 0
         self._canonical_reduce()
         m = self.num_qubits
-        if 3 * self._bound**2 << m >= _INT64_SAFE:
-            # The tracked bound can be far above the largest integer (2^35
+        if 3 * max(self._bounds) ** 2 << m >= _INT64_SAFE:
+            # The tracked bounds can be far above the largest integer (2^35
             # against 1 after the n = 10 circuit): rescan before leaving int64.
-            self._bound = self._max_int()
-        planes = self._planes
-        if 3 * self._bound**2 << m >= _INT64_SAFE:
-            planes = tuple(p.astype(object) for p in planes)
-        a, b = (p.reshape(pre, keep, post) for p in planes)
-        aa, bb, ab = (np.einsum("ijk,ijk->j", x, y) for x, y in ((a, a), (b, b), (a, b)))
-        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2
+            self._bounds = self._scan()
+        wide = 3 * max(self._bounds) ** 2 << m >= _INT64_SAFE
+        a, b = (
+            (p.astype(object) if wide and bound else p).reshape(pre, keep, post)
+            for p, bound in zip(self._planes, self._bounds)
+        )
+        sum_products = "ijk,ijk->j"
+        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2; the terms of a
+        # zero plane are left out.
+        if not self._bounds[1]:
+            aa = np.einsum(sum_products, a, a)
+            return (aa, np.zeros_like(aa)), 2 * self._h
+        bb = np.einsum(sum_products, b, b)
         bb *= 2
+        if not self._bounds[0]:
+            return (bb, np.zeros_like(bb)), 2 * self._h
+        aa, ab = np.einsum(sum_products, a, a), np.einsum(sum_products, a, b)
         aa += bb
         ab *= 2
         return (aa, ab), 2 * self._h
@@ -340,7 +355,7 @@ class StateVector:
         if da or db:
             # Align denominators; fall back to exact Python ints if the
             # shift could overflow int64.
-            bits = max(self._max_int(), other._max_int()).bit_length()
+            bits = max(self._scan() + other._scan()).bit_length()
             if bits + max(da, db) >= 63:
                 xa, xb = xa.astype(object) << da, xb.astype(object) << da
                 ya, yb = ya.astype(object) << db, yb.astype(object) << db
@@ -352,9 +367,10 @@ class StateVector:
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("StateVector is mutable and unhashable")
 
-    def _max_int(self) -> int:
-        """Largest integer magnitude in the exact planes."""
-        return max(_abs_max(p) for p in self._planes)
+    def _scan(self) -> tuple[int, ...]:
+        """Each exact plane's largest integer magnitude; a plane whose
+        bound is 0 is zero and is not read."""
+        return tuple(_abs_max(p) if bound else 0 for p, bound in zip(self._planes, self._bounds))
 
     def _canonical_reduce(self) -> None:
         """Divide out common powers of two so the shared h is minimal."""
@@ -362,29 +378,31 @@ class StateVector:
             return
         # Two's complement keeps the lowest set bit of -v, so OR-ing the
         # raw values finds the common power of two.
+        live = [p for p, bound in zip(self._planes, self._bounds) if bound]
         mask = 0
-        for p in self._planes:
+        for p in live:
             mask |= int(np.bitwise_or.reduce(p))
         if mask == 0:
-            self._h = self._bound = 0
+            self._h = 0
+            self._bounds = (0, 0)
             return
         t = min((mask & -mask).bit_length() - 1, self._h)
         if t:
-            for p in self._planes:
+            for p in live:
                 p >>= t
             self._h -= t
-            self._bound >>= t
+            self._bounds = tuple(bound >> t for bound in self._bounds)
 
     def _make_room(self, growth: int) -> None:
         """Make sure a gate that grows integers by at most ``growth`` stays
         below 2^62: when the tracked bound allows no such gate, reduce h
         and rescan; raise OverflowError if there is still no room.  The
         state's value never changes here."""
-        if self._bound * growth < _INT64_SAFE:
+        if max(self._bounds) * growth < _INT64_SAFE:
             return
         self._canonical_reduce()
-        self._bound = self._max_int()
-        if self._bound * growth >= _INT64_SAFE:
+        self._bounds = self._scan()
+        if max(self._bounds) * growth >= _INT64_SAFE:
             raise OverflowError(
                 "exact amplitude integers would exceed int64; "
                 "state has grown beyond this backend's checked range"

@@ -400,10 +400,11 @@ class TestKernelDifferential:
             assert np.max(np.abs(s.to_float_array() - ref)) <= 1e-12
 
 
-def _run_word(word, backend: str = cs.EXACT) -> StateVector:
+def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
     """Run ``word`` on the library kernels and return the state; on the
     exact backend, also require zero-tolerance agreement with
-    ``conftest.exact_apply``."""
+    ``conftest.exact_apply``.  ``check``, if given, sees the state after
+    every op."""
     m, index, ops = word
     s = StateVector.basis_state(m, index, backend)
     ref = [DyadicReal(int(x == index), 0) for x in range(1 << m)]
@@ -420,24 +421,34 @@ def _run_word(word, backend: str = cs.EXACT) -> StateVector:
             name, q = op
             ref = exact_apply(ref, EXACT_MATRICES[name], (q,), m)
             cs.apply_gate1(s, q, LIBRARY[name])
+        if check is not None:
+            check(s)
     if backend == cs.EXACT:
         assert s.amplitudes() == ref
         assert s == StateVector.from_amplitudes(ref)
     return s
 
 
+def _check_bounds(s: StateVector) -> None:
+    """Each exact plane's tracked bound covers its integers, so a bound of
+    0, whose plane the kernels skip, means that plane is zero."""
+    for plane, bound in zip(s._planes, s._bounds):
+        assert bound >= int(np.abs(plane).max())
+        assert bound or not plane.any()
+
+
 class TestExactKernelDifferential:
     @settings(max_examples=80, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O")))
     def test_words_match_exact_reference(self, word):
-        _run_word(word)
+        _run_word(word, check=_check_bounds)
 
     @settings(max_examples=25, deadline=None)
     @given(gate_words(kinds=("H", "C", "CH"), min_size=40, max_size=64))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
         # leave int64's checked range unless the kernel reduces on the way.
-        _run_word(word)
+        _run_word(word, check=_check_bounds)
 
     @settings(max_examples=60, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O"), max_size=20))
@@ -455,3 +466,21 @@ class TestExactKernelDifferential:
             finally:
                 gates._layout.cache_clear()
         assert chunked.tobytes() == flat.tobytes()
+
+    def test_cross_plane_gate_then_both_planes(self):
+        # H leaves the a plane zero, so the next gates skip it; controlled-H
+        # reads both planes and makes both nonzero, and the H and C after
+        # it run every step.
+        f = BooleanOracle(2, 0b0110)
+        word = (3, 5, [("H", 1), ("O", f, 2), ("C", 2, 3), ("CH", 1, 2),
+                       ("H", 3), ("C", 2, 3), ("O", f, 1), ("H", 2), ("C", 3, 1)])
+        live = []
+
+        def check(s):
+            _check_bounds(s)
+            live.append(tuple(bound > 0 for bound in s._bounds))
+
+        s = _run_word(word, check=check)
+        assert live[:3] == [(False, True), (False, True), (True, False)]
+        assert live[3:] == [(True, True)] * 6
+        assert all(plane.any() for plane in s._planes)

@@ -132,7 +132,7 @@ class TestMarginal:
         rng = np.random.Generator(np.random.PCG64(21))
         if backend == cs.EXACT:
             wide = wide_exact_state()
-            assert 3 * wide._max_int() ** 2 << wide.num_qubits >= 1 << 62
+            assert 3 * max(wide._scan()) ** 2 << wide.num_qubits >= 1 << 62
             states = [random_exact_state(6, rng, depth=30), output_for(3, BooleanOracle(3, 0x5a)), wide]
         else:
             states = [random_float_state(6, rng), output_for(3, BooleanOracle(3, 0x5a)).to_float()]

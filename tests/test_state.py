@@ -183,6 +183,19 @@ class TestStateVector:
             with pytest.raises(OverflowError):
                 apply(s)
             assert s == before
+        # The same guard when only the b plane is nonzero, so the gate
+        # skips the a plane.
+        big_b = DyadicReal(0, 1 << 61, 0)
+        for width, apply in (
+            (1, lambda s: cs.apply_gate1(s, 1, cs.hadamard())),
+            (2, lambda s: cs.apply_gate2(s, 1, 2, cs.comparison_gate())),
+        ):
+            s = StateVector.from_amplitudes([big_b] + [0] * ((1 << width) - 1))
+            assert s._bounds == (0, 1 << 61)
+            before = s.copy()
+            with pytest.raises(OverflowError):
+                apply(s)
+            assert s == before
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
