@@ -22,15 +22,12 @@ from .state import (
     random_oracle,
 )
 from .gates import (
-    Gate1,
-    Gate2,
+    Gate,
     apply_gate1,
     apply_gate2,
     apply_phase_oracle,
     comparison_gate,
     hadamard,
-    pauli_x,
-    pauli_z,
 )
 from .circuit import (
     CHECKPOINT_LABELS,
@@ -41,8 +38,7 @@ from .circuit import (
     PSI3,
     Checkpoint,
     Circuit,
-    Gate1Placement,
-    Gate2Placement,
+    GatePlacement,
     PhaseOraclePlacement,
     Trace,
     build_comparison_search,
@@ -54,7 +50,6 @@ from .circuit import (
 )
 from .analytic import (
     delta_identity,
-    mod2_inner,
     psi0,
     psi1,
     psi2,
@@ -71,9 +66,7 @@ from .refutation import (
     check_oracle,
     compare_grover,
     distribution,
-    empirical_distribution,
     marginal,
-    sample,
     sample_distribution,
     sweep_all_f,
     tv_distance,

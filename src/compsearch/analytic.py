@@ -29,13 +29,6 @@ from .dyadic import DyadicReal
 from .state import EXACT, BACKENDS, BitString, BooleanOracle, StateVector
 
 
-def mod2_inner(x: BitString, y: BitString) -> int:
-    """Bitwise inner product x_1 y_1 + ... + x_n y_n mod 2."""
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
-    return (x.value & y.value).bit_count() & 1
-
-
 def delta_identity(n: int, k: BitString | int, l: BitString | int) -> int:
     """sum_j (-1)^(j.(k xor l)) by direct summation over all n-bit j.
 

@@ -24,16 +24,12 @@ CHECKPOINT_LABELS = (PSI0, PSI1, PSI2, PSI2A, PSI3)
 
 
 @dataclass(frozen=True)
-class Gate1Placement:
-    qubit: int
-    gate: gates.Gate1
+class GatePlacement:
+    """``gate`` on the ordered ``qubits``: one qubit for a 2x2 gate, two
+    for a 4x4 one."""
 
-
-@dataclass(frozen=True)
-class Gate2Placement:
-    qubit_a: int
-    qubit_b: int
-    gate: gates.Gate2
+    qubits: tuple[int, ...]
+    gate: gates.Gate
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class Checkpoint:
     label: str
 
 
-CircuitOp = Gate1Placement | Gate2Placement | PhaseOraclePlacement | Checkpoint
+CircuitOp = GatePlacement | PhaseOraclePlacement | Checkpoint
 
 
 @dataclass(frozen=True)
@@ -60,13 +56,8 @@ class Circuit:
             raise ValueError(f"circuit width must be >= 1, got {self.width}")
         seen = set()
         for op in self.ops:
-            if isinstance(op, Gate1Placement):
-                self._check(op.qubit)
-            elif isinstance(op, Gate2Placement):
-                self._check(op.qubit_a)
-                self._check(op.qubit_b)
-                if op.qubit_a == op.qubit_b:
-                    raise ValueError("two-qubit placement on identical qubits")
+            if isinstance(op, GatePlacement):
+                gates._check_placement(self.width, op.qubits, op.gate.dim)
             elif isinstance(op, PhaseOraclePlacement):
                 self._check(op.reg_start)
                 self._check(op.reg_start + op.oracle.n - 1)
@@ -80,12 +71,6 @@ class Circuit:
     def _check(self, q: int) -> None:
         if not 1 <= q <= self.width:
             raise ValueError(f"qubit {q} out of range 1..{self.width}")
-
-    def checkpoint_labels(self) -> tuple[str, ...]:
-        return tuple(op.label for op in self.ops if isinstance(op, Checkpoint))
-
-    def gate_count(self) -> int:
-        return sum(1 for op in self.ops if not isinstance(op, Checkpoint))
 
 
 @dataclass
@@ -113,14 +98,14 @@ def build_comparison_search(n: int, f: BooleanOracle) -> Circuit:
     if f.n != n:
         raise ValueError(f"oracle arity {f.n} does not match n={n}")
     ops: list[CircuitOp] = [Checkpoint(PSI0)]
-    ops += [Gate1Placement(q, gates.hadamard()) for q in range(1, 2 * n + 1)]
+    ops += [GatePlacement((q,), gates.hadamard()) for q in range(1, 2 * n + 1)]
     ops.append(Checkpoint(PSI1))
     ops.append(PhaseOraclePlacement(n + 1, f))
     ops.append(Checkpoint(PSI2))
-    ops.append(Gate2Placement(n, 2 * n, gates.comparison_gate()))
+    ops.append(GatePlacement((n, 2 * n), gates.comparison_gate()))
     ops.append(Checkpoint(PSI2A))
     for i in range(n - 1, 0, -1):
-        ops.append(Gate2Placement(i, i + n, gates.comparison_gate()))
+        ops.append(GatePlacement((i, i + n), gates.comparison_gate()))
     ops.append(Checkpoint(PSI3))
     return Circuit(2 * n, tuple(ops))
 
@@ -139,7 +124,7 @@ def build_grover(n: int, f: BooleanOracle, iterations: int) -> Circuit:
         raise ValueError(f"oracle arity {f.n} does not match n={n}")
     if iterations < 0:
         raise ValueError("iteration count must be >= 0")
-    h_layer = [Gate1Placement(q, gates.hadamard()) for q in range(1, n + 1)]
+    h_layer = [GatePlacement((q,), gates.hadamard()) for q in range(1, n + 1)]
     flip = PhaseOraclePlacement(1, _nonzero_marker(n))
     ops: list[CircuitOp] = list(h_layer)
     for _ in range(iterations):
@@ -150,20 +135,20 @@ def build_grover(n: int, f: BooleanOracle, iterations: int) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-def grover_optimal_iterations(n: int, marked_count: int) -> int:
-    """floor((pi/4) * sqrt(2^n / marked_count))."""
+def grover_optimal_iterations(n: int, num_marked: int) -> int:
+    """floor((pi/4) * sqrt(2^n / num_marked))."""
     if n < 1:
         raise ValueError(f"register size must be >= 1, got {n}")
-    if not 1 <= marked_count <= (1 << n):
-        raise ValueError(f"marked count {marked_count} out of range for n={n}")
-    return math.floor((math.pi / 4) * math.sqrt((1 << n) / marked_count))
+    if not 1 <= num_marked <= (1 << n):
+        raise ValueError(f"marked count {num_marked} out of range for n={n}")
+    return math.floor((math.pi / 4) * math.sqrt((1 << n) / num_marked))
 
 
 def _apply(op: CircuitOp, state: StateVector) -> None:
-    if isinstance(op, Gate1Placement):
-        gates.apply_gate1(state, op.qubit, op.gate)
-    elif isinstance(op, Gate2Placement):
-        gates.apply_gate2(state, op.qubit_a, op.qubit_b, op.gate)
+    if isinstance(op, GatePlacement):
+        # Through the module, so that wrappers of these names see the call.
+        apply = gates.apply_gate1 if len(op.qubits) == 1 else gates.apply_gate2
+        apply(state, *op.qubits, op.gate)
     elif isinstance(op, PhaseOraclePlacement):
         gates.apply_phase_oracle(state, op.oracle, op.reg_start)
 

@@ -10,6 +10,7 @@ nothing ever overflows.
 from __future__ import annotations
 
 import math
+import operator
 from functools import total_ordering
 
 SQRT2 = math.sqrt(2)  # 1.4142135623730951
@@ -41,7 +42,8 @@ class DyadicReal:
 
     @classmethod
     def from_int(cls, x: int) -> DyadicReal:
-        return cls(x, 0, 0)
+        """x as a ring element; TypeError unless x is an integer."""
+        return cls(operator.index(x), 0, 0)
 
     @classmethod
     def inv_sqrt2_pow(cls, e: int) -> DyadicReal:

@@ -1,12 +1,17 @@
 """Gate definitions and application kernels.
 
-Single-qubit gates are 2x2 matrices over the dyadic sqrt(2) ring; the
-two-qubit comparison gate couples a first-register qubit i with its
-partner i+n in the second register.  Basis order inside a two-qubit gate
-applied to the ordered pair (p, q) is |b_p b_q>, i.e. row index
-2*(bit at p) + (bit at q); the comparison gate's matrix is only
-consistent with its per-qubit action formula under this first-qubit-major
-order (checked column by column in the tests).
+A :class:`Gate` is one named matrix over the dyadic sqrt(2) ring, 2x2
+for a gate on one qubit or 4x4 for a gate on an ordered pair; the paper
+needs two, the Hadamard and the comparison gate, which couples a
+first-register qubit i with its partner i+n in the second register.
+Basis order inside a two-qubit gate applied to the ordered pair (p, q)
+is |b_p b_q>, i.e. row index 2*(bit at p) + (bit at q); the comparison
+gate's matrix is only consistent with its per-qubit action formula under
+this first-qubit-major order (checked column by column in the tests).
+One check, :func:`_check_placement`, guards both the kernel and
+:class:`~compsearch.circuit.Circuit`: the qubits must be distinct and in
+range, and a gate applied to k of them must be 2^k square, or it raises
+ValueError before any write.
 
 Every gate compiles once per backend into in-place ufunc steps over the
 state's planes (see :mod:`compsearch.state`), and on the exact backend
@@ -28,10 +33,13 @@ from .dyadic import DyadicReal
 from .state import EXACT, FLOAT, BooleanOracle, StateVector
 
 
-class _GateBase:
-    """Shared plumbing for small dyadic gate matrices."""
+class Gate:
+    """A named 2x2 or 4x4 matrix over the dyadic sqrt(2) ring: a gate on
+    one qubit (basis |0>, |1>) or on an ordered pair (p, q) (basis
+    |b_p b_q>).  Entries are DyadicReal or int; any other shape raises
+    ValueError, and a non-integer entry TypeError."""
 
-    __slots__ = ("name", "matrix", "_cache")
+    __slots__ = ("name", "matrix", "dim", "_cache")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -39,11 +47,10 @@ class _GateBase:
             tuple(e if isinstance(e, DyadicReal) else DyadicReal.from_int(e) for e in row)
             for row in rows
         )
+        self.dim = len(self.matrix)
+        if self.dim not in (2, 4) or any(len(row) != self.dim for row in self.matrix):
+            raise ValueError(f"gate {name!r} needs a 2x2 or 4x4 matrix")
         self._cache = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[e.to_float() for e in row] for row in self.matrix])
@@ -70,46 +77,14 @@ class _GateBase:
             self._cache[key] = _compile(self, key)
         return self._cache[key]
 
-    def is_unitary(self) -> bool:
-        """Exact check of G^T G = I (all gates here are real)."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                acc = DyadicReal(0, 0)
-                for k in range(n):
-                    acc = acc + self.matrix[k][i] * self.matrix[k][j]
-                if acc != (1 if i == j else 0):
-                    return False
-        return True
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name})"
-
-
-class Gate1(_GateBase):
-    """A 2x2 gate; basis order |0>, |1>."""
-
-    def __init__(self, name: str, rows) -> None:
-        super().__init__(name, rows)
-        if self.dim != 2 or any(len(r) != 2 for r in self.matrix):
-            raise ValueError("Gate1 needs a 2x2 matrix")
-
-
-class Gate2(_GateBase):
-    """A 4x4 gate on an ordered qubit pair (p, q); basis |b_p b_q>."""
-
-    def __init__(self, name: str, rows) -> None:
-        super().__init__(name, rows)
-        if self.dim != 4 or any(len(r) != 4 for r in self.matrix):
-            raise ValueError("Gate2 needs a 4x4 matrix")
+        return f"Gate({self.name})"
 
 
 _C = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
-_HADAMARD = Gate1("H", ((_C, _C), (_C, -_C)))
-_PAULI_X = Gate1("X", ((0, 1), (1, 0)))
-_PAULI_Z = Gate1("Z", ((1, 0), (0, -1)))
-_COMPARISON = Gate2(
+_HADAMARD = Gate("H", ((_C, _C), (_C, -_C)))
+_COMPARISON = Gate(
     "C",
     (
         (_C, 0, _C, 0),
@@ -120,20 +95,12 @@ _COMPARISON = Gate2(
 )
 
 
-def hadamard() -> Gate1:
+def hadamard() -> Gate:
     """(1/sqrt(2)) [[1, 1], [1, -1]]."""
     return _HADAMARD
 
 
-def pauli_x() -> Gate1:
-    return _PAULI_X
-
-
-def pauli_z() -> Gate1:
-    return _PAULI_Z
-
-
-def comparison_gate() -> Gate2:
+def comparison_gate() -> Gate:
     """The register-comparison coupling gate
 
         (1/sqrt(2)) [[ 1, 0, 1, 0],
@@ -145,8 +112,8 @@ def comparison_gate() -> Gate2:
     return _COMPARISON
 
 
-def _compile(gate: _GateBase, key) -> tuple:
-    """See :meth:`_GateBase._compiled`."""
+def _compile(gate: Gate, key) -> tuple:
+    """See :meth:`Gate._compiled`."""
     matrix = gate.matrix
     dim = range(gate.dim)
     exact = key != FLOAT
@@ -243,14 +210,11 @@ def _compile(gate: _GateBase, key) -> tuple:
     return tuple(steps), saves, scratch, g, growth, swap, cross
 
 
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not 1 <= q <= state.num_qubits:
-        raise ValueError(f"qubit {q} out of range 1..{state.num_qubits}")
-
-
-def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> StateVector:
+def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVector:
     """Apply ``gate`` to the ordered ``qubits`` of ``state``, in place.
 
+    Raises ValueError, before any write, unless the qubits are distinct
+    and in range and the gate's matrix is 2^len(qubits) square.
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  Each plane is viewed as
     (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
@@ -262,6 +226,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     whose bound is 0 is neither read nor written unless the gate crosses
     planes.
     """
+    _check_placement(state.num_qubits, qubits, gate.dim)
     exact = state.backend == EXACT
     if exact:
         live = tuple(bound > 0 for bound in state._bounds)
@@ -297,6 +262,21 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: _GateBase) -> Stat
     elif not np.isfinite(state._planes[0]).all():
         raise ArithmeticError("non-finite amplitude in float backend")
     return state
+
+
+@functools.lru_cache(maxsize=1024)
+def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
+    """Raise ValueError unless ``qubits`` are distinct qubits of 1..m and
+    a dim x dim gate acts on that many: dim = 2^len(qubits).  The one
+    check of a gate's qubits, for the kernel and for circuits; cached, as
+    they repeat a few placements many times."""
+    for q in qubits:
+        if not 1 <= q <= m:
+            raise ValueError(f"qubit {q} out of range 1..{m}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate qubits {qubits} are not distinct")
+    if dim != 1 << len(qubits):
+        raise ValueError(f"a {dim}x{dim} gate cannot act on {len(qubits)} qubit(s)")
 
 
 # Amplitudes per slot that one chunk of a gate covers, so that every
@@ -352,18 +332,13 @@ def _layout(m: int, qubits: tuple[int, ...]) -> tuple:
     return tuple(shape), tuple(slots), tuple(chunks), perm
 
 
-def apply_gate1(state: StateVector, q: int, gate: Gate1) -> StateVector:
-    """Mix the amplitude pairs that differ in bit q by ``gate``."""
-    _check_qubit(state, q)
+def apply_gate1(state: StateVector, q: int, gate: Gate) -> StateVector:
+    """Mix the amplitude pairs that differ in bit q by the 2x2 ``gate``."""
     return _apply(state, (q,), gate)
 
 
-def apply_gate2(state: StateVector, p: int, q: int, gate: Gate2) -> StateVector:
-    """Apply ``gate`` to the ordered (possibly nonadjacent) pair (p, q)."""
-    _check_qubit(state, p)
-    _check_qubit(state, q)
-    if p == q:
-        raise ValueError("two-qubit gate needs distinct qubits")
+def apply_gate2(state: StateVector, p: int, q: int, gate: Gate) -> StateVector:
+    """Apply the 4x4 ``gate`` to the ordered (possibly nonadjacent) pair (p, q)."""
     return _apply(state, (p, q), gate)
 
 

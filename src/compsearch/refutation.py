@@ -183,21 +183,6 @@ def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.nda
     return np.bincount(idx, minlength=len(probs)).astype(np.int64)
 
 
-def sample(state: StateVector, count: int, seed: int = 0) -> np.ndarray:
-    """Measure ``state`` ``count`` times in the computational basis."""
-    return sample_distribution(distribution(state), count, seed)
-
-
-def empirical_distribution(counts: np.ndarray, num_qubits: int) -> Distribution:
-    """Normalized counts as a float distribution."""
-    if len(counts) != 1 << num_qubits:
-        raise ValueError("count table size does not match qubit count")
-    total = int(counts.sum())
-    if total < 1:
-        raise ValueError("empty counts")
-    return Distribution((counts.astype(np.float64) / total,))
-
-
 @dataclass(frozen=True)
 class OracleVerdict:
     oracle_id: int

@@ -133,10 +133,6 @@ class BooleanOracle:
     def marked(self) -> tuple[int, ...]:
         return tuple(k for k in range(1 << self.n) if (self.table >> k) & 1)
 
-    @property
-    def marked_count(self) -> int:
-        return self.table.bit_count()
-
     def truth_values(self) -> np.ndarray:
         """f(0), ..., f(2^n - 1) as a uint8 array."""
         size = 1 << self.n
@@ -200,19 +196,11 @@ class StateVector:
         return 1 << self.num_qubits
 
     @classmethod
-    def basis_state(cls, num_qubits: int, index: int, backend: str = EXACT) -> StateVector:
-        s = cls(num_qubits, backend)
-        if not 0 <= index < s.num_states:
-            raise ValueError(f"basis index {index} out of range")
-        s._planes[0][0] = 0
-        s._planes[0][index] = 1
-        return s
-
-    @classmethod
     def from_amplitudes(cls, amps: Sequence, backend: str = EXACT) -> StateVector:
         """Build a state from explicit amplitudes.
 
-        Exact backend accepts DyadicReal or int entries.  Float accepts
+        Exact backend accepts DyadicReal or int entries, and raises
+        TypeError on any other.  Float accepts
         real numbers (DyadicReal included) and complex ones whose
         imaginary part is zero; a nonzero imaginary part raises
         ValueError, as float planes hold real amplitudes.  The result is
@@ -236,9 +224,12 @@ class StateVector:
         return cls._from_planes(m, EXACT, (a, b), h)
 
     @classmethod
-    def _from_planes(cls, num_qubits: int, backend: str, planes, h: int = 0) -> StateVector:
+    def _from_planes(
+        cls, num_qubits: int, backend: str, planes, h: int = 0, bounds: tuple | None = None
+    ) -> StateVector:
         """A state that takes ownership of ``planes`` (see the module
-        docstring); exact states are reduced to their minimal h."""
+        docstring); exact states are reduced to their minimal h.  Exact
+        planes are scanned for their bounds unless ``bounds`` gives them."""
         s = cls.__new__(cls)
         s.num_qubits = num_qubits
         s.backend = backend
@@ -246,13 +237,22 @@ class StateVector:
         s._h = h
         s._bounds = (1,)
         if backend == EXACT:
-            s._bounds = tuple(_abs_max(p) for p in s._planes)
+            s._bounds = bounds if bounds is not None else tuple(_abs_max(p) for p in s._planes)
             s._canonical_reduce()
         return s
 
     def copy(self) -> StateVector:
-        planes = [p.copy() for p in self._planes]
-        return StateVector._from_planes(self.num_qubits, self.backend, planes, self._h)
+        """An independent state of the same value, at minimal h.  Only
+        nonzero planes are copied: a zero exact plane gets fresh
+        ``np.zeros``, whose pages are never written, and the tracked
+        bounds carry over instead of being rescanned."""
+        planes = [
+            p.copy() if bound else np.zeros(p.size, p.dtype)
+            for p, bound in zip(self._planes, self._bounds)
+        ]
+        return StateVector._from_planes(
+            self.num_qubits, self.backend, planes, self._h, self._bounds
+        )
 
     def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:

@@ -8,8 +8,10 @@ and for Grover success probabilities; they share no code with the
 library's gate application paths.  The exact reference applies
 DyadicReal matrices one amplitude at a time, and the ancilla helpers work
 amplitude by amplitude through the public API, for the same reason.  The
-identity gates, the pair-reversed gate and the tensor product are built
-on the public API too.
+X, Z and identity gates, the pair-reversed gate, basis states, the tensor
+product, the unitarity check, the mod-2 inner product, sampling and
+empirical distributions are built on the public API too: the library
+itself needs none of them.
 """
 
 from __future__ import annotations
@@ -117,13 +119,13 @@ def grover_success_dense(n: int, marked: int, iterations: int) -> float:
 def random_exact_state(num_qubits: int, rng: np.random.Generator, depth: int = 12) -> cs.StateVector:
     """Exactly normalized random state: a random gate word on a random
     basis state (every gate preserves the exact norm)."""
-    s = cs.StateVector.basis_state(num_qubits, int(rng.integers(1 << num_qubits)))
+    s = basis_state(num_qubits, int(rng.integers(1 << num_qubits)))
     for _ in range(depth):
         kind = int(rng.integers(3)) if num_qubits >= 2 else int(rng.integers(2))
         if kind == 0:
             cs.apply_gate1(s, int(rng.integers(1, num_qubits + 1)), cs.hadamard())
         elif kind == 1:
-            cs.apply_gate1(s, int(rng.integers(1, num_qubits + 1)), cs.pauli_x())
+            cs.apply_gate1(s, int(rng.integers(1, num_qubits + 1)), pauli_x())
         else:
             p, q = rng.choice(num_qubits, size=2, replace=False) + 1
             cs.apply_gate2(s, int(p), int(q), cs.comparison_gate())
@@ -169,19 +171,75 @@ def discard_minus_ancilla(state: cs.StateVector) -> cs.StateVector:
     return cs.StateVector.from_amplitudes([a0 * sqrt2 for a0 in amps[0::2]])
 
 
-def identity_gate1() -> cs.Gate1:
-    return cs.Gate1("I", ((1, 0), (0, 1)))
+_PAULI_X = cs.Gate("X", ((0, 1), (1, 0)))
+_PAULI_Z = cs.Gate("Z", ((1, 0), (0, -1)))
 
 
-def identity_gate2() -> cs.Gate2:
-    return cs.Gate2("I2", tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+def pauli_x() -> cs.Gate:
+    return _PAULI_X
 
 
-def swapped(gate: cs.Gate2) -> cs.Gate2:
+def pauli_z() -> cs.Gate:
+    return _PAULI_Z
+
+
+def identity_gate1() -> cs.Gate:
+    return cs.Gate("I", ((1, 0), (0, 1)))
+
+
+def identity_gate2() -> cs.Gate:
+    return cs.Gate("I2", tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+
+
+def swapped(gate: cs.Gate) -> cs.Gate:
     """The same operator expressed for the reversed pair (q, p)."""
     perm = (0, 2, 1, 3)  # swap the two bits of each basis index
     rows = tuple(tuple(gate.matrix[perm[i]][perm[j]] for j in range(4)) for i in range(4))
-    return cs.Gate2(gate.name + "_swapped", rows)
+    return cs.Gate(gate.name + "_swapped", rows)
+
+
+def is_unitary(gate: cs.Gate) -> bool:
+    """Exact check of G^T G = I (all gates here are real)."""
+    n = gate.dim
+    for i in range(n):
+        for j in range(n):
+            acc = _O
+            for k in range(n):
+                acc = acc + gate.matrix[k][i] * gate.matrix[k][j]
+            if acc != (1 if i == j else 0):
+                return False
+    return True
+
+
+def mod2_inner(x: cs.BitString, y: cs.BitString) -> int:
+    """Bitwise inner product x_1 y_1 + ... + x_n y_n mod 2."""
+    if x.width != y.width:
+        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
+    return (x.value & y.value).bit_count() & 1
+
+
+def basis_state(num_qubits: int, index: int, backend: str = cs.EXACT) -> cs.StateVector:
+    """|index> on ``num_qubits`` qubits."""
+    if not 0 <= index < 1 << num_qubits:
+        raise ValueError(f"basis index {index} out of range")
+    return cs.StateVector.from_amplitudes(
+        [int(x == index) for x in range(1 << num_qubits)], backend
+    )
+
+
+def sample(state: cs.StateVector, count: int, seed: int = 0) -> np.ndarray:
+    """Measure ``state`` ``count`` times in the computational basis."""
+    return cs.sample_distribution(cs.distribution(state), count, seed)
+
+
+def empirical_distribution(counts: np.ndarray, num_qubits: int) -> cs.Distribution:
+    """Normalized counts as a float distribution."""
+    if len(counts) != 1 << num_qubits:
+        raise ValueError("count table size does not match qubit count")
+    total = int(counts.sum())
+    if total < 1:
+        raise ValueError("empty counts")
+    return cs.Distribution((counts.astype(np.float64) / total,))
 
 
 def tensor(s: cs.StateVector, t: cs.StateVector) -> cs.StateVector:

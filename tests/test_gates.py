@@ -9,6 +9,7 @@ from compsearch import BooleanOracle, DyadicReal, StateVector, gates
 from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
+    basis_state,
     dense_one_qubit,
     dense_phase_oracle,
     dense_two_qubit,
@@ -17,7 +18,10 @@ from conftest import (
     exact_phase_oracle,
     identity_gate1,
     identity_gate2,
+    is_unitary,
     minus_state,
+    pauli_x,
+    pauli_z,
     random_exact_state,
     random_float_state,
     swapped,
@@ -31,6 +35,23 @@ def bell_plus() -> StateVector:
     return StateVector.from_amplitudes([INV, 0, 0, INV])
 
 
+class TestGate:
+    @pytest.mark.parametrize("rows", [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),  # 3x3
+        ((1, 0), (0, 1, 0)),  # ragged
+        ((1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),  # ragged 4-row
+        tuple(tuple(int(i == j) for j in range(8)) for i in range(8)),  # 8x8
+    ])
+    def test_rejects_bad_shapes(self, rows):
+        with pytest.raises(ValueError):
+            cs.Gate("bad", rows)
+
+    def test_rejects_non_integer_entries(self):
+        # Caught when the gate is built, not at its first application.
+        with pytest.raises(TypeError):
+            cs.Gate("bad", ((0.5, 0), (0, 1)))
+
+
 class TestHadamard:
     def test_matrix_entries(self):
         H = cs.hadamard().matrix
@@ -38,9 +59,9 @@ class TestHadamard:
         assert H[1][1] == -INV
 
     def test_on_basis_states(self):
-        s0 = cs.apply_gate1(StateVector.basis_state(1, 0), 1, cs.hadamard())
+        s0 = cs.apply_gate1(basis_state(1, 0), 1, cs.hadamard())
         assert s0 == StateVector.from_amplitudes([INV, INV])
-        s1 = cs.apply_gate1(StateVector.basis_state(1, 1), 1, cs.hadamard())
+        s1 = cs.apply_gate1(basis_state(1, 1), 1, cs.hadamard())
         assert s1 == StateVector.from_amplitudes([INV, -INV])
 
     def test_involution_exact(self):
@@ -64,7 +85,7 @@ class TestHadamard:
         assert t.amplitudes() == s.amplitudes()
 
     def test_unitary_exact(self):
-        assert cs.hadamard().is_unitary()
+        assert is_unitary(cs.hadamard())
 
 
 class TestComparisonGate:
@@ -72,7 +93,7 @@ class TestComparisonGate:
         C = cs.comparison_gate()
 
         def col(k):
-            return cs.apply_gate2(StateVector.basis_state(2, k), 1, 2, C)
+            return cs.apply_gate2(basis_state(2, k), 1, 2, C)
 
         assert col(0b00) == StateVector.from_amplitudes([INV, 0, -INV, 0])
         assert col(0b01) == StateVector.from_amplitudes([0, INV, 0, INV])
@@ -85,7 +106,7 @@ class TestComparisonGate:
         C = cs.comparison_gate()
         for j in (0, 1):
             for k in (0, 1):
-                got = cs.apply_gate2(StateVector.basis_state(2, 2 * j + k), 1, 2, C)
+                got = cs.apply_gate2(basis_state(2, 2 * j + k), 1, 2, C)
                 outer = 1 if (j * k) % 2 == 0 else -1
                 inner = 1 if (1 + j + k) % 2 == 0 else -1
                 amps = [DyadicReal(0, 0)] * 4
@@ -94,10 +115,10 @@ class TestComparisonGate:
                 assert got == StateVector.from_amplitudes(amps)
 
     def test_unitary_exact(self):
-        assert cs.comparison_gate().is_unitary()
-        assert identity_gate2().is_unitary()
-        assert cs.pauli_x().is_unitary()
-        assert cs.pauli_z().is_unitary()
+        assert is_unitary(cs.comparison_gate())
+        assert is_unitary(identity_gate2())
+        assert is_unitary(pauli_x())
+        assert is_unitary(pauli_z())
 
 
 class TestApplyGate1:
@@ -125,7 +146,7 @@ class TestApplyGate1:
 
     def test_zero_row_writes_zeros(self):
         # A projector's all-zero row must clear its slot on both backends.
-        p0 = cs.Gate1("P0", ((1, 0), (0, 0)))
+        p0 = cs.Gate("P0", ((1, 0), (0, 0)))
         s = cs.apply_gate1(StateVector.from_amplitudes([INV, INV, INV, -INV]), 2, p0)
         assert s == StateVector.from_amplitudes([INV, 0, INV, 0])
         f = cs.apply_gate1(StateVector.from_amplitudes([1, 2, 3, 4], cs.FLOAT), 2, p0)
@@ -159,8 +180,8 @@ class TestApplyGate2:
         C = cs.comparison_gate()
         Cs = swapped(C)
         for x in range(16):
-            a = cs.apply_gate2(StateVector.basis_state(4, x), 2, 4, C)
-            b = cs.apply_gate2(StateVector.basis_state(4, x), 4, 2, Cs)
+            a = cs.apply_gate2(basis_state(4, x), 2, 4, C)
+            b = cs.apply_gate2(basis_state(4, x), 4, 2, Cs)
             assert a == b
 
     def test_validation(self):
@@ -168,6 +189,16 @@ class TestApplyGate2:
             cs.apply_gate2(StateVector(3), 2, 2, cs.comparison_gate())
         with pytest.raises(ValueError):
             cs.apply_gate2(StateVector(3), 1, 4, cs.comparison_gate())
+        # A gate whose size does not match its qubit count (2x2 on a pair,
+        # 4x4 on one qubit) is refused before any write, on both backends.
+        exact = random_exact_state(3, np.random.Generator(np.random.PCG64(22)))
+        for s in (exact, exact.to_float()):
+            before = s.copy()
+            with pytest.raises(ValueError):
+                cs.apply_gate2(s, 1, 2, cs.hadamard())
+            with pytest.raises(ValueError):
+                cs.apply_gate1(s, 2, cs.comparison_gate())
+            assert s == before
 
     def test_nonadjacent_matches_dense_matrix(self):
         G = cs.comparison_gate().float_matrix()
@@ -217,7 +248,7 @@ class TestPhaseOracle:
         # iff those two bits are marked; other qubits are ignored.
         f = BooleanOracle.from_marked(2, [0b10])
         for x in range(16):
-            s = StateVector.basis_state(4, x)
+            s = basis_state(4, x)
             cs.apply_phase_oracle(s, f, 2)
             window = (x >> 1) & 0b11
             want = -1 if window == 0b10 else 1
@@ -233,7 +264,7 @@ class TestPhaseOracle:
             f = BooleanOracle(n, 0b10110100 & ((1 << (1 << n)) - 1))
             cols = []
             for x in range(1 << n):
-                s = cs.apply_phase_oracle(StateVector.basis_state(n, x), f, 1)
+                s = cs.apply_phase_oracle(basis_state(n, x), f, 1)
                 cols.append([int(a.a) for a in s.amplitudes()])
             M = np.array(cols).T
             assert np.array_equal(M.T @ M, np.eye(1 << n, dtype=int))
@@ -247,15 +278,15 @@ class TestAncillaOracle:
 
     def test_xor_semantics(self):
         f = BooleanOracle.from_marked(1, [1])
-        s = StateVector.basis_state(2, 0b10)  # |1>|0>
-        assert apply_ancilla_oracle(s, f) == StateVector.basis_state(2, 0b11)
+        s = basis_state(2, 0b10)  # |1>|0>
+        assert apply_ancilla_oracle(s, f) == basis_state(2, 0b11)
 
     def test_phase_kickback_on_minus(self):
         for n in (1, 2):
             f = BooleanOracle(n, 0b0110 & ((1 << (1 << n)) - 1))
             for k in range(1 << n):
-                s = apply_ancilla_oracle(tensor(StateVector.basis_state(n, k), minus_state()), f)
-                want = tensor(StateVector.basis_state(n, k), minus_state())
+                s = apply_ancilla_oracle(tensor(basis_state(n, k), minus_state()), f)
+                want = tensor(basis_state(n, k), minus_state())
                 if f(k):
                     want = StateVector.from_amplitudes([-a for a in want.amplitudes()])
                 assert s == want
@@ -271,7 +302,7 @@ class TestAncillaOracle:
             dim = 1 << (n + 1)
             cols = []
             for x in range(dim):
-                s = apply_ancilla_oracle(StateVector.basis_state(n + 1, x), f)
+                s = apply_ancilla_oracle(basis_state(n + 1, x), f)
                 cols.append([int(a.a) for a in s.amplitudes()])
             M = np.array(cols).T
             assert np.array_equal(M.T @ M, np.eye(dim, dtype=int))
@@ -341,10 +372,10 @@ DENSE = {
 }
 LIBRARY = {
     "H": cs.hadamard(),
-    "X": cs.pauli_x(),
-    "Z": cs.pauli_z(),
+    "X": pauli_x(),
+    "Z": pauli_z(),
     "C": cs.comparison_gate(),
-    "CH": cs.Gate2("CH", EXACT_MATRICES["CH"]),
+    "CH": cs.Gate("CH", EXACT_MATRICES["CH"]),
 }
 
 
@@ -375,8 +406,8 @@ class TestKernelDifferential:
     @given(gate_words())
     def test_both_backends_match_dense_reference(self, word):
         m, index, ops = word
-        exact = StateVector.basis_state(m, index)
-        flt = StateVector.basis_state(m, index, cs.FLOAT)
+        exact = basis_state(m, index)
+        flt = basis_state(m, index, cs.FLOAT)
         ref = np.zeros(1 << m)
         ref[index] = 1.0
         for op in ops:
@@ -406,7 +437,7 @@ def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
     ``conftest.exact_apply``.  ``check``, if given, sees the state after
     every op."""
     m, index, ops = word
-    s = StateVector.basis_state(m, index, backend)
+    s = basis_state(m, index, backend)
     ref = [DyadicReal(int(x == index), 0) for x in range(1 << m)]
     for op in ops:
         if op[0] == "O":

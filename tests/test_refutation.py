@@ -4,7 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
-from conftest import EXACT_MATRICES, random_exact_state, random_float_state
+from conftest import (
+    EXACT_MATRICES,
+    basis_state,
+    empirical_distribution,
+    random_exact_state,
+    random_float_state,
+    sample,
+)
 
 INV = DyadicReal(0, 1, 1)
 HALF = DyadicReal(1, 0, 1)
@@ -23,7 +30,7 @@ def wide_exact_state() -> StateVector:
     squares summed over the table do not fit in int64: 400 random H and
     controlled-H gates (controlled-H mixes entries with and without
     sqrt(2), so the integers keep growing)."""
-    ch = cs.Gate2("CH", EXACT_MATRICES["CH"])
+    ch = cs.Gate("CH", EXACT_MATRICES["CH"])
     rng = np.random.Generator(np.random.PCG64(1))
     s = StateVector(3)
     for _ in range(400):
@@ -37,7 +44,7 @@ def wide_exact_state() -> StateVector:
 
 class TestDistribution:
     def test_point_mass(self):
-        d = cs.distribution(StateVector.basis_state(2, 0))
+        d = cs.distribution(basis_state(2, 0))
         assert d[0] == 1
         assert all(d[x] == 0 for x in range(1, 4))
         assert d.total == 1
@@ -200,8 +207,8 @@ class TestTvDistance:
         assert cs.tv_distance(d, d) == 0
 
     def test_disjoint_point_masses(self):
-        p = cs.distribution(StateVector.basis_state(1, 0))
-        q = cs.distribution(StateVector.basis_state(1, 1))
+        p = cs.distribution(basis_state(1, 0))
+        q = cs.distribution(basis_state(1, 1))
         assert cs.tv_distance(p, q) == 1
 
     def test_outputs_of_different_oracles_coincide(self):
@@ -224,32 +231,32 @@ class TestTvDistance:
 
 class TestSampling:
     def test_point_mass_always_same_outcome(self):
-        counts = cs.sample(StateVector.basis_state(2, 3), 1000, seed=1)
+        counts = sample(basis_state(2, 3), 1000, seed=1)
         assert counts[3] == 1000 and counts.sum() == 1000
 
     def test_bell_empirical_tv_small(self):
-        counts = cs.sample(bell_plus(), 100_000, seed=0)
-        emp = cs.empirical_distribution(counts, 2)
+        counts = sample(bell_plus(), 100_000, seed=0)
+        emp = empirical_distribution(counts, 2)
         ideal = Distribution((np.array([0.5, 0.0, 0.0, 0.5]),))
         assert cs.tv_distance(emp, ideal) < 0.01
 
     def test_two_oracles_empirically_indistinguishable(self):
         # 4 sigma at 1e5 draws comfortably clears 0.02.
-        a = cs.sample(output_for(2, BooleanOracle(2, 0b0001)), 100_000, seed=0)
-        b = cs.sample(output_for(2, BooleanOracle(2, 0b1110)), 100_000, seed=1)
+        a = sample(output_for(2, BooleanOracle(2, 0b0001)), 100_000, seed=0)
+        b = sample(output_for(2, BooleanOracle(2, 0b1110)), 100_000, seed=1)
         tv = cs.tv_distance(
-            cs.empirical_distribution(a, 4), cs.empirical_distribution(b, 4)
+            empirical_distribution(a, 4), empirical_distribution(b, 4)
         )
         assert tv < 0.02
 
     def test_seeded_determinism(self):
         s = bell_plus()
-        assert np.array_equal(cs.sample(s, 5000, seed=7), cs.sample(s, 5000, seed=7))
-        assert not np.array_equal(cs.sample(s, 5000, seed=7), cs.sample(s, 5000, seed=8))
+        assert np.array_equal(sample(s, 5000, seed=7), sample(s, 5000, seed=7))
+        assert not np.array_equal(sample(s, 5000, seed=7), sample(s, 5000, seed=8))
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            cs.sample(bell_plus(), 0)
+            sample(bell_plus(), 0)
 
 
 class TestSweep:

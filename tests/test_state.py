@@ -3,7 +3,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
-from conftest import tensor
+from conftest import basis_state, tensor
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
@@ -72,7 +72,7 @@ class TestStateVector:
 
     def test_basis_state_uses_msb_convention(self):
         # |10> means qubit 1 = 1, qubit 2 = 0, i.e. index 2.
-        s = StateVector.basis_state(2, 0b10)
+        s = basis_state(2, 0b10)
         assert s.amplitude(2) == 1
         assert s.amplitude(0) == 0
 
@@ -134,6 +134,28 @@ class TestStateVector:
         assert s.amplitude(0) == 1
         assert t != s
 
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    def test_copy_keeps_value_bounds_and_zero_plane(self, backend):
+        # H on qubit 1 of |000> leaves the exact a plane zero; controlled-H
+        # then makes both planes nonzero.
+        ch = cs.Gate("CH", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, INV, INV), (0, 0, INV, -INV)))
+        s = cs.apply_gate1(StateVector(3, backend), 1, cs.hadamard())
+        for step in range(2):
+            t = s.copy()
+            assert t == s
+            # At minimal h: h = 0, or some integer is odd.
+            assert t._h == 0 or any(int(np.bitwise_or.reduce(p)) & 1 for p in t._planes)
+            for plane, copied, bound in zip(s._planes, t._planes, t._bounds):
+                assert not np.shares_memory(plane, copied)
+                assert bound >= int(np.abs(copied).max())
+                if not bound:
+                    assert not copied.any()
+            if backend == cs.EXACT:
+                assert [b > 0 for b in t._bounds] == [step == 1, True]
+            cs.apply_gate1(t, 2, cs.hadamard())
+            assert t != s
+            cs.apply_gate2(s, 1, 2, ch)
+
     def test_to_float_array(self):
         s = StateVector.from_amplitudes([INV, -INV])
         np.testing.assert_allclose(
@@ -144,9 +166,9 @@ class TestStateVector:
         assert s.max_abs_diff(f) < 1e-15
 
     def test_tensor(self):
-        zero = StateVector.basis_state(1, 0)
-        one = StateVector.basis_state(1, 1)
-        assert tensor(zero, one) == StateVector.basis_state(2, 0b01)
+        zero = basis_state(1, 0)
+        one = basis_state(1, 1)
+        assert tensor(zero, one) == basis_state(2, 0b01)
         plus = StateVector.from_amplitudes([INV, INV])
         both = tensor(plus, one)
         assert both.amplitude(0b01) == INV
@@ -165,6 +187,8 @@ class TestStateVector:
             StateVector(2, "decimal")
         with pytest.raises(ValueError):
             StateVector.from_amplitudes([1, 0, 0])
+        with pytest.raises(TypeError):
+            StateVector.from_amplitudes([0.5, 0.5])
         with pytest.raises(ValueError):
             StateVector(2).amplitude(4)
 
