@@ -232,6 +232,10 @@ REPORT_DIGESTS = {
         "01db131d68894c6aa4c1f5678b9799cf68d6dcab3fc495b400bbfc4311153cbb",
     "verify --n 3 --all-f":
         "d10b2b5c45144165536b51a2ca6597705041c56c8f0a0dc7af0d7fd37d8e873b",
+    "sweep --n 3 --backend exact":
+        "a2f97a71e2a40d0472c655f98065bb8a09826d22361aef90ed0eb9024e222196",
+    "sweep --n 5 --backend float --seed 7":
+        "35db01ab5df622eaddd382a57a5701b8678a6073d4a5f1280e112dbce68e2253",
 }
 
 
