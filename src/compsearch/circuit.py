@@ -59,18 +59,13 @@ class Circuit:
             if isinstance(op, GatePlacement):
                 gates._check_placement(self.width, op.qubits, op.gate.dim)
             elif isinstance(op, PhaseOraclePlacement):
-                self._check(op.reg_start)
-                self._check(op.reg_start + op.oracle.n - 1)
+                gates._check_window(self.width, op.reg_start, op.oracle.n)
             elif isinstance(op, Checkpoint):
                 if op.label in seen:
                     raise ValueError(f"duplicate checkpoint label {op.label!r}")
                 seen.add(op.label)
             else:
                 raise TypeError(f"unknown op {op!r}")
-
-    def _check(self, q: int) -> None:
-        if not 1 <= q <= self.width:
-            raise ValueError(f"qubit {q} out of range 1..{self.width}")
 
 
 @dataclass

@@ -14,11 +14,10 @@ Oracle specification: ``--marked k1,k2,...`` or ``--truth-table 0x<hex>``
 Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 3 I/O error.  Report files are deterministic: stable key order, no
 timestamps, so identical invocations produce byte-identical bytes.
-The exact backend is capped at n <= 4 (override with the
-COMPSEARCH_EXACT_CAP environment variable); both backends are capped at
-n <= 12, whatever the override, to bound memory.  ``grover-compare`` is
-not subject to the exact cap: it always runs the comparison circuit on
-the exact backend, up to n = 12 (2^24 amplitudes).
+Every command, on either backend, is capped at n <= 12 (2^24 amplitudes)
+to bound memory.  ``trace`` is also capped at n <= 4, as it prints whole
+states, and ``verify --all-f`` at n <= EXHAUSTIVE_SWEEP_MAX_N, as it
+runs all 2^(2^n) oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .refutation import (
     sweep_all_f,
 )
 
-DEFAULT_EXACT_CAP = 4
-FLOAT_N_CAP = 12
+# Both backends, every command: 2^(2n) amplitudes, 2^24 at n = 12.
+N_CAP = 12
 DEFAULT_SAMPLES = 100000
 
 
@@ -58,29 +57,15 @@ class CLIError(Exception):
         self.code = code
 
 
-def exact_cap() -> int:
-    raw = os.environ.get("COMPSEARCH_EXACT_CAP")
-    if raw is None:
-        return DEFAULT_EXACT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CLIError(2, f"COMPSEARCH_EXACT_CAP={raw!r} is not an integer") from exc
-
-
 def _resolve_backend(args) -> str:
     if args.backend is not None:
         return args.backend
     return EXACT if args.n <= 3 else FLOAT
 
 
-def _check_caps(n: int, backend: str) -> None:
-    if n < 1:
-        raise CLIError(2, f"--n must be >= 1, got {n}")
-    # No override lifts the exact cap above FLOAT_N_CAP (2^24 amplitudes).
-    cap = FLOAT_N_CAP if backend == FLOAT else min(exact_cap(), FLOAT_N_CAP)
-    if n > cap:
-        raise CLIError(2, f"{backend} backend capped at n <= {cap} (got n={n})")
+def _check_caps(n: int) -> None:
+    if not 1 <= n <= N_CAP:
+        raise CLIError(2, f"--n must be in 1..{N_CAP}, got {n}")
 
 
 def _parse_oracle(args, n: int) -> BooleanOracle | None:
@@ -178,7 +163,7 @@ def _maybe_write(args, doc: dict) -> None:
 
 def cmd_verify(args) -> tuple[int, dict]:
     backend = _resolve_backend(args)
-    _check_caps(args.n, backend)
+    _check_caps(args.n)
     f = _parse_oracle(args, args.n)
     if args.all_f and f is not None:
         raise CLIError(2, "--all-f excludes an explicit oracle")
@@ -221,7 +206,7 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 def cmd_trace(args) -> tuple[int, dict]:
     backend = _resolve_backend(args)
-    _check_caps(args.n, backend)
+    _check_caps(args.n)
     if args.n > 4:
         raise CLIError(2, f"trace prints full states; capped at n <= 4 (got n={args.n})")
     f = _parse_oracle(args, args.n)
@@ -274,7 +259,7 @@ def cmd_trace(args) -> tuple[int, dict]:
 
 def cmd_sweep(args) -> tuple[int, dict]:
     backend = _resolve_backend(args)
-    _check_caps(args.n, backend)
+    _check_caps(args.n)
     if not args.out:
         raise CLIError(2, "sweep needs --out")
     report = sweep_all_f(args.n, backend, seed=args.seed)
@@ -299,16 +284,15 @@ def cmd_sweep(args) -> tuple[int, dict]:
 
 
 def cmd_grover_compare(args) -> tuple[int, dict]:
-    if args.n < 2 or args.n > FLOAT_N_CAP:
-        raise CLIError(2, f"grover-compare needs 2 <= n <= {FLOAT_N_CAP}")
+    _check_caps(args.n)
     if args.marked is None:
         raise CLIError(2, "grover-compare needs --marked <element>")
     try:
         marked = int(args.marked, 0)
     except ValueError as exc:
         raise CLIError(2, f"--marked {args.marked!r} is not an integer") from exc
-    if not 0 <= marked < (1 << args.n):
-        raise CLIError(2, f"marked element {marked} out of range for n={args.n}")
+    # compare_grover refuses n < 2 and an out-of-range element before any
+    # work; a bad sample count would only fail after the circuit has run.
     if args.samples < 1:
         raise CLIError(2, "--samples must be >= 1")
 

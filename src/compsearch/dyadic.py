@@ -18,7 +18,8 @@ SQRT2 = math.sqrt(2)  # 1.4142135623730951
 
 @total_ordering
 class DyadicReal:
-    """Value (a + b*sqrt(2)) / 2^h with integer a, b and h >= 0.
+    """Value (a + b*sqrt(2)) / 2^h with integer a, b and h >= 0; a
+    non-integer part raises TypeError.
 
     Kept in canonical form: h == 0, or a and b not both even.  Since
     sqrt(2) is irrational the canonical triple is unique, so ``==`` on
@@ -28,6 +29,7 @@ class DyadicReal:
     __slots__ = ("a", "b", "h")
 
     def __init__(self, a: int, b: int, h: int = 0) -> None:
+        a, b, h = operator.index(a), operator.index(b), operator.index(h)
         if h < 0:
             raise ValueError(f"denominator exponent must be >= 0, got {h}")
         while h > 0 and a & 1 == 0 and b & 1 == 0:
@@ -43,7 +45,7 @@ class DyadicReal:
     @classmethod
     def from_int(cls, x: int) -> DyadicReal:
         """x as a ring element; TypeError unless x is an integer."""
-        return cls(operator.index(x), 0, 0)
+        return cls(x, 0)
 
     @classmethod
     def inv_sqrt2_pow(cls, e: int) -> DyadicReal:

@@ -11,7 +11,8 @@ this first-qubit-major order (checked column by column in the tests).
 One check, :func:`_check_placement`, guards both the kernel and
 :class:`~compsearch.circuit.Circuit`: the qubits must be distinct and in
 range, and a gate applied to k of them must be 2^k square, or it raises
-ValueError before any write.
+ValueError before any write.  Likewise :func:`_check_window` guards both
+for a phase oracle's register window.
 
 Every gate compiles once per backend into in-place ufunc steps over the
 state's planes (see :mod:`compsearch.state`), and on the exact backend
@@ -279,6 +280,15 @@ def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
         raise ValueError(f"a {dim}x{dim} gate cannot act on {len(qubits)} qubit(s)")
 
 
+@functools.lru_cache(maxsize=1024)
+def _check_window(m: int, reg_start: int, n: int) -> None:
+    """Raise ValueError unless an n-bit oracle's window, qubits
+    reg_start .. reg_start + n - 1, lies in 1..m.  The one check of a
+    window, for the kernel and for circuits."""
+    if not (1 <= reg_start and reg_start + n - 1 <= m):
+        raise ValueError(f"oracle window {reg_start}..{reg_start + n - 1} out of range 1..{m}")
+
+
 # Amplitudes per slot that one chunk of a gate covers, so that every
 # step of the chunk runs in cache, and the inner-axis length below which
 # a chunk's slots are iterated along their longest axis instead.
@@ -348,10 +358,7 @@ def apply_phase_oracle(state: StateVector, f: BooleanOracle, reg_start: int) -> 
     The window is qubits reg_start .. reg_start + n - 1.
     """
     m = state.num_qubits
-    if not (1 <= reg_start and reg_start + f.n - 1 <= m):
-        raise ValueError(
-            f"oracle window {reg_start}..{reg_start + f.n - 1} out of range 1..{m}"
-        )
+    _check_window(m, reg_start, f.n)
     pre = 1 << (reg_start - 1)
     post = 1 << (m - (reg_start + f.n - 1))
     signs = f.sign_array()[None, :, None]

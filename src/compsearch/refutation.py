@@ -6,8 +6,8 @@ nothing about which elements are marked.  Total variation distance is
 the metric; in the exact backend probabilities are squared ring elements
 and TV distances are computed with zero tolerance.
 
-``sweep_all_f`` runs the circuit for every oracle (exhaustively up to a
-configurable register size, seeded samples beyond) and compares each
+``sweep_all_f`` runs the circuit for every oracle (exhaustively up to
+n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
 output against the diagonal target state.  ``compare_grover`` runs the
 contrast case: the same marked element handed to Grover search is found
 with probability near 1, while the comparison circuit leaves it at
@@ -89,7 +89,7 @@ class Distribution:
         if self.exact:
             if total != 1:
                 raise ValueError("exact probabilities do not sum to 1")
-        elif abs(total - 1.0) > 1e-9:
+        elif not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property
@@ -255,38 +255,13 @@ def _verdicts(n: int, backend: str, oracles):
         yield f, out, match, dev
 
 
-def _sweep_oracles(n: int, exhaustive: bool, count: int, seed: int):
-    if exhaustive:
-        yield from all_oracles(n)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(count):
-            yield random_oracle(n, rng)
-
-
-def sweep_all_f(
-    n: int,
-    backend: str = EXACT,
-    *,
-    exhaustive: bool | None = None,
-    sample_count: int = SAMPLED_SWEEP_COUNT,
-    seed: int = 0,
-) -> SweepReport:
-    """Check every oracle (or a seeded sample for large n) against the
-    diagonal target and aggregate distribution statistics.
-
-    ``exhaustive=None`` picks exhaustive iff n <= EXHAUSTIVE_SWEEP_MAX_N;
-    requesting exhaustive beyond that raises ValueError (2^(2^n) oracles).
-    """
+def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
+    """Check every oracle on n bits if n <= EXHAUSTIVE_SWEEP_MAX_N, else
+    SAMPLED_SWEEP_COUNT oracles drawn from ``seed``, against the diagonal
+    target and aggregate distribution statistics."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if exhaustive is None:
-        exhaustive = n <= EXHAUSTIVE_SWEEP_MAX_N
-    if exhaustive and n > EXHAUSTIVE_SWEEP_MAX_N:
-        raise ValueError(
-            f"exhaustive sweep at n={n} needs 2^{1 << n} circuit runs; "
-            f"cap is n={EXHAUSTIVE_SWEEP_MAX_N}"
-        )
+    exhaustive = n <= EXHAUSTIVE_SWEEP_MAX_N
     report = SweepReport(
         n=n,
         backend=backend,
@@ -294,16 +269,19 @@ def sweep_all_f(
         seed=None if exhaustive else seed,
         rng_algorithm=None if exhaustive else RNG_ALGORITHM,
     )
+    if exhaustive:
+        oracles = all_oracles(n)
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        oracles = (random_oracle(n, rng) for _ in range(SAMPLED_SWEEP_COUNT))
     uniform = 1.0 / (1 << n)
-    flat = Distribution(([1] * (1 << n), [0] * (1 << n)), n)  # exactly 2^-n each
     first: Distribution | None = None
     # Kept only when _fill_pairwise_tv will compare every pair.
-    keep_dists = ((1 << (1 << n)) if exhaustive else sample_count) <= _ALL_PAIRS_LIMIT
+    keep_dists = ((1 << (1 << n)) if exhaustive else SAMPLED_SWEEP_COUNT) <= _ALL_PAIRS_LIMIT
     dists: list[Distribution] = []
     # Whether every table equals the first, worked out only where
     # _fill_pairwise_tv reads it.
     identical = keep_dists or backend == EXACT
-    oracles = _sweep_oracles(n, exhaustive, sample_count, seed)
     for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
         dist = distribution(out)
         if first is None:
@@ -314,10 +292,9 @@ def sweep_all_f(
         if keep_dists:
             dists.append(dist)
         marg = marginal(dist, n + 1, 2 * n)
-        if marg.exact and tv_distance(marg, flat) == 0:
-            marg_dev = 0.0
-        else:
-            marg_dev = float(np.abs(marg.as_float_array() - uniform).max())
+        # An exactly uniform exact marginal is 2^-n in float as well, so
+        # its deviation is exactly 0.0.
+        marg_dev = float(np.abs(marg.as_float_array() - uniform).max())
         report.marginal_uniformity_deviation = max(
             report.marginal_uniformity_deviation, marg_dev
         )

@@ -13,8 +13,9 @@ planes:
   (a[x] + b[x]*sqrt(2)) / 2^h.  All gates in this library scale every
   amplitude by the same power of 1/sqrt(2), so one exponent suffices.
   h is minimal (not every integer even) after construction, ``copy()``
-  and ``circuit.run``; gate kernels may leave it larger, and ``==``
-  aligns denominators, so that never changes a comparison.  Each exact
+  and ``circuit.run``; gate kernels may leave it larger.  At minimal h
+  equal states have equal planes, so ``==`` reduces two states of
+  different h to it and compares h and planes.  Each exact
   state tracks ``_bounds``, one upper bound per plane on its integer
   magnitudes, so a bound of 0 means that plane is all zero.  The gates
   that build the paper's states (H and C, multiples of sqrt(2), and the
@@ -200,11 +201,11 @@ class StateVector:
         """Build a state from explicit amplitudes.
 
         Exact backend accepts DyadicReal or int entries, and raises
-        TypeError on any other.  Float accepts
-        real numbers (DyadicReal included) and complex ones whose
-        imaginary part is zero; a nonzero imaginary part raises
-        ValueError, as float planes hold real amplitudes.  The result is
-        not normalized here; callers own that invariant.
+        TypeError on any other.  Float accepts finite real numbers
+        (DyadicReal included) and complex ones whose imaginary part is
+        zero; a nonzero imaginary part or a non-finite entry raises
+        ValueError, as float planes hold finite real amplitudes.  The
+        result is not normalized here; callers own that invariant.
         """
         size = len(amps)
         if size < 2 or size & (size - 1):
@@ -212,6 +213,8 @@ class StateVector:
         m = size.bit_length() - 1
         if backend == FLOAT:
             vals = np.array(amps, dtype=complex)
+            if not np.isfinite(vals).all():
+                raise ValueError("float amplitudes must be finite")
             if vals.imag.any():
                 raise ValueError("float amplitudes are real; got a nonzero imaginary part")
             return cls._from_planes(m, FLOAT, (vals.real.copy(),))
@@ -327,10 +330,10 @@ class StateVector:
         ab *= 2
         return (aa, ab), 2 * self._h
 
-    def is_normalized(self, atol: float = FLOAT_ATOL) -> bool:
+    def is_normalized(self) -> bool:
         if self.backend == EXACT:
             return self.norm_squared() == 1
-        return abs(self.norm_squared() - 1.0) <= atol
+        return abs(self.norm_squared() - 1.0) <= FLOAT_ATOL
 
     def max_abs_diff(self, other: StateVector) -> float:
         """Largest per-amplitude deviation, comparing via floats.
@@ -348,21 +351,12 @@ class StateVector:
             return False
         if self.backend == FLOAT:
             return bool(np.array_equal(self._planes[0], other._planes[0]))
-        ha, hb = self._h, other._h
-        da, db = max(ha, hb) - ha, max(ha, hb) - hb
-        xa, xb = self._planes
-        ya, yb = other._planes
-        if da or db:
-            # Align denominators; fall back to exact Python ints if the
-            # shift could overflow int64.
-            bits = max(self._scan() + other._scan()).bit_length()
-            if bits + max(da, db) >= 63:
-                xa, xb = xa.astype(object) << da, xb.astype(object) << da
-                ya, yb = ya.astype(object) << db, yb.astype(object) << db
-            else:
-                xa, xb = xa << da, xb << da
-                ya, yb = ya << db, yb << db
-        return bool(np.array_equal(xa, ya) and np.array_equal(xb, yb))
+        if self._h != other._h:
+            self._canonical_reduce()
+            other._canonical_reduce()
+        return self._h == other._h and all(
+            np.array_equal(x, y) for x, y in zip(self._planes, other._planes)
+        )
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("StateVector is mutable and unhashable")
@@ -408,8 +402,8 @@ class StateVector:
                 "state has grown beyond this backend's checked range"
             )
 
-    def terms(self, max_terms: int = 16) -> str:
-        """Nonzero amplitudes as a ket string, for small states."""
+    def terms(self) -> str:
+        """The first 16 nonzero amplitudes as a ket string."""
         out = []
         for x in range(self.num_states):
             amp = self.amplitude(x)
@@ -418,7 +412,7 @@ class StateVector:
                 continue
             label = str(amp) if exact else f"{amp:+.6g}"
             out.append(f"{label}|{x:0{self.num_qubits}b}>")
-            if len(out) >= max_terms:
+            if len(out) >= 16:
                 out.append("...")
                 break
         return " ".join(out) if out else "0"

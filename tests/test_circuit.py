@@ -189,3 +189,5 @@ class TestCircuitValidation:
             Circuit(2, (GatePlacement((1, 2), cs.hadamard()),))
         with pytest.raises(ValueError):
             Circuit(2, (PhaseOraclePlacement(2, BooleanOracle.constant(2, 0)),))
+        with pytest.raises(ValueError):
+            Circuit(2, (PhaseOraclePlacement(0, BooleanOracle.constant(1, 0)),))

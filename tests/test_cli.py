@@ -38,7 +38,7 @@ class TestVerify:
     def test_invalid_arguments_exit_2(self):
         assert run_cli("verify", "--n", "0", "--all-f") == 2
         assert run_cli("verify", "--n", "2") == 2  # no oracle and no --all-f
-        assert run_cli("verify", "--n", "5", "--backend", "exact", "--marked", "1") == 2
+        assert run_cli("verify", "--n", "13", "--backend", "exact", "--marked", "1") == 2
         assert run_cli("verify", "--n", "5", "--all-f") == 2
         assert (
             run_cli("verify", "--n", "2", "--marked", "1", "--truth-table", "0x2") == 2
@@ -56,18 +56,17 @@ class TestVerify:
         assert da["parameters"]["oracle"] == db["parameters"]["oracle"]
         assert da["parameters"]["oracle"]["marked"] == [1, 2]
 
-    def test_exact_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("COMPSEARCH_EXACT_CAP", "5")
+    def test_exact_backend_past_n4(self):
         assert run_cli("verify", "--n", "5", "--backend", "exact", "--marked", "3") == 0
-        monkeypatch.setenv("COMPSEARCH_EXACT_CAP", "nope")
-        assert run_cli("verify", "--n", "5", "--backend", "exact", "--marked", "3") == 2
 
-    def test_exact_cap_override_stops_at_the_float_ceiling(self, monkeypatch):
-        # The ceiling is lowered so that the refused run would be small.
-        monkeypatch.setattr(cli, "FLOAT_N_CAP", 3)
-        monkeypatch.setenv("COMPSEARCH_EXACT_CAP", "5")
-        assert run_cli("verify", "--n", "4", "--backend", "exact", "--marked", "1") == 2
-        assert run_cli("verify", "--n", "3", "--backend", "exact", "--marked", "1") == 0
+    def test_one_n_cap_for_both_backends(self, monkeypatch):
+        # The cap is lowered so that the refused runs would be small.
+        monkeypatch.setattr(cli, "N_CAP", 3)
+        for backend in ("exact", "float"):
+            assert run_cli("verify", "--n", "4", "--backend", backend, "--marked", "1") == 2
+            assert run_cli("verify", "--n", "3", "--backend", backend, "--marked", "1") == 0
+        assert run_cli("grover-compare", "--n", "4", "--marked", "1") == 2
+        assert run_cli("grover-compare", "--n", "3", "--marked", "1") == 0
 
 
 class TestTrace:
@@ -129,7 +128,7 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_exact_cap_exceeded(self, tmp_path):
-        assert run_cli("sweep", "--n", "5", "--backend", "exact",
+        assert run_cli("sweep", "--n", "13", "--backend", "exact",
                        "--out", str(tmp_path / "x.json")) == 2
 
     def test_missing_out(self):
@@ -236,6 +235,8 @@ REPORT_DIGESTS = {
         "a2f97a71e2a40d0472c655f98065bb8a09826d22361aef90ed0eb9024e222196",
     "sweep --n 5 --backend float --seed 7":
         "35db01ab5df622eaddd382a57a5701b8678a6073d4a5f1280e112dbce68e2253",
+    "sweep --n 5 --backend exact --seed 7":
+        "d2ff4577d89f2d5dc657c3a89eb099b95d41c53889a58f7305dac1dcedc1bb71",
 }
 
 

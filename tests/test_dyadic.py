@@ -26,6 +26,10 @@ class TestCanonicalForm:
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
             DyadicReal(1, 0, -1)
+        # Non-integer parts are refused too.
+        for a, b, h in ((1, 0, 1.5), (0.5, 0, 0), (1, 0.5, 0)):
+            with pytest.raises(TypeError):
+                DyadicReal(a, b, h)
 
     def test_hash_follows_value(self):
         assert hash(DyadicReal(2, 2, 3)) == hash(DyadicReal(1, 1, 2))

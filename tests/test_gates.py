@@ -50,6 +50,8 @@ class TestGate:
         # Caught when the gate is built, not at its first application.
         with pytest.raises(TypeError):
             cs.Gate("bad", ((0.5, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            cs.Gate("bad", ((DyadicReal(0.5, 0), 0), (0, 1)))
 
 
 class TestHadamard:
@@ -354,11 +356,13 @@ class TestNormPreservation:
             assert abs(s.norm_squared() - 1.0) <= 1e-12
 
     def test_float_kernels_reject_nonfinite(self):
-        s = StateVector.from_amplitudes([np.inf, 0.0], cs.FLOAT)
-        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+        # Finite amplitudes whose sum overflows to inf inside the kernel.
+        big = 1.7e308
+        s = StateVector.from_amplitudes([big, big], cs.FLOAT)
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             cs.apply_gate1(s, 1, cs.hadamard())
-        s = StateVector.from_amplitudes([np.inf, 0.0, 0.0, 0.0], cs.FLOAT)
-        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError):
+        s = StateVector.from_amplitudes([big, 0.0, big, 0.0], cs.FLOAT)
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
             cs.apply_gate2(s, 1, 2, cs.comparison_gate())
 
 

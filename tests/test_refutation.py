@@ -94,6 +94,8 @@ class TestDistribution:
             Distribution((np.array([0.5, 0.1]),))
         with pytest.raises(ValueError):
             Distribution(([1, 0], [0, 1]), 0)
+        with pytest.raises(ValueError):
+            Distribution((np.array([np.nan, 1.0]),))
 
 
 class TestMarginal:
@@ -259,6 +261,12 @@ class TestSampling:
             sample(bell_plus(), 0)
 
 
+@pytest.fixture(scope="module")
+def sampled_float_sweep():
+    """n = 5: SAMPLED_SWEEP_COUNT seeded oracles, about a second."""
+    return cs.sweep_all_f(5, cs.FLOAT, seed=4)
+
+
 class TestSweep:
     def test_exhaustive_n2(self):
         rep = cs.sweep_all_f(2)
@@ -269,20 +277,22 @@ class TestSweep:
         assert rep.marginal_uniformity_deviation == 0.0
         assert all(v.exact_match and v.tv_to_first == 0.0 for v in rep.verdicts)
 
-    def test_sampled_float_sweep(self):
-        rep = cs.sweep_all_f(5, cs.FLOAT, sample_count=20, seed=4)
+    def test_sampled_float_sweep(self, sampled_float_sweep):
+        rep = sampled_float_sweep
         assert not rep.exhaustive
-        assert rep.oracle_count == 20
+        assert rep.oracle_count == refutation.SAMPLED_SWEEP_COUNT
         assert rep.seed == 4 and rep.rng_algorithm == cs.RNG_ALGORITHM
         assert rep.all_match
         assert rep.max_deviation <= 1e-12
 
-    def test_pairwise_tv_switches_to_bound_past_limit(self):
-        limit = refutation._ALL_PAIRS_LIMIT
-        small = cs.sweep_all_f(1, cs.FLOAT, exhaustive=False, sample_count=3, seed=2)
-        assert small.max_pairwise_tv_is_exact
-        big = cs.sweep_all_f(1, cs.FLOAT, exhaustive=False, sample_count=limit + 1, seed=2)
-        assert big.oracle_count == limit + 1
+    def test_pairwise_tv_switches_to_bound_past_limit(self, sampled_float_sweep):
+        # n = 3 is exhaustive, 256 oracles: every pair is compared.
+        small = cs.sweep_all_f(3, cs.EXACT)
+        assert small.oracle_count == 256 <= refutation._ALL_PAIRS_LIMIT
+        assert small.max_pairwise_tv == 0.0 and small.max_pairwise_tv_is_exact
+        # n = 5 samples more oracles than the limit: the bound, flagged inexact.
+        big = sampled_float_sweep
+        assert big.oracle_count > refutation._ALL_PAIRS_LIMIT
         assert not big.max_pairwise_tv_is_exact
         top = sorted(v.tv_to_first for v in big.verdicts)[-2:]
         assert big.max_pairwise_tv == sum(top)
@@ -303,10 +313,6 @@ class TestSweep:
         rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
         refutation._fill_pairwise_tv(rep, dists, identical=False)
         assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
-
-    def test_exhaustive_cap(self):
-        with pytest.raises(ValueError):
-            cs.sweep_all_f(5, exhaustive=True)
 
     def test_report_dict_shape(self):
         d = cs.sweep_all_f(1).to_dict()

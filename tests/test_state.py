@@ -126,6 +126,11 @@ class TestStateVector:
         b = StateVector.from_amplitudes([DyadicReal(0, 2, 2), DyadicReal(0, -2, 2)])
         assert a == b
         assert a != StateVector.from_amplitudes([INV, INV])
+        # H twice leaves |0> at a larger h than StateVector(1)'s 0.
+        twice = cs.apply_gate1(cs.apply_gate1(StateVector(1), 1, cs.hadamard()), 1, cs.hadamard())
+        assert twice._h > 0
+        assert twice == StateVector(1) and StateVector(1) == twice
+        assert twice != StateVector.from_amplitudes([0, 1])
 
     def test_copy_is_independent(self):
         s = StateVector(2)
@@ -189,6 +194,10 @@ class TestStateVector:
             StateVector.from_amplitudes([1, 0, 0])
         with pytest.raises(TypeError):
             StateVector.from_amplitudes([0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_amplitudes([np.nan, 1.0], cs.FLOAT)
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_amplitudes([np.inf, 0.0], cs.FLOAT)
         with pytest.raises(ValueError):
             StateVector(2).amplitude(4)
 
