@@ -237,6 +237,10 @@ REPORT_DIGESTS = {
         "35db01ab5df622eaddd382a57a5701b8678a6073d4a5f1280e112dbce68e2253",
     "sweep --n 5 --backend exact --seed 7":
         "d2ff4577d89f2d5dc657c3a89eb099b95d41c53889a58f7305dac1dcedc1bb71",
+    "verify --n 3 --all-f --backend float":
+        "df5f0edc0e65f526d1f72c08d1d2fa49adc4054afff758d6e4245cad81db7e68",
+    "sweep --n 2 --backend exact --format csv":
+        "73b6c22363460d47760d83c1ddd956fca8906d7468237b425e5c2dca04f887fd",
 }
 
 
