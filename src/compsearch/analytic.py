@@ -59,10 +59,21 @@ def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
 
 
 def _from_units(num_qubits: int, coeff: np.ndarray, unit: DyadicReal, backend: str) -> StateVector:
-    """State whose amplitude at x is coeff[x] * unit."""
-    if backend == EXACT:
-        return StateVector._from_planes(num_qubits, EXACT, (coeff * unit.a, coeff * unit.b), unit.h)
-    return StateVector._from_planes(num_qubits, backend, (coeff * unit.to_float(),))
+    """State whose amplitude at x is coeff[x] * unit, for an int64
+    ``coeff`` that the state may take over: an exact plane whose
+    multiplier is 0 is a fresh np.zeros, whose pages are never written,
+    and the first whose multiplier is 1 is ``coeff`` itself."""
+    if backend != EXACT:
+        return StateVector._from_planes(num_qubits, backend, (coeff * unit.to_float(),))
+    planes = []
+    for c in (unit.a, unit.b):
+        if c == 0:
+            planes.append(np.zeros(coeff.size, np.int64))
+        elif c == 1 and not any(p is coeff for p in planes):
+            planes.append(coeff)
+        else:
+            planes.append(coeff * c)
+    return StateVector._from_planes(num_qubits, EXACT, planes, unit.h)
 
 
 def psi0(n: int, backend: str = EXACT) -> StateVector:
@@ -131,7 +142,16 @@ def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
 def target_output(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
     """The diagonal state: (-1)^f(k)/sqrt(2^n) on |k>|k>, zero elsewhere."""
     _check_args(n, f, backend)
-    size = 1 << n
-    coeff = np.zeros(1 << (2 * n), dtype=np.int64)
-    coeff[np.arange(size) * (size + 1)] = f.sign_array()
-    return _from_units(2 * n, coeff, DyadicReal.inv_sqrt2_pow(n), backend)
+    return _target_rows(n, f.sign_array()[None], backend)
+
+
+def _target_rows(n: int, signs: np.ndarray, backend: str) -> StateVector:
+    """The diagonal state of every row of an (R, 2^n) sign table,
+    signs[r, k]/sqrt(2^n) on |k>|k> and zero elsewhere, with R a power of
+    two: row r is where the leading log2 R qubits read r, laid out like
+    :func:`compsearch.circuit._simulate_rows`' result."""
+    rows, size = signs.shape
+    coeff = np.zeros((rows, size * size), dtype=np.int64)
+    coeff[:, :: size + 1] = signs
+    num_qubits = (rows.bit_length() - 1) + 2 * n
+    return _from_units(num_qubits, coeff.reshape(-1), DyadicReal.inv_sqrt2_pow(n), backend)

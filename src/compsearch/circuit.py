@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gates
 from .state import EXACT, BooleanOracle, StateVector
 
@@ -139,15 +141,6 @@ def grover_optimal_iterations(n: int, num_marked: int) -> int:
     return math.floor((math.pi / 4) * math.sqrt((1 << n) / num_marked))
 
 
-def _apply(op: CircuitOp, state: StateVector) -> None:
-    if isinstance(op, GatePlacement):
-        # Through the module, so that wrappers of these names see the call.
-        apply = gates.apply_gate1 if len(op.qubits) == 1 else gates.apply_gate2
-        apply(state, *op.qubits, op.gate)
-    elif isinstance(op, PhaseOraclePlacement):
-        gates.apply_phase_oracle(state, op.oracle, op.reg_start)
-
-
 def _start_state(circuit: Circuit, s0: StateVector) -> StateVector:
     if s0.num_qubits != circuit.width:
         raise ValueError(
@@ -158,15 +151,29 @@ def _start_state(circuit: Circuit, s0: StateVector) -> StateVector:
     return s0.copy()
 
 
-def _run(circuit: Circuit, state: StateVector, trace: Trace | None = None) -> StateVector:
+def _run(
+    circuit: Circuit,
+    state: StateVector,
+    trace: Trace | None = None,
+    signs: np.ndarray | None = None,
+) -> StateVector:
     """Apply the circuit to ``state`` in place, snapshotting it into
-    ``trace`` at every checkpoint when one is given."""
+    ``trace`` at every checkpoint when one is given.  With a sign table
+    ``signs``, the state holds one row per row of the table as its
+    leading qubits (see :func:`_simulate_rows`)."""
+    shift = state.num_qubits - circuit.width
     for op in circuit.ops:
         if isinstance(op, Checkpoint):
             if trace is not None:
                 trace.checkpoints[op.label] = state.copy()
+        elif isinstance(op, GatePlacement):
+            # Through the module, so that wrappers of these names see the call.
+            apply = gates.apply_gate1 if len(op.qubits) == 1 else gates.apply_gate2
+            apply(state, *(q + shift for q in op.qubits), op.gate)
+        elif signs is None:
+            gates.apply_phase_oracle(state, op.oracle, op.reg_start)
         else:
-            _apply(op, state)
+            gates._apply_signs(state, signs, op.reg_start)
     state._canonical_reduce()
     return state
 
@@ -186,3 +193,19 @@ def run_with_trace(circuit: Circuit, s0: StateVector) -> Trace:
 def simulate(circuit: Circuit, backend: str = EXACT) -> StateVector:
     """Run the circuit from |0...0> on the chosen backend."""
     return _run(circuit, StateVector(circuit.width, backend))
+
+
+def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVector:
+    """Run the circuit from |0...0> once per row of the sign table
+    ``signs``, all at once: in run r every phase oracle of the circuit
+    multiplies by signs[r] (see :func:`gates._apply_signs`) in place of
+    its own oracle's signs.
+
+    The result is one state of log2 R + width qubits, for R = len(signs)
+    a power of two, holding run r's final state where its leading log2 R
+    qubits read r.  A gate on qubit q of a run is the same gate on qubit
+    q + log2 R of that state, so the kernels need no batch axis.
+    """
+    state = StateVector((len(signs).bit_length() - 1) + circuit.width, backend)
+    state._planes[0][:: 1 << circuit.width] = 1
+    return _run(circuit, state, signs=signs)

@@ -41,7 +41,7 @@ from .dyadic import DyadicReal
 from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector, all_oracles
 from .refutation import (
     EXHAUSTIVE_SWEEP_MAX_N,
-    check_oracle,
+    _check_oracles,
     compare_grover,
     sweep_all_f,
 )
@@ -172,14 +172,8 @@ def cmd_verify(args) -> tuple[int, dict]:
     if args.all_f and args.n > EXHAUSTIVE_SWEEP_MAX_N:
         raise CLIError(2, f"--all-f capped at n <= {EXHAUSTIVE_SWEEP_MAX_N} (2^(2^n) oracles)")
 
-    if args.all_f:
-        verdicts = [check_oracle(args.n, g, backend) for g in all_oracles(args.n)]
-        checked = len(verdicts)
-        all_match = all(ok for ok, _ in verdicts)
-        max_dev = max(dev for _, dev in verdicts)
-    else:
-        ok, dev = check_oracle(args.n, f, backend)
-        checked, all_match, max_dev = 1, ok, dev
+    oracles = all_oracles(args.n) if args.all_f else [f]
+    checked, all_match, max_dev = _check_oracles(args.n, oracles, backend)
 
     doc = _document(
         "verify",

@@ -357,13 +357,30 @@ def apply_phase_oracle(state: StateVector, f: BooleanOracle, reg_start: int) -> 
 
     The window is qubits reg_start .. reg_start + n - 1.
     """
-    m = state.num_qubits
-    _check_window(m, reg_start, f.n)
+    return _apply_signs(state, f.sign_array()[None], reg_start)
+
+
+def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> StateVector:
+    """The phase oracles of R oracles on n bits at once, in place: in row
+    r of ``state``, multiply every basis state whose window bits read k
+    by signs[r, k], for a sign table of shape (R, 2^n).
+
+    R must be a power of two.  Row r is the part of the state whose
+    leading log2 R qubits read r, and the window is qubits
+    reg_start .. reg_start + n - 1 of each row, so R = 1 is one oracle on
+    the whole state.
+    """
+    rows, size = signs.shape
+    if rows & (rows - 1) or size & (size - 1):
+        raise ValueError(f"sign table shape {signs.shape} is not a power of two by 2^n")
+    n = size.bit_length() - 1
+    m = state.num_qubits - (rows.bit_length() - 1)
+    _check_window(m, reg_start, n)
     pre = 1 << (reg_start - 1)
-    post = 1 << (m - (reg_start + f.n - 1))
-    signs = f.sign_array()[None, :, None]
+    post = 1 << (m - (reg_start + n - 1))
+    signs = signs[:, None, :, None]
     for plane, bound in zip(state._planes, state._bounds):
         if bound:  # a zero plane stays zero
-            view = plane.reshape(pre, 1 << f.n, post)
+            view = plane.reshape(rows, pre, size, post)
             view *= signs
     return state

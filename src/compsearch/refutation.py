@@ -8,20 +8,29 @@ and TV distances are computed with zero tolerance.
 
 ``sweep_all_f`` runs the circuit for every oracle (exhaustively up to
 n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
-output against the diagonal target state.  ``compare_grover`` runs the
-contrast case: the same marked element handed to Grover search is found
-with probability near 1, while the comparison circuit leaves it at
-exactly 2^-n.
+output against the diagonal target state.  Oracles run a batch at a
+time: R oracles are one state whose leading log2 R qubits pick the
+oracle, and the statistics are taken per row of it.  ``compare_grover``
+runs the contrast case: the same marked element handed to Grover search
+is found with probability near 1, while the comparison circuit leaves it
+at exactly 2^-n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .analytic import target_output
-from .circuit import build_comparison_search, build_grover, grover_optimal_iterations, simulate
+from .analytic import _target_rows
+from .circuit import (
+    _simulate_rows,
+    build_comparison_search,
+    build_grover,
+    grover_optimal_iterations,
+    simulate,
+)
 from .dyadic import SQRT2, DyadicReal
 from .state import (
     EXACT,
@@ -32,6 +41,7 @@ from .state import (
     BooleanOracle,
     StateVector,
     _abs_max,
+    _sign_table,
     _sum_out,
     all_oracles,
     random_oracle,
@@ -43,6 +53,12 @@ RNG_ALGORITHM = "numpy-pcg64"
 EXHAUSTIVE_SWEEP_MAX_N = 4
 SAMPLED_SWEEP_COUNT = 1000
 
+# Amplitudes per batch of oracles: R * 2^(2n) <= 2^17 gives R = 512
+# oracles a batch at n = 4, 128 at n = 5 and one from n = 9 on.  Batches
+# of 2^18 ran the n = 4 sweep no faster, and left about 9 MB of freed
+# arrays in the heap that glibc did not return.
+_BATCH_AMPS = 1 << 17
+
 
 class Distribution:
     """Dense probability table over the 2^m basis outcomes of m qubits,
@@ -53,7 +69,10 @@ class Distribution:
     * float -- one float64 plane, and h = 0.
 
     The constructor stores exact planes as Python ints, so that no sum
-    over them can wrap, and checks that the table sums to 1.
+    over them can wrap, and checks that the table sums to 1.  Inside
+    this module a *row table* holds R tables at once, as planes of
+    shape (R, 2^m); ``len``, ``num_qubits``, :func:`marginal` and the TV
+    code read the last axis.
     """
 
     __slots__ = ("planes", "h", "num_qubits", "exact")
@@ -66,7 +85,7 @@ class Distribution:
             raise ValueError(f"exponent h={h} invalid: exact tables need h >= 0, float ones h = 0")
         planes = tuple(np.array(p, dtype=object if exact else np.float64) for p in planes)
         size = len(planes[0])
-        if size < 2 or size & (size - 1) or any(len(p) != size for p in planes):
+        if size < 2 or size & (size - 1) or any(p.shape != (size,) for p in planes):
             raise ValueError("probability table size is not a power of two >= 2")
         self._init(planes, h)
         self._check_total()
@@ -81,23 +100,36 @@ class Distribution:
     def _init(self, planes: tuple, h: int) -> None:
         self.planes = planes
         self.h = h
-        self.num_qubits = len(planes[0]).bit_length() - 1
+        self.num_qubits = planes[0].shape[-1].bit_length() - 1
         self.exact = len(planes) == 2
 
+    def _row(self, r: int) -> Distribution:
+        """Row r of a row table, as a table."""
+        return Distribution._of(tuple(p[r] for p in self.planes), self.h)
+
     def _check_total(self) -> None:
-        total = self.total
+        """Raise ValueError unless the table, or each row of a row table,
+        sums to 1."""
+        totals = self._totals()
         if self.exact:
-            if total != 1:
+            if any(t != 1 for t in totals):
                 raise ValueError("exact probabilities do not sum to 1")
-        elif not abs(total - 1.0) <= 1e-9:  # a NaN total fails too
-            raise ValueError(f"probabilities sum to {total}, not 1")
+            return
+        bad = [t for t in totals if not abs(t - 1.0) <= 1e-9]  # a NaN total fails too
+        if bad:
+            raise ValueError(f"probabilities sum to {bad[0]}, not 1")
+
+    def _totals(self) -> list:
+        """The sum of each row of a row table, or of the table as one
+        row: DyadicReal for an exact table, float for a float one."""
+        sums = [np.atleast_1d(p.sum(axis=-1)) for p in self.planes]
+        if self.exact:
+            return [DyadicReal(int(a), int(b), self.h) for a, b in zip(*sums)]
+        return sums[0].tolist()
 
     @property
     def total(self) -> DyadicReal | float:
-        if self.exact:
-            pa, pb = self.planes
-            return DyadicReal(int(pa.sum()), int(pb.sum()), self.h)
-        return float(self.planes[0].sum())
+        return self._totals()[0]
 
     @property
     def probs(self) -> np.ndarray:
@@ -108,7 +140,7 @@ class Distribution:
         return self.planes[0]
 
     def __len__(self) -> int:
-        return len(self.planes[0])
+        return self.planes[0].shape[-1]
 
     def __getitem__(self, x: int) -> DyadicReal | float:
         if self.exact:
@@ -156,10 +188,19 @@ def tv_distance(p: Distribution, q: Distribution) -> DyadicReal | float:
 
     Exact (DyadicReal) if both inputs are exact, float otherwise.
     """
+    return _tv_rows(p, q)[0]
+
+
+def _tv_rows(p: Distribution, q: Distribution) -> list:
+    """:func:`tv_distance` along the last axis: one distance per row of
+    a row table ``p`` to the same row of ``q``, or to ``q`` itself when
+    it is one table."""
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
     if not (p.exact and q.exact):
-        return 0.5 * float(np.abs(p.as_float_array() - q.as_float_array()).sum())
+        diff = p.as_float_array() - q.as_float_array()
+        sums = np.abs(diff, out=diff).sum(axis=-1)
+        return (0.5 * np.atleast_1d(sums)).tolist()
     h = max(p.h, q.h)
     shifted = [(x, h - d.h) for d in (p, q) for x in d.planes]
     # Differences below 2^31 square within int64; larger ones use Python ints.
@@ -168,7 +209,8 @@ def tv_distance(p: Distribution, q: Distribution) -> DyadicReal | float:
     da, db = pa - qa, pb - qb
     # da + db sqrt2 has the sign of da when da^2 > 2 db^2, else that of db.
     sign = np.where(da * da > 2 * db * db, np.sign(da), np.sign(db))
-    return DyadicReal(int((sign * da).sum()), int((sign * db).sum()), h + 1)
+    sums = (np.atleast_1d((sign * d).sum(axis=-1)) for d in (da, db))
+    return [DyadicReal(int(a), int(b), h + 1) for a, b in zip(*sums)]
 
 
 def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.ndarray:
@@ -240,19 +282,64 @@ def check_oracle(n: int, f: BooleanOracle, backend: str = EXACT) -> tuple[bool, 
     """Run the comparison circuit for ``f`` and compare against the
     diagonal target.  Returns (match, max per-amplitude deviation); the
     match is zero-tolerance in the exact backend and FLOAT_ATOL in float."""
-    _, _, match, dev = next(_verdicts(n, backend, [f]))
-    return match, dev
+    _, all_match, max_dev = _check_oracles(n, [f], backend)
+    return all_match, max_dev
+
+
+def _check_oracles(n: int, oracles, backend: str) -> tuple[int, bool, float]:
+    """:func:`check_oracle` over ``oracles``: (oracles checked, whether
+    all match, largest deviation)."""
+    count, all_match, max_dev = 0, True, 0.0
+    for batch, _, match, dev in _verdicts(n, backend, oracles):
+        count += len(batch)
+        all_match = all_match and all(match)
+        max_dev = max(max_dev, *dev)
+    return count, all_match, max_dev
+
+
+def _batches(oracles, rows: int):
+    """``oracles`` in lists of ``rows``, a power of two; a last, shorter
+    list is cut into lists of falling powers of two."""
+    it = iter(oracles)
+    while batch := list(islice(it, rows)):
+        while batch:
+            size = 1 << (len(batch).bit_length() - 1)
+            yield batch[:size]
+            batch = batch[size:]
 
 
 def _verdicts(n: int, backend: str, oracles):
-    """Per oracle, run the comparison circuit and compare its output with
-    the diagonal target: yields ``(f, out, match, max deviation)``."""
-    for f in oracles:
-        out = simulate(build_comparison_search(n, f), backend)
-        target = target_output(n, f, backend=backend)
-        dev = out.max_abs_diff(target)
-        match = (out == target) if backend == EXACT else dev <= FLOAT_ATOL
-        yield f, out, match, dev
+    """Run the comparison circuit for ``oracles`` a batch at a time and
+    compare each output with its diagonal target.  Yields per batch
+    ``(oracles, out, match, max deviation)``: ``out`` holds oracle r's
+    output as row r (see :func:`compsearch.circuit._simulate_rows`), and
+    the last two are lists with one entry per oracle."""
+    for batch in _batches(oracles, max(1, _BATCH_AMPS >> (2 * n))):
+        signs = _sign_table(n, batch)
+        out = _simulate_rows(build_comparison_search(n, batch[0]), signs, backend)
+        # Matched in a call of its own, so that the target is freed before
+        # the yield rather than held while the caller reads the batch.
+        yield (batch, out, *_match_rows(out, _target_rows(n, signs, backend), len(batch)))
+
+
+def _match_rows(out: StateVector, target: StateVector, rows: int) -> tuple[list, list]:
+    """Per row, whether ``out`` matches ``target`` -- zero-tolerance in
+    the exact backend, FLOAT_ATOL in float -- and the largest deviation."""
+    dev = out._deviations(target, rows)
+    if out.backend == EXACT:
+        return out._rows_equal(target, rows), dev
+    return [d <= FLOAT_ATOL for d in dev], dev
+
+
+def _row_table(out: StateVector, rows: int) -> Distribution:
+    """The Born-rule table of each of the ``rows`` rows of ``out`` (see
+    :func:`_verdicts`) as one row table, squared by
+    :meth:`StateVector._squares`; raises ValueError unless every row sums
+    to 1."""
+    planes, h = out._squares(1, out.num_states, 1)
+    table = Distribution._of(tuple(p.reshape(rows, -1) for p in planes), h)
+    table._check_total()
+    return table
 
 
 def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
@@ -282,25 +369,29 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
     # Whether every table equals the first, worked out only where
     # _fill_pairwise_tv reads it.
     identical = keep_dists or backend == EXACT
-    for i, (f, out, match, dev) in enumerate(_verdicts(n, backend, oracles)):
-        dist = distribution(out)
+    for batch, out, match, dev in _verdicts(n, backend, oracles):
+        table = _row_table(out, len(batch))
         if first is None:
-            first = dist
-        tv = tv_distance(dist, first)
+            first = table._row(0)
+        tv = _tv_rows(table, first)
         if identical:
-            identical = tv == 0 if dist.exact else np.array_equal(dist.planes[0], first.planes[0])
+            if table.exact:
+                identical = all(t == 0 for t in tv)
+            else:
+                identical = bool((table.planes[0] == first.planes[0]).all())
         if keep_dists:
-            dists.append(dist)
-        marg = marginal(dist, n + 1, 2 * n)
+            dists += [table._row(r) for r in range(len(batch))]
+        marg = marginal(table, n + 1, 2 * n)
         # An exactly uniform exact marginal is 2^-n in float as well, so
         # its deviation is exactly 0.0.
         marg_dev = float(np.abs(marg.as_float_array() - uniform).max())
         report.marginal_uniformity_deviation = max(
             report.marginal_uniformity_deviation, marg_dev
         )
-        report.verdicts.append(OracleVerdict(i, f.table, match, dev, float(tv)))
-        report.all_match = report.all_match and match
-        report.max_deviation = max(report.max_deviation, dev)
+        for f, ok, d, t in zip(batch, match, dev, tv):
+            report.verdicts.append(OracleVerdict(len(report.verdicts), f.table, ok, d, float(t)))
+        report.all_match = report.all_match and all(match)
+        report.max_deviation = max(report.max_deviation, *dev)
     _fill_pairwise_tv(report, dists, identical)
     return report
 

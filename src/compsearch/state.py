@@ -13,9 +13,9 @@ planes:
   (a[x] + b[x]*sqrt(2)) / 2^h.  All gates in this library scale every
   amplitude by the same power of 1/sqrt(2), so one exponent suffices.
   h is minimal (not every integer even) after construction, ``copy()``
-  and ``circuit.run``; gate kernels may leave it larger.  At minimal h
-  equal states have equal planes, so ``==`` reduces two states of
-  different h to it and compares h and planes.  Each exact
+  and ``circuit.run``; gate kernels may leave it larger.  ``==``
+  compares values at the larger h of the two states and changes
+  neither.  Each exact
   state tracks ``_bounds``, one upper bound per plane on its integer
   magnitudes, so a bound of 0 means that plane is all zero.  The gates
   that build the paper's states (H and C, multiples of sqrt(2), and the
@@ -57,16 +57,34 @@ _INT64_SAFE = 1 << 62
 _PLANES = {EXACT: (np.int64, 2), FLOAT: (np.float64, 1)}
 
 
+# Amplitudes that one slice of a comparison of two states covers, so
+# that comparing makes no plane-sized temporary.
+_COMPARE_CHUNK = 1 << 16
+
+
 def _abs_max(plane: np.ndarray) -> int:
     """max |plane| as a Python int, without a temporary plane."""
     return max(int(plane.max()), -int(plane.min()))
 
 
 def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
-    """``plane`` viewed as (pre, keep, post), summed over the outer axes."""
+    """``plane``'s last axis viewed as (pre, keep, post), summed over the
+    outer two; leading axes (rows) are kept."""
     if pre == post == 1:
         return plane
-    return plane.reshape(pre, keep, post).sum(axis=(0, 2))
+    return plane.reshape(plane.shape[:-1] + (pre, keep, post)).sum(axis=(-3, -1))
+
+
+def _as_float(planes, h: int) -> np.ndarray:
+    """Amplitudes held by ``planes`` (of any shape) at exponent h as
+    float64: a float plane is returned as it is, and an exact amplitude
+    becomes the new fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
+    if len(planes) == 1:
+        return planes[0]
+    a, b = planes
+    re = np.multiply(b, SQRT2, dtype=np.float64)
+    np.add(re, a, out=re)
+    return np.ldexp(re, -h, out=re)
 
 
 @dataclass(frozen=True)
@@ -86,9 +104,6 @@ class BitString:
         if not 1 <= i <= self.width:
             raise ValueError(f"bit index {i} out of range 1..{self.width}")
         return (self.value >> (self.width - i)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(1, self.width + 1))
 
     def __index__(self) -> int:
         return self.value
@@ -120,12 +135,6 @@ class BooleanOracle:
             table |= 1 << k
         return cls(n, table)
 
-    @classmethod
-    def constant(cls, n: int, value: int) -> BooleanOracle:
-        if value not in (0, 1):
-            raise ValueError("constant oracle value must be 0 or 1")
-        return cls(n, ((1 << (1 << n)) - 1) if value else 0)
-
     def __call__(self, k: int) -> int:
         if not 0 <= k < (1 << self.n):
             raise ValueError(f"input {k} out of range for n={self.n}")
@@ -136,9 +145,7 @@ class BooleanOracle:
 
     def truth_values(self) -> np.ndarray:
         """f(0), ..., f(2^n - 1) as a uint8 array."""
-        size = 1 << self.n
-        buf = self.table.to_bytes((size + 7) // 8, "little")
-        return np.unpackbits(np.frombuffer(buf, np.uint8), bitorder="little")[:size]
+        return _truth_rows(self.n, [self])[0]
 
     def sign_array(self) -> np.ndarray:
         """(-1)^f(k) for all k, as int64."""
@@ -154,6 +161,24 @@ class BooleanOracle:
 
     def __repr__(self) -> str:
         return f"BooleanOracle(n={self.n}, table={self.table:#x})"
+
+
+def _truth_rows(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
+    """f(k) for each of ``oracles`` (rows, all on n bits) and each k
+    (columns) as a uint8 array."""
+    if any(f.n != n for f in oracles):
+        raise ValueError(f"oracle arity does not match n={n}")
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    buf = b"".join(f.table.to_bytes(nbytes, "little") for f in oracles)
+    rows = np.frombuffer(buf, np.uint8).reshape(len(oracles), nbytes)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
+
+
+def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
+    """(-1)^f(k) for each of ``oracles`` (rows, all on n bits) and each k
+    (columns) as int64: row r is ``oracles[r].sign_array()``."""
+    return 1 - 2 * _truth_rows(n, oracles).astype(np.int64)
 
 
 def all_oracles(n: int) -> Iterator[BooleanOracle]:
@@ -273,13 +298,7 @@ class StateVector:
         exact amplitude becomes fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
         if self.backend == FLOAT:
             return self._planes[0].copy()
-        a, b = self._planes
-        re = np.multiply(b, SQRT2, dtype=np.float64)
-        np.add(re, a, out=re)
-        return np.ldexp(re, -self._h, out=re)
-
-    def to_float(self) -> StateVector:
-        return StateVector._from_planes(self.num_qubits, FLOAT, (self.to_float_array(),))
+        return _as_float(self._planes, self._h)
 
     def norm_squared(self) -> DyadicReal | float:
         """Sum of squared amplitudes; exact in the exact backend."""
@@ -340,23 +359,59 @@ class StateVector:
 
         Works across backends; for two exact states prefer ``==``.
         """
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit counts differ")
-        return float(np.max(np.abs(self.to_float_array() - other.to_float_array())))
+        return self._deviations(other, 1)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
         if self.num_qubits != other.num_qubits or self.backend != other.backend:
             return False
-        if self.backend == FLOAT:
-            return bool(np.array_equal(self._planes[0], other._planes[0]))
-        if self._h != other._h:
-            self._canonical_reduce()
-            other._canonical_reduce()
-        return self._h == other._h and all(
-            np.array_equal(x, y) for x, y in zip(self._planes, other._planes)
-        )
+        return self._rows_equal(other, 1)[0]
+
+    def _column_chunks(self, other: StateVector, rows: int) -> Iterator[tuple[list, list]]:
+        """Both states' planes viewed as ``rows`` rows, in column slices
+        of about _COMPARE_CHUNK amplitudes: ``(self's, other's)`` per
+        slice.  Row r is the part of a state whose leading log2(rows)
+        qubits read r."""
+        if self.num_qubits != other.num_qubits:
+            raise ValueError("qubit counts differ")
+        x = [p.reshape(rows, -1) for p in self._planes]
+        y = [p.reshape(rows, -1) for p in other._planes]
+        step = max(1, _COMPARE_CHUNK // rows)
+        for start in range(0, x[0].shape[1], step):
+            cols = slice(start, start + step)
+            yield [p[:, cols] for p in x], [p[:, cols] for p in y]
+
+    def _deviations(self, other: StateVector, rows: int) -> list[float]:
+        """Per row (see :meth:`_column_chunks`), the largest deviation of
+        an amplitude from ``other``'s, both taken as floats as by
+        :meth:`to_float_array`; a slice at a time, and a max is exact in
+        any order."""
+        dev = np.zeros(rows)
+        for x, y in self._column_chunks(other, rows):
+            diff = _as_float(x, self._h) - _as_float(y, other._h)
+            np.maximum(dev, np.abs(diff, out=diff).max(axis=1), out=dev)
+        return dev.tolist()
+
+    def _rows_equal(self, other: StateVector, rows: int) -> list[bool]:
+        """Per row (see :meth:`_column_chunks`), whether the two states of
+        one backend hold equal values, changing neither: float planes by
+        ``==``, and exact planes at the larger h of the two.  An integer
+        x at h - s equals y at h exactly when y is a multiple of 2^s and
+        y >> s == x, which needs no shift that could overflow."""
+        if self._h > other._h:
+            return other._rows_equal(self, rows)
+        shift = other._h - self._h
+        # Past 63 bits only y = 0 is a multiple of 2^shift in int64.
+        low = (1 << shift) - 1 if shift < 64 else -1
+        equal = np.ones(rows, dtype=bool)
+        for x, y in self._column_chunks(other, rows):
+            for p, q in zip(x, y):
+                if shift:
+                    equal &= ~(q & low).any(axis=1)
+                    q = q >> min(shift, 63)
+                equal &= (p == q).all(axis=1)
+        return equal.tolist()
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("StateVector is mutable and unhashable")

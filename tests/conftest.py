@@ -9,8 +9,9 @@ library's gate application paths.  The exact reference applies
 DyadicReal matrices one amplitude at a time, and the ancilla helpers work
 amplitude by amplitude through the public API, for the same reason.  The
 X, Z and identity gates, the pair-reversed gate, basis states, the tensor
-product, the unitarity check, the mod-2 inner product, sampling and
-empirical distributions are built on the public API too: the library
+product, the unitarity check, the mod-2 inner product, sampling,
+empirical distributions, constant oracles, float copies of states and
+the bits of a bit string are built on the public API too: the library
 itself needs none of them.
 """
 
@@ -249,3 +250,20 @@ def tensor(s: cs.StateVector, t: cs.StateVector) -> cs.StateVector:
     return cs.StateVector.from_amplitudes(
         [x * y for x in s.amplitudes() for y in t.amplitudes()], s.backend
     )
+
+
+def constant_oracle(n: int, value: int) -> cs.BooleanOracle:
+    """f(k) = value for every n-bit k."""
+    if value not in (0, 1):
+        raise ValueError("constant oracle value must be 0 or 1")
+    return cs.BooleanOracle(n, ((1 << (1 << n)) - 1) if value else 0)
+
+
+def to_float(s: cs.StateVector) -> cs.StateVector:
+    """``s`` as a float state, amplitudes as by ``to_float_array``."""
+    return cs.StateVector.from_amplitudes(s.to_float_array(), cs.FLOAT)
+
+
+def bits(x: cs.BitString) -> tuple[int, ...]:
+    """x's bits, most significant first."""
+    return tuple(x.bit(i) for i in range(1, x.width + 1))

@@ -3,7 +3,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
-from conftest import mod2_inner
+from conftest import constant_oracle, mod2_inner
 
 INV = DyadicReal(0, 1, 1)
 
@@ -70,15 +70,15 @@ class TestClosedFormStates:
         f = BooleanOracle.from_marked(1, [1])
         half = DyadicReal(1, 0, 1)
         assert cs.psi2(1, f) == StateVector.from_amplitudes([half, -half, half, -half])
-        assert cs.psi2(2, BooleanOracle.constant(2, 0)) == cs.psi1(2)
+        assert cs.psi2(2, constant_oracle(2, 0)) == cs.psi1(2)
         # f == 1 everywhere is a global sign flip of psi1
-        allones = cs.psi2(2, BooleanOracle.constant(2, 1))
+        allones = cs.psi2(2, constant_oracle(2, 1))
         assert allones == StateVector.from_amplitudes(
             [-a for a in cs.psi1(2).amplitudes()]
         )
 
     def test_psi2a_collapses_at_n1(self):
-        assert cs.psi2a(1, BooleanOracle.constant(1, 0)) == StateVector.from_amplitudes(
+        assert cs.psi2a(1, constant_oracle(1, 0)) == StateVector.from_amplitudes(
             [INV, 0, 0, INV]
         )
 
@@ -122,6 +122,6 @@ class TestClosedFormStates:
         with pytest.raises(ValueError):
             cs.psi1(0)
         with pytest.raises(ValueError):
-            cs.psi2(2, BooleanOracle.constant(3, 0))
+            cs.psi2(2, constant_oracle(3, 0))
         with pytest.raises(ValueError):
-            cs.target_output(1, BooleanOracle.constant(1, 0), backend="symbolic")
+            cs.target_output(1, constant_oracle(1, 0), backend="symbolic")

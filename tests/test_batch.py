@@ -1,0 +1,215 @@
+"""The batched oracle loop against one oracle at a time.
+
+A batch of R oracles runs as one state whose leading log2 R qubits pick
+the oracle.  Each row must be bit for bit the output of that oracle's
+own circuit, and each per-row statistic bit for bit what the one-table
+routine, or the literal formula it replaced, gives for that row alone.
+"""
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+import compsearch as cs
+from compsearch import Distribution, DyadicReal, StateVector, analytic, cli, gates, refutation, state
+from conftest import random_exact_state, random_float_state
+
+
+def batch_rows(monkeypatch, n: int, rows: int) -> None:
+    """Make the sweep loop run oracles on n bits ``rows`` at a time."""
+    monkeypatch.setattr(refutation, "_BATCH_AMPS", rows << (2 * n))
+
+
+def row_state(out: StateVector, rows: int, r: int) -> StateVector:
+    """Row r of a batched state as a state of its own."""
+    m = out.num_qubits - (rows.bit_length() - 1)
+    planes = [p.reshape(rows, -1)[r].copy() for p in out._planes]
+    return StateVector._from_planes(m, out.backend, planes, out._h)
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
+    # Four rows a batch over seven oracles: the last three run as 2 + 1.
+    batch_rows(monkeypatch, n, 4)
+    rng = np.random.Generator(np.random.PCG64(10 + n))
+    oracles = [cs.random_oracle(n, rng) for _ in range(7)]
+    sizes, seen = [], []
+    for batch, out, match, dev in refutation._verdicts(n, backend, oracles):
+        rows = len(batch)
+        sizes.append(rows)
+        assert out.num_qubits == (rows.bit_length() - 1) + 2 * n
+        for r, f in enumerate(batch):
+            want = cs.simulate(cs.build_comparison_search(n, f), backend)
+            got = row_state(out, rows, r)
+            if backend == cs.EXACT:
+                assert got == want
+            else:
+                assert np.array_equal(got._planes[0], want._planes[0])
+            target = cs.target_output(n, f, backend)
+            assert match[r] is True
+            assert dev[r] == want.max_abs_diff(target)
+            seen.append(f)
+    assert sizes == [4, 2, 1] and seen == oracles
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_sweep_report_does_not_depend_on_batch_size(monkeypatch, backend):
+    whole = json.dumps(cs.sweep_all_f(3, backend).to_dict())
+    for rows in (1, 4):
+        batch_rows(monkeypatch, 3, rows)
+        assert json.dumps(cs.sweep_all_f(3, backend).to_dict()) == whole
+
+
+def test_sign_table_rows_are_the_truth_tables():
+    rng = np.random.Generator(np.random.PCG64(3))
+    for n in range(1, 8):
+        oracles = [cs.random_oracle(n, rng) for _ in range(5)]
+        table = state._sign_table(n, oracles)
+        assert table.dtype == np.int64
+        want = [[1 - 2 * ((f.table >> k) & 1) for k in range(1 << n)] for f in oracles]
+        assert table.tolist() == want
+    with pytest.raises(ValueError):
+        state._sign_table(2, [cs.BooleanOracle(2, 1), cs.BooleanOracle(3, 1)])
+    with pytest.raises(ValueError):
+        gates._apply_signs(StateVector(4), np.ones((3, 4), np.int64), 1)
+
+
+def random_row_table(rng, rows: int, m: int, exact: bool) -> Distribution:
+    """``rows`` unequal tables over m qubits, as one row table; exact
+    ones are unnormalized, which the TV and marginal code do not read."""
+    if exact:
+        pa, pb = (rng.integers(-50, 50, size=(rows, 1 << m)) for _ in range(2))
+        return Distribution._of((pa, pb), int(rng.integers(0, 5)))
+    p = rng.random((rows, 1 << m))
+    return Distribution._of((p / p.sum(axis=1, keepdims=True),))
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_row_statistics_equal_one_table_at_a_time(m):
+    rng = np.random.Generator(np.random.PCG64(m))
+    rows = 8
+    ranges = [(m // 2 + 1, m), (1, m // 2), (2, m - 1), (1, m)]
+    for exact in (False, True):
+        table = random_row_table(rng, rows, m, exact)
+        other = random_row_table(rng, rows, m, exact)
+        to_one = refutation._tv_rows(table, other._row(3))
+        row_by_row = refutation._tv_rows(table, other)
+        margs = {span: cs.marginal(table, *span) for span in ranges}
+        for r in range(rows):
+            one = table._row(r)
+            assert to_one[r] == cs.tv_distance(one, other._row(3)) != 0
+            assert row_by_row[r] == cs.tv_distance(one, other._row(r)) != 0
+            if not exact:
+                # The one-table formulas of the unbatched loop.
+                p, q = one.planes[0], other.planes[0][r]
+                assert to_one[r].hex() == (0.5 * float(np.abs(p - other.planes[0][3]).sum())).hex()
+                assert row_by_row[r].hex() == (0.5 * float(np.abs(p - q).sum())).hex()
+            for (first, last), marg in margs.items():
+                want = cs.marginal(one, first, last)
+                pre, keep, post = 1 << (first - 1), 1 << (last - first + 1), 1 << (m - last)
+                for got, plane, full in zip(marg.planes, want.planes, one.planes):
+                    assert got[r].tobytes() == plane.tobytes()
+                    if pre * post > 1:
+                        literal = full.reshape(pre, keep, post).sum(axis=(0, 2))
+                        assert got[r].tobytes() == literal.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [4, 1 << 16])
+def test_row_deviations_equal_one_state_at_a_time(monkeypatch, chunk):
+    monkeypatch.setattr(state, "_COMPARE_CHUNK", chunk)
+    rng = np.random.Generator(np.random.PCG64(chunk))
+    rows, m = 4, 6
+    pairs = [
+        (random_float_state(m + 2, rng), random_float_state(m + 2, rng)),
+        (random_exact_state(m + 2, rng, depth=30), random_float_state(m + 2, rng)),
+        (random_exact_state(m + 2, rng, depth=30), random_exact_state(m + 2, rng, depth=30)),
+    ]
+    for x, y in pairs:
+        dev = x._deviations(y, rows)
+        whole = x.to_float_array().reshape(rows, -1) - y.to_float_array().reshape(rows, -1)
+        for r in range(rows):
+            # The unchunked formula of max_abs_diff before it took slices.
+            want = float(np.max(np.abs(whole[r])))
+            assert dev[r] == want > 0
+            assert row_state(x, rows, r).max_abs_diff(row_state(y, rows, r)) == want
+        assert x.max_abs_diff(y) == float(np.max(np.abs(whole)))
+
+
+def test_row_equality_compares_values_across_h(monkeypatch):
+    monkeypatch.setattr(state, "_COMPARE_CHUNK", 4)
+    rng = np.random.Generator(np.random.PCG64(8))
+    rows = 4
+    x = random_exact_state(5, rng, depth=20)
+    for shift in (1, 3):
+        planes = [p << shift for p in x._planes]
+        planes[0][1] += 1  # row 0: not a multiple of 2^shift
+        planes[0][9] += 1 << shift  # row 1: a multiple, another value
+        y = StateVector._from_planes(5, cs.EXACT, planes, x._h + shift)
+        y._h = x._h + shift  # undo the reduction to minimal h
+        want = [
+            row_state(x, rows, r).amplitudes() == row_state(y, rows, r).amplitudes()
+            for r in range(rows)
+        ]
+        assert want == [False, False, True, True]
+        assert x._rows_equal(y, rows) == y._rows_equal(x, rows) == want
+    # Past 63 bits only a zero row can equal a row at the larger h.
+    zero = StateVector._from_planes(5, cs.EXACT, [np.zeros(32, np.int64)] * 2, 0)
+    zero._h = x._h + 70
+    cleared = x.copy()
+    for p in cleared._planes:
+        p[8:16] = 0
+    assert cleared._rows_equal(zero, rows) == [False, True, False, False]
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_one_corrupted_target_row_fails_only_its_oracle(monkeypatch, backend, tmp_path):
+    build = refutation._target_rows
+
+    def corrupted(n, signs, backend):
+        signs = signs.copy()
+        signs[5, 2] *= -1
+        return build(n, signs, backend)
+
+    monkeypatch.setattr(refutation, "_target_rows", corrupted)
+    rep = cs.sweep_all_f(2, backend)
+    assert [v.oracle_id for v in rep.verdicts if not v.exact_match] == [5]
+    assert not rep.all_match
+    assert rep.max_deviation == rep.verdicts[5].max_deviation == 1.0
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--n", "2", "--all-f", "--backend", backend, "--out", str(out)]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results["all_match"] is False and results["oracles_checked"] == 16
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_target_runs_no_gate_or_circuit_code(backend):
+    rng = np.random.Generator(np.random.PCG64(4))
+    oracles = [cs.random_oracle(3, rng) for _ in range(4)]
+    files = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        cs.target_output(3, oracles[0], backend)
+        analytic._target_rows(3, state._sign_table(3, oracles), backend)
+    finally:
+        sys.setprofile(None)
+    assert analytic.__file__ in files
+    assert gates.__file__ not in files and cs.circuit.__file__ not in files
+
+
+def test_target_rows_are_target_outputs():
+    rng = np.random.Generator(np.random.PCG64(6))
+    oracles = [cs.random_oracle(2, rng) for _ in range(4)]
+    for backend in cs.BACKENDS:
+        rows = analytic._target_rows(2, state._sign_table(2, oracles), backend)
+        for r, f in enumerate(oracles):
+            assert row_state(rows, 4, r) == cs.target_output(2, f, backend)
+    unit = DyadicReal.inv_sqrt2_pow(2)
+    assert cs.target_output(2, oracles[0]).amplitude(0) in (unit, -unit)

@@ -6,10 +6,10 @@ import pytest
 import compsearch as cs
 from compsearch import BooleanOracle, DyadicReal, StateVector
 from compsearch.circuit import Checkpoint, Circuit, GatePlacement, PhaseOraclePlacement
-from conftest import basis_state, grover_success_dense
+from conftest import basis_state, constant_oracle, grover_success_dense
 
 INV = DyadicReal(0, 1, 1)
-F0_1 = BooleanOracle.constant(1, 0)
+F0_1 = constant_oracle(1, 0)
 
 
 def bell_plus() -> StateVector:
@@ -42,13 +42,13 @@ class TestBuildComparisonSearch:
         assert oracle_op.reg_start == 2
 
     def test_n2_gate_count(self):
-        c = cs.build_comparison_search(2, BooleanOracle.constant(2, 0))
+        c = cs.build_comparison_search(2, constant_oracle(2, 0))
         assert sum(not isinstance(op, Checkpoint) for op in c.ops) == 4 + 1 + 2
         labels = tuple(op.label for op in c.ops if isinstance(op, Checkpoint))
         assert labels == cs.CHECKPOINT_LABELS
 
     def test_n3_comparison_placements_descending(self):
-        c = cs.build_comparison_search(3, BooleanOracle.constant(3, 0))
+        c = cs.build_comparison_search(3, constant_oracle(3, 0))
         pairs = [
             op.qubits for op in c.ops if isinstance(op, GatePlacement) and len(op.qubits) == 2
         ]
@@ -188,6 +188,6 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit(2, (GatePlacement((1, 2), cs.hadamard()),))
         with pytest.raises(ValueError):
-            Circuit(2, (PhaseOraclePlacement(2, BooleanOracle.constant(2, 0)),))
+            Circuit(2, (PhaseOraclePlacement(2, constant_oracle(2, 0)),))
         with pytest.raises(ValueError):
-            Circuit(2, (PhaseOraclePlacement(0, BooleanOracle.constant(1, 0)),))
+            Circuit(2, (PhaseOraclePlacement(0, constant_oracle(1, 0)),))

@@ -10,6 +10,7 @@ from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
     basis_state,
+    constant_oracle,
     dense_one_qubit,
     dense_phase_oracle,
     dense_two_qubit,
@@ -26,6 +27,7 @@ from conftest import (
     random_float_state,
     swapped,
     tensor,
+    to_float,
 )
 
 INV = DyadicReal(0, 1, 1)
@@ -158,7 +160,7 @@ class TestApplyGate1:
         rng = np.random.Generator(np.random.PCG64(3))
         for q in (1, 2, 3):
             s = random_exact_state(3, rng)
-            f = s.to_float()
+            f = to_float(s)
             cs.apply_gate1(s, q, cs.hadamard())
             cs.apply_gate1(f, q, cs.hadamard())
             assert s.max_abs_diff(f) <= 1e-12
@@ -194,7 +196,7 @@ class TestApplyGate2:
         # A gate whose size does not match its qubit count (2x2 on a pair,
         # 4x4 on one qubit) is refused before any write, on both backends.
         exact = random_exact_state(3, np.random.Generator(np.random.PCG64(22)))
-        for s in (exact, exact.to_float()):
+        for s in (exact, to_float(exact)):
             before = s.copy()
             with pytest.raises(ValueError):
                 cs.apply_gate2(s, 1, 2, cs.hadamard())
@@ -229,7 +231,7 @@ class TestPhaseOracle:
     def test_zero_oracle_is_noop(self):
         rng = np.random.Generator(np.random.PCG64(7))
         s = random_exact_state(3, rng)
-        assert cs.apply_phase_oracle(s.copy(), BooleanOracle.constant(3, 0), 1) == s
+        assert cs.apply_phase_oracle(s.copy(), constant_oracle(3, 0), 1) == s
 
     def test_flips_plus_to_minus(self):
         s = StateVector.from_amplitudes([INV, INV])
@@ -258,7 +260,7 @@ class TestPhaseOracle:
 
     def test_window_out_of_range(self):
         with pytest.raises(ValueError):
-            cs.apply_phase_oracle(StateVector(3), BooleanOracle.constant(2, 0), 3)
+            cs.apply_phase_oracle(StateVector(3), constant_oracle(2, 0), 3)
 
     def test_unitary_as_explicit_matrix(self):
         # Diagonal +-1 matrix at n <= 3: columns are orthonormal exactly.
@@ -276,7 +278,7 @@ class TestAncillaOracle:
     def test_zero_oracle_is_noop(self):
         rng = np.random.Generator(np.random.PCG64(9))
         s = random_exact_state(3, rng)
-        assert apply_ancilla_oracle(s, BooleanOracle.constant(2, 0)) == s
+        assert apply_ancilla_oracle(s, constant_oracle(2, 0)) == s
 
     def test_xor_semantics(self):
         f = BooleanOracle.from_marked(1, [1])
@@ -295,7 +297,7 @@ class TestAncillaOracle:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            apply_ancilla_oracle(StateVector(3), BooleanOracle.constant(3, 0))
+            apply_ancilla_oracle(StateVector(3), constant_oracle(3, 0))
 
     def test_unitary_as_explicit_matrix(self):
         # Permutation matrix at n <= 3 (acting on n+1 qubits).

@@ -7,10 +7,12 @@ from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, ref
 from conftest import (
     EXACT_MATRICES,
     basis_state,
+    constant_oracle,
     empirical_distribution,
     random_exact_state,
     random_float_state,
     sample,
+    to_float,
 )
 
 INV = DyadicReal(0, 1, 1)
@@ -56,7 +58,7 @@ class TestDistribution:
 
     def test_output_distribution_ignores_oracle(self):
         quarter = DyadicReal(1, 0, 2)
-        for f in (BooleanOracle.constant(2, 0), BooleanOracle.from_marked(2, [1, 2])):
+        for f in (constant_oracle(2, 0), BooleanOracle.from_marked(2, [1, 2])):
             d = cs.distribution(cs.target_output(2, f))
             for k in range(4):
                 assert d[k * 4 + k] == quarter
@@ -73,7 +75,7 @@ class TestDistribution:
                         assert d[(j << n) | k] == want
 
     def test_float_backend(self):
-        d = cs.distribution(bell_plus().to_float())
+        d = cs.distribution(to_float(bell_plus()))
         assert not d.exact
         np.testing.assert_allclose(d.as_float_array(), [0.5, 0, 0, 0.5], atol=1e-15)
 
@@ -144,7 +146,7 @@ class TestMarginal:
             assert 3 * max(wide._scan()) ** 2 << wide.num_qubits >= 1 << 62
             states = [random_exact_state(6, rng, depth=30), output_for(3, BooleanOracle(3, 0x5a)), wide]
         else:
-            states = [random_float_state(6, rng), output_for(3, BooleanOracle(3, 0x5a)).to_float()]
+            states = [random_float_state(6, rng), to_float(output_for(3, BooleanOracle(3, 0x5a)))]
         for s in states:
             m = s.num_qubits
             full = cs.distribution(s)
@@ -299,12 +301,14 @@ class TestSweep:
 
     def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
         # Every float table at n = 3 is bitwise the first one, so no pair
-        # is compared: one tv_distance call per oracle, to the first table.
+        # is compared: tv_distance, which the all-pairs loop calls, is
+        # never called (each oracle's distance to the first table is taken
+        # over its batch).
         calls = []
         tv = refutation.tv_distance
         monkeypatch.setattr(refutation, "tv_distance", lambda p, q: calls.append(1) or tv(p, q))
         rep = cs.sweep_all_f(3, cs.FLOAT)
-        assert rep.oracle_count == len(calls) == 256
+        assert rep.oracle_count == 256 and calls == []
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
 
     def test_all_pairs_when_tables_differ(self):

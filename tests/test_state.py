@@ -3,7 +3,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
-from conftest import basis_state, tensor
+from conftest import basis_state, bits, constant_oracle, tensor, to_float
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
@@ -12,7 +12,7 @@ class TestBitString:
     def test_msb_first_accessor(self):
         x = BitString(0b101, 3)
         assert (x.bit(1), x.bit(2), x.bit(3)) == (1, 0, 1)
-        assert x.bits() == (1, 0, 1)
+        assert bits(x) == (1, 0, 1)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -36,8 +36,8 @@ class TestBooleanOracle:
         assert f == BooleanOracle(2, 0xA)
 
     def test_constant(self):
-        assert BooleanOracle.constant(2, 0).table == 0
-        assert BooleanOracle.constant(2, 1).table == 0b1111
+        assert constant_oracle(2, 0).table == 0
+        assert constant_oracle(2, 1).table == 0b1111
 
     def test_truth_values_and_signs(self):
         f = BooleanOracle(3, 0b10110100)
@@ -97,7 +97,7 @@ class TestStateVector:
             StateVector.from_amplitudes(amps, cs.FLOAT)
 
     def test_float_amplitudes_are_real(self):
-        s = StateVector.from_amplitudes([INV, -INV]).to_float()
+        s = to_float(StateVector.from_amplitudes([INV, -INV]))
         assert type(s.amplitude(1)) is float
         assert all(type(a) is float for a in s.amplitudes())
 
@@ -105,7 +105,7 @@ class TestStateVector:
     def test_to_float_array_is_float64(self, backend):
         s = StateVector.from_amplitudes([INV, 0, 0, -INV])
         if backend == cs.FLOAT:
-            s = s.to_float()
+            s = to_float(s)
         assert s.to_float_array().dtype == np.float64
         assert s.to_float_array().tolist() == [2**-0.5, 0.0, 0.0, -(2**-0.5)]
 
@@ -166,7 +166,7 @@ class TestStateVector:
         np.testing.assert_allclose(
             s.to_float_array(), [2**-0.5, -(2**-0.5)], rtol=0, atol=1e-15
         )
-        f = s.to_float()
+        f = to_float(s)
         assert f.backend == cs.FLOAT
         assert s.max_abs_diff(f) < 1e-15
 
