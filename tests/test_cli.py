@@ -241,6 +241,12 @@ REPORT_DIGESTS = {
         "df5f0edc0e65f526d1f72c08d1d2fa49adc4054afff758d6e4245cad81db7e68",
     "sweep --n 2 --backend exact --format csv":
         "73b6c22363460d47760d83c1ddd956fca8906d7468237b425e5c2dca04f887fd",
+    "sweep --n 5 --backend float --seed 7 --format csv":
+        "f3409e0df8eab3224cf1dd6e5c29a575efd3a194f987657c7eff2a6e952ce7fa",
+    "sweep --n 1 --backend exact":
+        "75aa7abcef60d9c78c9230ea0e625a5cfc17c11d67c77829bbb42062b714286c",
+    "sweep --n 6 --backend exact --seed 3":
+        "b62a4ab392019250160e5864c2538693377a92502323d77789267e3edae9b257",
 }
 
 
