@@ -14,8 +14,11 @@ Oracle specification: ``--marked k1,k2,...`` or ``--truth-table 0x<hex>``
 Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 3 I/O error.  Report files are deterministic: stable key order, no
 timestamps, so identical invocations produce byte-identical bytes.
-Every command, on either backend, is capped at n <= 12 (2^24 amplitudes)
-to bound memory.  ``trace`` is also capped at n <= 4, as it prints whole
+Reports are written as they are encoded, a sweep's one verdict row at a
+time, so no report is held whole as one string; they go to a temporary
+file that replaces ``--out`` only once it is complete.  Every command,
+on either backend, is capped at n <= 12 (2^24 amplitudes) to bound
+memory.  ``trace`` is also capped at n <= 4, as it prints whole
 states, and ``verify --all-f`` at n <= EXHAUSTIVE_SWEEP_MAX_N, as it
 runs all 2^(2^n) oracles.
 """
@@ -29,6 +32,7 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 
 from . import __version__, analytic
 from .circuit import (
@@ -120,20 +124,72 @@ def _document(command: str, parameters: dict, results: dict) -> dict:
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
-def _sweep_csv(report) -> str:
-    lines = ["oracle_id,exact_match,max_dev,tv_to_first"]
+
+# json writes a float as float.__repr__ does, except for these three.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# One sweep verdict as _dump_json writes it in results.verdicts: keys
+# sorted, at depth 3.
+_VERDICT_JSON = (
+    "      {{\n"
+    '        "exact_match": {},\n'
+    '        "max_dev": {},\n'
+    '        "oracle_id": {},\n'
+    '        "table": "{:#x}",\n'
+    '        "tv_to_first": {}\n'
+    "      }}"
+)
+
+
+def _verdict_json(v) -> str:
+    return _VERDICT_JSON.format(
+        "true" if v.exact_match else "false",
+        _json_float(v.max_deviation),
+        v.oracle_id,
+        v.table,
+        _json_float(v.tv_to_first),
+    )
+
+
+def _sweep_json(doc: dict, verdicts) -> Iterator[str]:
+    """The bytes of ``_dump_json`` for the sweep document ``doc`` with
+    ``verdicts`` in place of its empty ``results.verdicts``, one verdict
+    a piece, so the whole report is never held as one string."""
+    # Only results has a "verdicts" key, and it sorts last there.
+    head, empty, tail = _dump_json(doc).partition('"verdicts": []')
+    if not verdicts:
+        yield head + empty + tail
+        return
+    sep = head + '"verdicts": [\n'
+    for v in verdicts:
+        yield sep + _verdict_json(v)
+        sep = ",\n"
+    yield "\n    ]" + tail
+
+
+def _sweep_csv(report) -> Iterator[str]:
+    yield "oracle_id,exact_match,max_dev,tv_to_first\n"
     for v in report.verdicts:
-        lines.append(
+        yield (
             f"{v.oracle_id},{'true' if v.exact_match else 'false'},"
-            f"{v.max_deviation!r},{v.tv_to_first!r}"
+            f"{v.max_deviation!r},{v.tv_to_first!r}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``path`` through a unique temporary file in its directory,
-    so no reader sees a partial report and concurrent writers do not
-    share a file; the temporary file is removed on any failure."""
+def _write_atomic(path: str, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to ``path``, each as it comes, through a
+    unique temporary file in its directory, so no reader sees a partial
+    report and concurrent writers do not share a file; the temporary
+    file is removed on any failure, a failing piece included."""
+    if isinstance(pieces, str):
+        # writelines would take it one character at a time.
+        raise TypeError("_write_atomic takes an iterable of text pieces, not a str")
     try:
         fd, tmp = tempfile.mkstemp(
             prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
@@ -145,7 +201,7 @@ def _write_atomic(path: str, text: str) -> None:
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -158,7 +214,7 @@ def _write_atomic(path: str, text: str) -> None:
 def _maybe_write(args, doc: dict) -> None:
     out = getattr(args, "out", None)
     if out:
-        _write_atomic(out, _dump_json(doc))
+        _write_atomic(out, [_dump_json(doc)])
 
 
 def cmd_verify(args) -> tuple[int, dict]:
@@ -265,10 +321,13 @@ def cmd_sweep(args) -> tuple[int, dict]:
             "seed": args.seed,
             "format": args.format,
         },
-        report.to_dict(),
+        # The rows are left out here and written straight from the report.
+        {**report.summary(), "verdicts": []},
     )
-    text = _dump_json(doc) if args.format == "json" else _sweep_csv(report)
-    _write_atomic(args.out, text)
+    if args.format == "json":
+        _write_atomic(args.out, _sweep_json(doc, report.verdicts))
+    else:
+        _write_atomic(args.out, _sweep_csv(report))
     status = "ok" if report.all_match else "FAILED"
     print(
         f"sweep n={args.n} backend={backend}: {report.oracle_count} oracles, "

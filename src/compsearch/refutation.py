@@ -252,7 +252,8 @@ class SweepReport:
     def oracle_count(self) -> int:
         return len(self.verdicts)
 
-    def to_dict(self) -> dict:
+    def summary(self) -> dict:
+        """Every field of :meth:`to_dict` but the verdicts."""
         return {
             "n": self.n,
             "backend": self.backend,
@@ -265,6 +266,11 @@ class SweepReport:
             "marginal_uniformity_deviation": self.marginal_uniformity_deviation,
             "max_pairwise_tv": self.max_pairwise_tv,
             "max_pairwise_tv_is_exact": self.max_pairwise_tv_is_exact,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self.summary(),
             "verdicts": [
                 {
                     "oracle_id": v.oracle_id,

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compsearch import __version__, cli
 from compsearch.cli import main
+from compsearch.refutation import OracleVerdict, SweepReport, sweep_all_f
 
 
 def run_cli(*argv):
@@ -153,6 +157,153 @@ class TestSweep:
         assert run_cli("sweep", "--n", "1", "--out", str(tmp_path / "out")) == 3
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list((tmp_path / "out").iterdir()) == []
+
+
+def _report(verdicts, *, seed=None, **summary):
+    fields = dict(n=3, backend="float", exhaustive=seed is None, seed=seed,
+                  rng_algorithm=None if seed is None else "numpy-pcg64")
+    return SweepReport(**fields, verdicts=list(verdicts), **summary)
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+
+CRAFTED_REPORTS = {
+    "special floats": _report(
+        [OracleVerdict(i, i, i % 2 == 0, x, y)
+         for i, (x, y) in enumerate(zip(SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]))],
+        max_deviation=math.nan, marginal_uniformity_deviation=math.inf,
+        max_pairwise_tv=-0.0, max_pairwise_tv_is_exact=False,
+    ),
+    "4096-bit tables": _report(
+        [OracleVerdict(0, (1 << 4096) - 1, True, 0.0, 0.0),
+         OracleVerdict(1, 1 << 4095, False, 2.5, 1e-17)],
+        all_match=False,
+    ),
+    "no verdicts": _report([]),
+    "sampled header": _report([OracleVerdict(0, 0x5A, True, 1e-16, 0.0)], seed=7),
+}
+
+
+def _old_sweep_csv(report):
+    """The CSV report as it was built before rows were streamed: joined."""
+    lines = ["oracle_id,exact_match,max_dev,tv_to_first"]
+    for v in report.verdicts:
+        lines.append(
+            f"{v.oracle_id},{'true' if v.exact_match else 'false'},"
+            f"{v.max_deviation!r},{v.tv_to_first!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _sweep_texts(mp, report):
+    """The JSON and CSV text that ``sweep`` writes for ``report``, joined
+    from the pieces handed to the writer, next to the texts expected from
+    ``to_dict`` and from the old joined CSV."""
+    written = {}
+
+    def capture(path, pieces):
+        assert not isinstance(pieces, str)
+        written[path] = "".join(pieces)
+
+    mp.setattr(cli, "sweep_all_f", lambda n, backend, *, seed: report)
+    mp.setattr(cli, "_write_atomic", capture)
+    for fmt in ("json", "csv"):
+        assert run_cli("sweep", "--n", "3", "--backend", "float", "--seed", "7",
+                       "--format", fmt, "--out", fmt) == (0 if report.all_match else 1)
+    doc = {
+        "command": "sweep",
+        "parameters": {"n": 3, "backend": "float", "seed": 7, "format": "json"},
+        "results": report.to_dict(),
+        "version": __version__,
+    }
+    expected = {
+        "json": json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
+        "csv": _old_sweep_csv(report),
+    }
+    return written, expected
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("name", sorted(CRAFTED_REPORTS))
+    def test_pieces_join_to_the_whole_document(self, monkeypatch, name):
+        written, expected = _sweep_texts(monkeypatch, CRAFTED_REPORTS[name])
+        assert written == expected
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_real_sweep_joins_to_the_whole_document(self, monkeypatch, backend):
+        written, expected = _sweep_texts(monkeypatch, sweep_all_f(2, backend))
+        assert written == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        OracleVerdict,
+        st.integers(0, 1 << 20),
+        st.integers(0, (1 << 4096) - 1),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ), max_size=6))
+    def test_finite_floats_join_to_the_whole_document(self, verdicts):
+        with pytest.MonkeyPatch.context() as mp:
+            written, expected = _sweep_texts(mp, _report(verdicts))
+        assert written == expected
+
+    def test_no_verdict_dicts_are_built(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the sweep report was built as one dict")
+
+        monkeypatch.setattr(SweepReport, "to_dict", refuse)
+        path = tmp_path / "s.json"
+        assert run_cli("sweep", "--n", "2", "--out", str(path)) == 0
+        assert len(json.loads(path.read_text())["results"]["verdicts"]) == 16
+
+    @pytest.mark.parametrize("error, code", [(RuntimeError, None), (OSError, 3)])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_mid_stream_keeps_the_old_report(
+        self, tmp_path, monkeypatch, error, code, existing
+    ):
+        path = tmp_path / "sweep.json"
+        if existing:
+            path.write_bytes(b'{"old": "report"}\n')
+        render = cli._verdict_json
+
+        def failing(v):
+            if v.oracle_id == 9:
+                raise error("row failed")
+            return render(v)
+
+        monkeypatch.setattr(cli, "_verdict_json", failing)
+        argv = ("sweep", "--n", "2", "--out", str(path))
+        if code is None:
+            with pytest.raises(error, match="row failed"):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == code
+        assert not list(tmp_path.glob("*.tmp"))
+        if existing:
+            assert path.read_bytes() == b'{"old": "report"}\n'
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_failure_mid_csv_keeps_the_old_report(self, tmp_path, monkeypatch):
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("row failed")
+
+        report = sweep_all_f(2, "float")
+        report.verdicts[9] = dataclasses.replace(report.verdicts[9], tv_to_first=Unprintable(0.0))
+        monkeypatch.setattr(cli, "sweep_all_f", lambda n, backend, *, seed: report)
+        path = tmp_path / "sweep.csv"
+        path.write_bytes(b"old,report\n")
+        with pytest.raises(RuntimeError, match="row failed"):
+            run_cli("sweep", "--n", "2", "--format", "csv", "--out", str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+        assert path.read_bytes() == b"old,report\n"
+
+    def test_bare_str_is_refused(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_atomic(str(tmp_path / "r.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGroverCompare:
