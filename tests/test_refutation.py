@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
+from compsearch.circuit import Circuit, GatePlacement, PhaseOraclePlacement
 from conftest import (
     EXACT_MATRICES,
     basis_state,
@@ -317,6 +318,35 @@ class TestSweep:
         rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
         refutation._fill_pairwise_tv(rep, dists, identical=False)
         assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_control_takes_the_all_pairs_path(self, monkeypatch, n, backend):
+        # A broken circuit whose output depends on the oracle: H on every
+        # qubit, the oracle on the second register, then H on it again, so
+        # the second register reads the oracle's Walsh spectrum.  Every
+        # table is compared with every other, end to end through the sweep.
+        def broken(n, f):
+            h = cs.hadamard()
+            ops = [GatePlacement((q,), h) for q in range(1, 2 * n + 1)]
+            ops.append(PhaseOraclePlacement(n + 1, f))
+            ops += [GatePlacement((q,), h) for q in range(n + 1, 2 * n + 1)]
+            return Circuit(2 * n, tuple(ops))
+
+        monkeypatch.setattr(refutation, "build_comparison_search", broken)
+        rep = cs.sweep_all_f(n, backend)
+        dists = [cs.distribution(cs.simulate(broken(n, f), backend)) for f in cs.all_oracles(n)]
+        assert rep.oracle_count == len(dists) <= refutation._ALL_PAIRS_LIMIT
+        assert not rep.all_match
+        for v, d in zip(rep.verdicts, dists):
+            assert v.tv_to_first == float(cs.tv_distance(d, dists[0]))
+        worst = max(
+            float(cs.tv_distance(dists[i], dists[j]))
+            for i in range(len(dists))
+            for j in range(i + 1, len(dists))
+        )
+        assert worst > 0.0
+        assert rep.max_pairwise_tv == worst and rep.max_pairwise_tv_is_exact
 
     def test_report_dict_shape(self):
         d = cs.sweep_all_f(1).to_dict()
