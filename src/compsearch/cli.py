@@ -14,13 +14,14 @@ Oracle specification: ``--marked k1,k2,...`` or ``--truth-table 0x<hex>``
 Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 3 I/O error.  Report files are deterministic: stable key order, no
 timestamps, so identical invocations produce byte-identical bytes.
-Reports are written as they are encoded, a sweep's one verdict row at a
-time, so no report is held whole as one string; they go to a temporary
-file that replaces ``--out`` only once it is complete.  Every command,
-on either backend, is capped at n <= 12 (2^24 amplitudes) to bound
-memory.  ``trace`` is also capped at n <= 4, as it prints whole
-states, and ``verify --all-f`` at n <= EXHAUSTIVE_SWEEP_MAX_N, as it
-runs all 2^(2^n) oracles.
+Each command returns its exit code and its report as text pieces, and
+``main`` alone writes them.  Reports are written as they are encoded, a
+sweep's one verdict row at a time, so no report is held whole as one
+string; they go to a temporary file that replaces ``--out`` only once
+it is complete.  Every command, on either backend, is capped at
+n <= 12 (2^24 amplitudes) to bound memory.  ``trace`` is also capped at
+n <= 4, as it prints whole states, and ``verify --all-f`` at
+n <= EXHAUSTIVE_SWEEP_MAX_N, as it runs all 2^(2^n) oracles.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector, all_ora
 from .refutation import (
     EXHAUSTIVE_SWEEP_MAX_N,
     _check_oracles,
+    _match_rows,
     compare_grover,
     sweep_all_f,
 )
@@ -211,13 +213,7 @@ def _write_atomic(path: str, pieces: Iterable[str]) -> None:
         raise CLIError(3, f"cannot write {path}: {exc}") from exc
 
 
-def _maybe_write(args, doc: dict) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        _write_atomic(out, [_dump_json(doc)])
-
-
-def cmd_verify(args) -> tuple[int, dict]:
+def cmd_verify(args) -> tuple[int, list[str]]:
     backend = _resolve_backend(args)
     _check_caps(args.n)
     f = _parse_oracle(args, args.n)
@@ -251,10 +247,10 @@ def cmd_verify(args) -> tuple[int, dict]:
         f"verify n={args.n} backend={backend}: {checked} oracle(s), "
         f"max deviation {max_dev:.3g} -> {status}"
     )
-    return (0 if all_match else 1), doc
+    return (0 if all_match else 1), [_dump_json(doc)]
 
 
-def cmd_trace(args) -> tuple[int, dict]:
+def cmd_trace(args) -> tuple[int, list[str]]:
     backend = _resolve_backend(args)
     _check_caps(args.n)
     if args.n > 4:
@@ -275,14 +271,11 @@ def cmd_trace(args) -> tuple[int, dict]:
     }
     target = analytic.target_output(args.n, f, backend)
 
-    def matches(a: StateVector, b: StateVector) -> bool:
-        return a == b if backend == EXACT else a.max_abs_diff(b) <= FLOAT_ATOL
-
     checkpoints = []
     all_match = True
     for label in CHECKPOINT_LABELS:
         state = trace[label]
-        ok = matches(state, reference[label])
+        ok = _match_rows(state, reference[label], 1)[0][0]
         all_match = all_match and ok
         checkpoints.append(
             {
@@ -295,7 +288,7 @@ def cmd_trace(args) -> tuple[int, dict]:
             }
         )
         print(f"{label:>5}: {state.terms()}   analytic match: {'yes' if ok else 'NO'}")
-    target_ok = matches(trace[PSI3], target)
+    target_ok = _match_rows(trace[PSI3], target, 1)[0][0]
     all_match = all_match and target_ok
     print(f"final state equals diagonal target: {'yes' if target_ok else 'NO'}")
 
@@ -304,10 +297,10 @@ def cmd_trace(args) -> tuple[int, dict]:
         {"n": args.n, "backend": backend, "oracle": _oracle_params(f)},
         {"checkpoints": checkpoints, "target_match": target_ok, "all_match": all_match},
     )
-    return (0 if all_match else 1), doc
+    return (0 if all_match else 1), [_dump_json(doc)]
 
 
-def cmd_sweep(args) -> tuple[int, dict]:
+def cmd_sweep(args) -> tuple[int, Iterator[str]]:
     backend = _resolve_backend(args)
     _check_caps(args.n)
     if not args.out:
@@ -324,19 +317,16 @@ def cmd_sweep(args) -> tuple[int, dict]:
         # The rows are left out here and written straight from the report.
         {**report.summary(), "verdicts": []},
     )
-    if args.format == "json":
-        _write_atomic(args.out, _sweep_json(doc, report.verdicts))
-    else:
-        _write_atomic(args.out, _sweep_csv(report))
     status = "ok" if report.all_match else "FAILED"
     print(
         f"sweep n={args.n} backend={backend}: {report.oracle_count} oracles, "
         f"max pairwise TV {report.max_pairwise_tv:.3g} -> {status} ({args.out})"
     )
-    return (0 if report.all_match else 1), doc
+    pieces = _sweep_json(doc, report.verdicts) if args.format == "json" else _sweep_csv(report)
+    return (0 if report.all_match else 1), pieces
 
 
-def cmd_grover_compare(args) -> tuple[int, dict]:
+def cmd_grover_compare(args) -> tuple[int, list[str]]:
     _check_caps(args.n)
     if args.marked is None:
         raise CLIError(2, "grover-compare needs --marked <element>")
@@ -363,7 +353,7 @@ def cmd_grover_compare(args) -> tuple[int, dict]:
         f"  grover ({rec.grover_iterations} iterations): p = {rec.grover_probability:.6g},"
         f" empirical {rec.grover_empirical_frequency:.6g}"
     )
-    return 0, doc
+    return 0, [_dump_json(doc)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,9 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        code, doc = args.func(args)
-        if args.command != "sweep":
-            _maybe_write(args, doc)
+        code, pieces = args.func(args)
+        if args.out:
+            _write_atomic(args.out, pieces)
         # Timing goes to stderr only; report files stay byte-deterministic.
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
         return code

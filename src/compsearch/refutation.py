@@ -31,18 +31,19 @@ from .circuit import (
     grover_optimal_iterations,
     simulate,
 )
-from .dyadic import SQRT2, DyadicReal
+from .dyadic import DyadicReal
 from .state import (
     EXACT,
     FLOAT,
     FLOAT_ATOL,
     BACKENDS,
-    BitString,
     BooleanOracle,
     StateVector,
     _abs_max,
+    _as_float,
     _sign_table,
     _sum_out,
+    _value,
     all_oracles,
     random_oracle,
 )
@@ -123,13 +124,7 @@ class Distribution:
         """The sum of each row of a row table, or of the table as one
         row: DyadicReal for an exact table, float for a float one."""
         sums = [np.atleast_1d(p.sum(axis=-1)) for p in self.planes]
-        if self.exact:
-            return [DyadicReal(int(a), int(b), self.h) for a, b in zip(*sums)]
-        return sums[0].tolist()
-
-    @property
-    def total(self) -> DyadicReal | float:
-        return self._totals()[0]
+        return [_value(sums, self.h, r) for r in range(len(sums[0]))]
 
     @property
     def probs(self) -> np.ndarray:
@@ -143,17 +138,11 @@ class Distribution:
         return self.planes[0].shape[-1]
 
     def __getitem__(self, x: int) -> DyadicReal | float:
-        if self.exact:
-            pa, pb = self.planes
-            return DyadicReal(int(pa[x]), int(pb[x]), self.h)
-        return float(self.planes[0][x])
+        return _value(self.planes, self.h, x)
 
     def as_float_array(self) -> np.ndarray:
         """The table as float64; a float table returns its own plane."""
-        if not self.exact:
-            return self.planes[0]
-        pa, pb = (p.astype(np.float64) for p in self.planes)
-        return np.ldexp(pa + pb * SQRT2, -self.h)
+        return _as_float(self.planes, self.h)
 
 
 def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
@@ -253,7 +242,8 @@ class SweepReport:
         return len(self.verdicts)
 
     def summary(self) -> dict:
-        """Every field of :meth:`to_dict` but the verdicts."""
+        """Every field of the report but the verdicts, which the CLI
+        writes one row at a time."""
         return {
             "n": self.n,
             "backend": self.backend,
@@ -266,21 +256,6 @@ class SweepReport:
             "marginal_uniformity_deviation": self.marginal_uniformity_deviation,
             "max_pairwise_tv": self.max_pairwise_tv,
             "max_pairwise_tv_is_exact": self.max_pairwise_tv_is_exact,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **self.summary(),
-            "verdicts": [
-                {
-                    "oracle_id": v.oracle_id,
-                    "table": format(v.table, "#x"),
-                    "exact_match": v.exact_match,
-                    "max_dev": v.max_deviation,
-                    "tv_to_first": v.tv_to_first,
-                }
-                for v in self.verdicts
-            ],
         }
 
 
@@ -369,24 +344,20 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
         oracles = (random_oracle(n, rng) for _ in range(SAMPLED_SWEEP_COUNT))
     uniform = 1.0 / (1 << n)
     first: Distribution | None = None
-    # Kept only when _fill_pairwise_tv will compare every pair.
-    keep_dists = ((1 << (1 << n)) if exhaustive else SAMPLED_SWEEP_COUNT) <= _ALL_PAIRS_LIMIT
-    dists: list[Distribution] = []
-    # Whether every table equals the first, worked out only where
-    # _fill_pairwise_tv reads it.
-    identical = keep_dists or backend == EXACT
+    # Kept only when _fill_pairwise_tv may compare every pair.
+    keep_tables = ((1 << (1 << n)) if exhaustive else SAMPLED_SWEEP_COUNT) <= _ALL_PAIRS_LIMIT
+    tables: list[Distribution] = []
+    # Whether every table equals the first.  A float distance is 0.0 only
+    # between bitwise-equal tables, bar differences that sum to 2^-1074.
+    identical = True
     for batch, out, match, dev in _verdicts(n, backend, oracles):
         table = _row_table(out, len(batch))
         if first is None:
             first = table._row(0)
         tv = _tv_rows(table, first)
-        if identical:
-            if table.exact:
-                identical = all(t == 0 for t in tv)
-            else:
-                identical = bool((table.planes[0] == first.planes[0]).all())
-        if keep_dists:
-            dists += [table._row(r) for r in range(len(batch))]
+        identical = identical and all(t == 0 for t in tv)
+        if keep_tables:
+            tables.append(table)
         marg = marginal(table, n + 1, 2 * n)
         # An exactly uniform exact marginal is 2^-n in float as well, so
         # its deviation is exactly 0.0.
@@ -398,7 +369,7 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
             report.verdicts.append(OracleVerdict(len(report.verdicts), f.table, ok, d, float(t)))
         report.all_match = report.all_match and all(match)
         report.max_deviation = max(report.max_deviation, *dev)
-    _fill_pairwise_tv(report, dists, identical)
+    _fill_pairwise_tv(report, tables, identical)
     return report
 
 
@@ -408,16 +379,19 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
 _ALL_PAIRS_LIMIT = 512
 
 
-def _fill_pairwise_tv(report: SweepReport, dists: list[Distribution], identical: bool) -> None:
-    """Set the largest TV distance between any two tables; ``identical``
-    says every table equals the first one, which makes it exactly 0.  A
-    float sweep past the limit still reports the bound, flagged inexact."""
+def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution], identical: bool) -> None:
+    """Set the largest TV distance between any two rows of the row
+    ``tables``; ``identical`` says every row equals the first one, which
+    makes it exactly 0.  A float sweep past the limit still reports the
+    bound, flagged inexact."""
     if report.oracle_count <= _ALL_PAIRS_LIMIT or (identical and report.backend == EXACT):
         worst = 0.0
         if not identical:
-            for i in range(len(dists)):
-                for j in range(i + 1, len(dists)):
-                    worst = max(worst, float(tv_distance(dists[i], dists[j])))
+            # len of a row table's plane is its row count.
+            rows = [t._row(r) for t in tables for r in range(len(t.planes[0]))]
+            for table in tables:
+                for row in rows:
+                    worst = max(worst, *(float(d) for d in _tv_rows(table, row)))
         report.max_pairwise_tv = worst
         report.max_pairwise_tv_is_exact = True
         return
@@ -462,7 +436,7 @@ class GroverComparison:
 
 
 def compare_grover(
-    n: int, marked: int | BitString, samples: int = 100000, seed: int = 0
+    n: int, marked: int, samples: int = 100000, seed: int = 0
 ) -> GroverComparison:
     """Search for one marked element both ways and report probabilities.
 
@@ -474,25 +448,22 @@ def compare_grover(
     """
     if n < 2:
         raise ValueError(f"comparison needs n >= 2, got {n}")
-    marked_value = marked.value if isinstance(marked, BitString) else marked
-    if not 0 <= marked_value < (1 << n):
-        raise ValueError(f"marked element {marked_value} out of range for n={n}")
-    f = BooleanOracle.from_marked(n, [marked_value])
+    f = BooleanOracle.from_marked(n, [marked])
 
     out = simulate(build_comparison_search(n, f), EXACT)
     marg = distribution(out, n + 1, 2 * n)
-    p_exact = marg[marked_value]
+    p_exact = marg[marked]
     comp_counts = sample_distribution(marg, samples, seed)
-    comp_freq = float(comp_counts[marked_value]) / samples
+    comp_freq = float(comp_counts[marked]) / samples
 
     iters = grover_optimal_iterations(n, 1)
     gdist = distribution(simulate(build_grover(n, f, iters), FLOAT))
     gcounts = sample_distribution(gdist, samples, seed + 1)
-    gfreq = float(gcounts[marked_value]) / samples
+    gfreq = float(gcounts[marked]) / samples
 
     return GroverComparison(
         n=n,
-        marked=marked_value,
+        marked=marked,
         samples=samples,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
@@ -500,6 +471,6 @@ def compare_grover(
         comparison_probability_is_exact=p_exact == DyadicReal(1, 0, n),
         comparison_empirical_frequency=comp_freq,
         grover_iterations=iters,
-        grover_probability=gdist[marked_value],
+        grover_probability=gdist[marked],
         grover_empirical_frequency=gfreq,
     )

@@ -31,7 +31,9 @@ planes:
   Its one bound stays 1, so no code that skips zero planes skips it.
 
 Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
-backends.  Exact states compare with ``==`` at zero tolerance.
+backends.  Exact states compare with ``==`` at zero tolerance.  For
+states and probability tables alike, ``_value`` reads one entry and
+``_as_float`` converts exact planes to float; nothing else does either.
 """
 
 from __future__ import annotations
@@ -75,15 +77,25 @@ def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
     return plane.reshape(plane.shape[:-1] + (pre, keep, post)).sum(axis=(-3, -1))
 
 
+def _value(planes, h: int, x) -> DyadicReal | float:
+    """Entry x of ``planes`` at exponent h: a DyadicReal for two exact
+    planes, a float for one float plane."""
+    if len(planes) == 1:
+        return float(planes[0][x])
+    a, b = planes
+    return DyadicReal(int(a[x]), int(b[x]), h)
+
+
 def _as_float(planes, h: int) -> np.ndarray:
-    """Amplitudes held by ``planes`` (of any shape) at exponent h as
-    float64: a float plane is returned as it is, and an exact amplitude
-    becomes the new fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
+    """Entries held by ``planes`` (of any shape) at exponent h as
+    float64: a float plane is returned as it is, and an exact entry
+    becomes the new fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h, for int64 and
+    Python-int planes alike."""
     if len(planes) == 1:
         return planes[0]
     a, b = planes
-    re = np.multiply(b, SQRT2, dtype=np.float64)
-    np.add(re, a, out=re)
+    re = np.multiply(b, SQRT2, dtype=np.float64, casting="unsafe")
+    np.add(re, a, out=re, casting="unsafe")
     return np.ldexp(re, -h, out=re)
 
 
@@ -285,10 +297,7 @@ class StateVector:
     def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:
             raise ValueError(f"basis index {x} out of range")
-        if self.backend == EXACT:
-            a, b = self._planes
-            return DyadicReal(int(a[x]), int(b[x]), self._h)
-        return float(self._planes[0][x])
+        return _value(self._planes, self._h, x)
 
     def amplitudes(self) -> list:
         return [self.amplitude(x) for x in range(self.num_states)]
@@ -303,9 +312,7 @@ class StateVector:
     def norm_squared(self) -> DyadicReal | float:
         """Sum of squared amplitudes; exact in the exact backend."""
         planes, h = self._squares(1, 1, self.num_states)
-        if self.backend == FLOAT:
-            return float(planes[0][0])
-        return DyadicReal(int(planes[0][0]), int(planes[1][0]), h)
+        return _value(planes, h, 0)
 
     def _squares(self, pre: int, keep: int, post: int) -> tuple[tuple, int]:
         """Born-rule probabilities |amp(x)|^2 of the state viewed as

@@ -12,7 +12,8 @@ X, Z and identity gates, the pair-reversed gate, basis states, the tensor
 product, the unitarity check, the mod-2 inner product, sampling,
 empirical distributions, constant oracles, float copies of states and
 the bits of a bit string are built on the public API too: the library
-itself needs none of them.
+itself needs none of them.  ``report_dict`` renders a sweep report as one
+dict, the reference that the streamed report is checked against.
 """
 
 from __future__ import annotations
@@ -267,3 +268,21 @@ def to_float(s: cs.StateVector) -> cs.StateVector:
 def bits(x: cs.BitString) -> tuple[int, ...]:
     """x's bits, most significant first."""
     return tuple(x.bit(i) for i in range(1, x.width + 1))
+
+
+def report_dict(report: cs.SweepReport) -> dict:
+    """The sweep report's summary plus one dict per verdict, keyed as the
+    JSON report's ``results`` is."""
+    return {
+        **report.summary(),
+        "verdicts": [
+            {
+                "oracle_id": v.oracle_id,
+                "table": format(v.table, "#x"),
+                "exact_match": v.exact_match,
+                "max_dev": v.max_deviation,
+                "tv_to_first": v.tv_to_first,
+            }
+            for v in report.verdicts
+        ],
+    }

@@ -14,7 +14,7 @@ import pytest
 
 import compsearch as cs
 from compsearch import Distribution, DyadicReal, StateVector, analytic, cli, gates, refutation, state
-from conftest import random_exact_state, random_float_state
+from conftest import random_exact_state, random_float_state, report_dict
 
 
 def batch_rows(monkeypatch, n: int, rows: int) -> None:
@@ -57,10 +57,10 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
 def test_sweep_report_does_not_depend_on_batch_size(monkeypatch, backend):
-    whole = json.dumps(cs.sweep_all_f(3, backend).to_dict())
+    whole = json.dumps(report_dict(cs.sweep_all_f(3, backend)))
     for rows in (1, 4):
         batch_rows(monkeypatch, 3, rows)
-        assert json.dumps(cs.sweep_all_f(3, backend).to_dict()) == whole
+        assert json.dumps(report_dict(cs.sweep_all_f(3, backend))) == whole
 
 
 def test_sign_table_rows_are_the_truth_tables():

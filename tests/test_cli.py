@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from compsearch import __version__, cli
 from compsearch.cli import main
 from compsearch.refutation import OracleVerdict, SweepReport, sweep_all_f
+from conftest import report_dict
 
 
 def run_cli(*argv):
@@ -198,7 +199,7 @@ def _old_sweep_csv(report):
 def _sweep_texts(mp, report):
     """The JSON and CSV text that ``sweep`` writes for ``report``, joined
     from the pieces handed to the writer, next to the texts expected from
-    ``to_dict`` and from the old joined CSV."""
+    ``report_dict`` and from the old joined CSV."""
     written = {}
 
     def capture(path, pieces):
@@ -213,7 +214,7 @@ def _sweep_texts(mp, report):
     doc = {
         "command": "sweep",
         "parameters": {"n": 3, "backend": "float", "seed": 7, "format": "json"},
-        "results": report.to_dict(),
+        "results": report_dict(report),
         "version": __version__,
     }
     expected = {
@@ -249,12 +250,15 @@ class TestStreamedReport:
         assert written == expected
 
     def test_no_verdict_dicts_are_built(self, tmp_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("the sweep report was built as one dict")
-
-        monkeypatch.setattr(SweepReport, "to_dict", refuse)
+        # The one document the sweep dumps holds no rows: each is rendered
+        # from its OracleVerdict as it is written.
+        dumped = []
+        dump = cli._dump_json
+        monkeypatch.setattr(cli, "_dump_json", lambda doc: dumped.append(doc) or dump(doc))
         path = tmp_path / "s.json"
         assert run_cli("sweep", "--n", "2", "--out", str(path)) == 0
+        assert [doc["results"]["verdicts"] for doc in dumped] == [[]]
+        assert not hasattr(SweepReport, "to_dict")
         assert len(json.loads(path.read_text())["results"]["verdicts"]) == 16
 
     @pytest.mark.parametrize("error, code", [(RuntimeError, None), (OSError, 3)])

@@ -12,6 +12,7 @@ from conftest import (
     empirical_distribution,
     random_exact_state,
     random_float_state,
+    report_dict,
     sample,
     to_float,
 )
@@ -50,7 +51,7 @@ class TestDistribution:
         d = cs.distribution(basis_state(2, 0))
         assert d[0] == 1
         assert all(d[x] == 0 for x in range(1, 4))
-        assert d.total == 1
+        assert d._totals()[0] == 1
 
     def test_bell_state(self):
         d = cs.distribution(bell_plus())
@@ -86,11 +87,11 @@ class TestDistribution:
         rng = np.random.Generator(np.random.PCG64(5))
         for m in (1, 3, 6):
             s = random_exact_state(m, rng, depth=20)
-            assert s.norm_squared() == cs.distribution(s).total == 1
+            assert s.norm_squared() == cs.distribution(s)._totals()[0] == 1
             f = random_float_state(m, rng)
-            assert f.norm_squared() == cs.distribution(f).total
+            assert f.norm_squared() == cs.distribution(f)._totals()[0]
         wide = wide_exact_state()
-        assert wide.norm_squared() == cs.distribution(wide).total == 1
+        assert wide.norm_squared() == cs.distribution(wide)._totals()[0] == 1
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -313,10 +314,10 @@ class TestSweep:
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
 
     def test_all_pairs_when_tables_differ(self):
-        dists = [Distribution((np.array(p),)) for p in ([1.0, 0.0], [0.5, 0.5], [0.0, 1.0])]
+        table = Distribution._of((np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),))
         rep = refutation.SweepReport(1, cs.FLOAT, False, 0, cs.RNG_ALGORITHM)
         rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
-        refutation._fill_pairwise_tv(rep, dists, identical=False)
+        refutation._fill_pairwise_tv(rep, [table], identical=False)
         assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
 
     @pytest.mark.parametrize("backend", cs.BACKENDS)
@@ -349,7 +350,7 @@ class TestSweep:
         assert rep.max_pairwise_tv == worst and rep.max_pairwise_tv_is_exact
 
     def test_report_dict_shape(self):
-        d = cs.sweep_all_f(1).to_dict()
+        d = report_dict(cs.sweep_all_f(1))
         assert d["oracle_count"] == 4
         assert len(d["verdicts"]) == 4
         assert set(d["verdicts"][0]) == {

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
-from conftest import basis_state, bits, constant_oracle, tensor, to_float
+from compsearch import BitString, BooleanOracle, Distribution, DyadicReal, StateVector
+from compsearch.dyadic import SQRT2
+from conftest import basis_state, bits, constant_oracle, random_exact_state, tensor, to_float
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 
@@ -233,3 +234,85 @@ class TestStateVector:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(StateVector(1))
+
+
+def literal_float(planes, h: int) -> np.ndarray:
+    """Exact planes as float64 by the formula written out in full."""
+    pa, pb = (np.asarray(p).astype(np.float64) for p in planes)
+    return np.ldexp(pa + pb * SQRT2, -h)
+
+
+def same(x, y) -> bool:
+    """Same type and, for DyadicReals, the same canonical triple."""
+    if isinstance(x, DyadicReal):
+        return type(y) is DyadicReal and (x.a, x.b, x.h) == (y.a, y.b, y.h)
+    return type(x) is type(y) and x == y
+
+
+class TestOneReader:
+    """Entries of states and tables are read, and converted to float, by
+    one routine each; these pin what they give, bit for bit, against the
+    formulas written out by hand.  Integers past 2^53 round when they
+    become floats, so a change in the order of rounding would show."""
+
+    # (pa, pb, h), each table summing to 1; the constructor keeps the
+    # planes as Python ints.
+    TABLES = [
+        ([2**60 - 1, 1], [0, 0], 60),
+        ([2**79 + 12345, 2**79 - 12345], [2**70 + 7, -(2**70) - 7], 80),
+        ([2**200 + 3, 2**200 - 3], [2**180 + 1, -(2**180) - 1], 201),
+    ]
+
+    @pytest.mark.parametrize("pa, pb, h", TABLES)
+    def test_python_int_table(self, pa, pb, h):
+        d = Distribution((pa, pb), h)
+        assert d.planes[0].dtype == object
+        assert d.as_float_array().tobytes() == literal_float((pa, pb), h).tobytes()
+        for x in range(len(d)):
+            assert same(d[x], DyadicReal(pa[x], pb[x], h))
+        assert all(same(t, DyadicReal(1, 0)) for t in d._totals())
+
+    def test_int64_row_table(self):
+        # Entries below 2^58, so that a row of 8 sums within int64.
+        rng = np.random.Generator(np.random.PCG64(8))
+        a, b = (rng.integers(-(1 << 58), 1 << 58, size=(4, 8)) for _ in range(2))
+        h = 70
+        table = Distribution._of((a, b), h)
+        assert table.as_float_array().tobytes() == literal_float((a, b), h).tobytes()
+        totals = table._totals()
+        assert len(totals) == 4
+        for r in range(4):
+            row = table._row(r)
+            for x in range(8):
+                assert same(row[x], DyadicReal(int(a[r, x]), int(b[r, x]), h))
+            want = DyadicReal(sum(int(v) for v in a[r]), sum(int(v) for v in b[r]), h)
+            assert same(totals[r], want)
+
+    def test_float_table(self):
+        plane = np.array([0.1, 0.2, 0.3, 0.4])
+        d = Distribution._of((plane,))
+        assert d.as_float_array() is plane
+        assert [d[x] for x in range(4)] == plane.tolist()
+        assert all(type(d[x]) is float for x in range(4))
+        assert same(d._totals()[0], float(plane.sum()))
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_exact_state(self, big):
+        if big:
+            # Integers past 2^53 in both planes, squares past int64.
+            a = np.array([2**60 - 1, 3, -5, 2**55 + 1])
+            b = np.array([7, -(2**58) - 1, 2**57 + 3, 0])
+            s = StateVector._from_planes(2, cs.EXACT, (a, b), 61)
+        else:
+            s = random_exact_state(4, np.random.Generator(np.random.PCG64(9)), depth=20)
+        planes, h = s._planes, s._h
+        assert s.to_float_array().tobytes() == literal_float(planes, h).tobytes()
+        amps = [DyadicReal(int(planes[0][x]), int(planes[1][x]), h) for x in range(s.num_states)]
+        assert all(same(s.amplitude(x), amp) for x, amp in enumerate(amps))
+        assert same(s.norm_squared(), sum((amp * amp for amp in amps), DyadicReal(0, 0)))
+
+    def test_float_state(self):
+        s = to_float(random_exact_state(3, np.random.Generator(np.random.PCG64(10))))
+        plane = s._planes[0]
+        assert all(same(s.amplitude(x), float(plane[x])) for x in range(s.num_states))
+        assert same(s.norm_squared(), float(np.square(plane).sum()))
