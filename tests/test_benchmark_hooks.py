@@ -24,5 +24,7 @@ assert refutation.simulate.__name__ == "traced", refutation.simulate
 def test_tracer_installs_on_every_name_it_wraps():
     # A subprocess, since install rebinds names in every compsearch module.
     code = INSTALL.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr

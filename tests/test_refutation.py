@@ -303,14 +303,13 @@ class TestSweep:
 
     def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
         # Every float table at n = 3 is bitwise the first one, so no pair
-        # is compared: tv_distance, which the all-pairs loop calls, is
-        # never called (each oracle's distance to the first table is taken
-        # over its batch).
+        # is compared: _tv_rows runs once, for the one batch's distances
+        # to the first table, and the all-pairs loop never calls it.
         calls = []
-        tv = refutation.tv_distance
-        monkeypatch.setattr(refutation, "tv_distance", lambda p, q: calls.append(1) or tv(p, q))
+        tv = refutation._tv_rows
+        monkeypatch.setattr(refutation, "_tv_rows", lambda p, q: calls.append(1) or tv(p, q))
         rep = cs.sweep_all_f(3, cs.FLOAT)
-        assert rep.oracle_count == 256 and calls == []
+        assert rep.oracle_count == 256 and calls == [1]
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
 
     def test_all_pairs_when_tables_differ(self):
