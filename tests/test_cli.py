@@ -369,6 +369,43 @@ class TestMisc:
         assert a.read_bytes() == b.read_bytes()
 
 
+# The stderr line of each refused command line; each exits 2 and writes
+# no report.
+REJECTIONS = {
+    "verify --n 2 --marked 9": "marked element 9 out of range for n=2",
+    "verify --n 2 --truth-table 0x1ffff": "truth table 0x1ffff out of range for n=2",
+    **{
+        f"{name} --n {n}{rest}": f"--n must be in 1..12, got {n}"
+        for name, rest in (
+            ("verify", " --marked 1"),
+            ("trace", " --marked 1"),
+            ("sweep", " --out"),
+            ("grover-compare", " --marked 1"),
+        )
+        for n in (13, 0)
+    },
+    "trace --n 5 --marked 1": "trace prints full states; capped at n <= 4 (got n=5)",
+    "sweep --n 2": "sweep needs --out",
+    "grover-compare --n 1 --marked 0": "comparison needs n >= 2, got 1",
+    "grover-compare --n 2 --marked 9": "marked element 9 out of range for n=2",
+    "grover-compare --n 2 --marked 1 --samples 0": "--samples must be >= 1",
+    "verify --n 2 --marked x": "--marked 'x' is not a comma-separated int list",
+    "grover-compare --n 2 --marked x": "--marked 'x' is not an integer",
+    "verify --n 2 --truth-table 12": "--truth-table must be hex like 0x1a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REJECTIONS))
+def test_rejection_names_its_cause(tmp_path, capsys, command):
+    argv = command.split()
+    path = tmp_path / "r.json"
+    if argv[-1] == "--out":
+        argv.append(str(path))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: {REJECTIONS[command]}\n"
+    assert not path.exists()
+
+
 # sha256 of the report file of each command line; a change of amplitude
 # storage or of the probability code must leave every byte in place.
 REPORT_DIGESTS = {
