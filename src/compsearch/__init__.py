@@ -15,7 +15,6 @@ from .state import (
     EXACT,
     FLOAT,
     FLOAT_ATOL,
-    BitString,
     BooleanOracle,
     StateVector,
     all_oracles,

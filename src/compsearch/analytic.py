@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, BACKENDS, BitString, BooleanOracle, StateVector
+from .state import EXACT, BACKENDS, BooleanOracle, StateVector
 
 
-def delta_identity(n: int, k: BitString | int, l: BitString | int) -> int:
+def delta_identity(n: int, k: int, l: int) -> int:
     """sum_j (-1)^(j.(k xor l)) by direct summation over all n-bit j.
 
     Equals 2^n when k = l and 0 otherwise; the summation is deliberately
@@ -37,12 +37,10 @@ def delta_identity(n: int, k: BitString | int, l: BitString | int) -> int:
     """
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
-    kv = k.value if isinstance(k, BitString) else k
-    lv = l.value if isinstance(l, BitString) else l
-    for name, v in (("k", kv), ("l", lv)):
+    for name, v in (("k", k), ("l", l)):
         if not 0 <= v < (1 << n):
             raise ValueError(f"{name}={v} out of range for width {n}")
-    d = kv ^ lv
+    d = k ^ l
     total = 0
     for j in range(1 << n):
         total += -1 if (j & d).bit_count() & 1 else 1

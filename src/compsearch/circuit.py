@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .state import EXACT, BooleanOracle, StateVector
+from .state import EXACT, BooleanOracle, StateVector, _qubit_range
 
 PSI0, PSI1, PSI2, PSI2A, PSI3 = "psi0", "psi1", "psi2", "psi2a", "psi3"
 CHECKPOINT_LABELS = (PSI0, PSI1, PSI2, PSI2A, PSI3)
@@ -61,7 +61,7 @@ class Circuit:
             if isinstance(op, GatePlacement):
                 gates._check_placement(self.width, op.qubits, op.gate.dim)
             elif isinstance(op, PhaseOraclePlacement):
-                gates._check_window(self.width, op.reg_start, op.oracle.n)
+                _qubit_range(self.width, op.reg_start, op.reg_start + op.oracle.n - 1)
             elif isinstance(op, Checkpoint):
                 if op.label in seen:
                     raise ValueError(f"duplicate checkpoint label {op.label!r}")

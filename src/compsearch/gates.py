@@ -11,8 +11,9 @@ this first-qubit-major order (checked column by column in the tests).
 One check, :func:`_check_placement`, guards both the kernel and
 :class:`~compsearch.circuit.Circuit`: the qubits must be distinct and in
 range, and a gate applied to k of them must be 2^k square, or it raises
-ValueError before any write.  Likewise :func:`_check_window` guards both
-for a phase oracle's register window.
+ValueError before any write.  A phase oracle's register window has one
+check too, :func:`compsearch.state._qubit_range`, which the kernel and
+circuits share with the probability tables.
 
 Every gate compiles once per backend into in-place ufunc steps over the
 state's planes (see :mod:`compsearch.state`), and on the exact backend
@@ -31,7 +32,7 @@ import operator
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, BooleanOracle, StateVector
+from .state import EXACT, FLOAT, BooleanOracle, StateVector, _qubit_range
 
 
 class Gate:
@@ -280,15 +281,6 @@ def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
         raise ValueError(f"a {dim}x{dim} gate cannot act on {len(qubits)} qubit(s)")
 
 
-@functools.lru_cache(maxsize=1024)
-def _check_window(m: int, reg_start: int, n: int) -> None:
-    """Raise ValueError unless an n-bit oracle's window, qubits
-    reg_start .. reg_start + n - 1, lies in 1..m.  The one check of a
-    window, for the kernel and for circuits."""
-    if not (1 <= reg_start and reg_start + n - 1 <= m):
-        raise ValueError(f"oracle window {reg_start}..{reg_start + n - 1} out of range 1..{m}")
-
-
 # Amplitudes per slot that one chunk of a gate covers, so that every
 # step of the chunk runs in cache, and the inner-axis length below which
 # a chunk's slots are iterated along their longest axis instead.
@@ -375,9 +367,7 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
         raise ValueError(f"sign table shape {signs.shape} is not a power of two by 2^n")
     n = size.bit_length() - 1
     m = state.num_qubits - (rows.bit_length() - 1)
-    _check_window(m, reg_start, n)
-    pre = 1 << (reg_start - 1)
-    post = 1 << (m - (reg_start + n - 1))
+    pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
     signs = signs[:, None, :, None]
     for plane, bound in zip(state._planes, state._bounds):
         if bound:  # a zero plane stays zero

@@ -18,7 +18,7 @@ at exactly 2^-n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -41,6 +41,7 @@ from .state import (
     StateVector,
     _abs_max,
     _as_float,
+    _qubit_range,
     _sign_table,
     _sum_out,
     _value,
@@ -70,10 +71,10 @@ class Distribution:
     * float -- one float64 plane, and h = 0.
 
     The constructor stores exact planes as Python ints, so that no sum
-    over them can wrap, and checks that the table sums to 1.  Inside
-    this module a *row table* holds R tables at once, as planes of
-    shape (R, 2^m); ``len``, ``num_qubits``, :func:`marginal` and the TV
-    code read the last axis.
+    over them can wrap, and checks that every entry is non-negative and
+    that the table sums to 1.  Inside this module a *row table* holds R
+    tables at once, as planes of shape (R, 2^m); ``len``,
+    ``num_qubits``, :func:`marginal` and the TV code read the last axis.
     """
 
     __slots__ = ("planes", "h", "num_qubits", "exact")
@@ -88,6 +89,12 @@ class Distribution:
         size = len(planes[0])
         if size < 2 or size & (size - 1) or any(p.shape != (size,) for p in planes):
             raise ValueError("probability table size is not a power of two >= 2")
+        if exact:
+            negative = any(_value(planes, h, x).sign() < 0 for x in range(size))
+        else:
+            negative = not (planes[0] >= 0).all()  # a NaN entry fails too
+        if negative:
+            raise ValueError("probabilities must be non-negative")
         self._init(planes, h)
         self._check_total()
 
@@ -143,14 +150,6 @@ class Distribution:
     def as_float_array(self) -> np.ndarray:
         """The table as float64; a float table returns its own plane."""
         return _as_float(self.planes, self.h)
-
-
-def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
-    """(pre, keep, post): a table over m qubits viewed around qubits
-    first..last (inclusive, 1-based)."""
-    if not 1 <= first <= last <= m:
-        raise ValueError(f"qubit range {first}..{last} invalid for {m} qubits")
-    return 1 << (first - 1), 1 << (last - first + 1), 1 << (m - last)
 
 
 def distribution(state: StateVector, first: int = 1, last: int | None = None) -> Distribution:
@@ -243,20 +242,9 @@ class SweepReport:
 
     def summary(self) -> dict:
         """Every field of the report but the verdicts, which the CLI
-        writes one row at a time."""
-        return {
-            "n": self.n,
-            "backend": self.backend,
-            "exhaustive": self.exhaustive,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "oracle_count": self.oracle_count,
-            "all_match": self.all_match,
-            "max_deviation": self.max_deviation,
-            "marginal_uniformity_deviation": self.marginal_uniformity_deviation,
-            "max_pairwise_tv": self.max_pairwise_tv,
-            "max_pairwise_tv_is_exact": self.max_pairwise_tv_is_exact,
-        }
+        writes one row at a time, plus the oracle count."""
+        summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verdicts"}
+        return {**summary, "oracle_count": self.oracle_count}
 
 
 def check_oracle(n: int, f: BooleanOracle, backend: str = EXACT) -> tuple[bool, float]:
@@ -448,6 +436,8 @@ def compare_grover(
     """
     if n < 2:
         raise ValueError(f"comparison needs n >= 2, got {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     f = BooleanOracle.from_marked(n, [marked])
 
     out = simulate(build_comparison_search(n, f), EXACT)

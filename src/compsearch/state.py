@@ -1,4 +1,4 @@
-"""State vectors, bit strings and boolean oracles.
+"""State vectors and boolean oracles.
 
 Index convention: qubit 1 is the MOST significant bit of a basis index,
 so an m-qubit basis state |b_1 b_2 ... b_m> has index sum_i b_i 2^(m-i).
@@ -38,7 +38,6 @@ states and probability tables alike, ``_value`` reads one entry and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,6 +68,15 @@ def _abs_max(plane: np.ndarray) -> int:
     return max(int(plane.max()), -int(plane.min()))
 
 
+def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
+    """(pre, keep, post): m qubits viewed around qubits first..last
+    (inclusive, 1-based); raises ValueError unless 1 <= first <= last <= m.
+    The one check of a qubit window, for tables and for phase oracles."""
+    if not 1 <= first <= last <= m:
+        raise ValueError(f"qubit range {first}..{last} invalid for {m} qubits")
+    return 1 << (first - 1), 1 << (last - first + 1), 1 << (m - last)
+
+
 def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
     """``plane``'s last axis viewed as (pre, keep, post), summed over the
     outer two; leading axes (rows) are kept."""
@@ -97,31 +105,6 @@ def _as_float(planes, h: int) -> np.ndarray:
     re = np.multiply(b, SQRT2, dtype=np.float64, casting="unsafe")
     np.add(re, a, out=re, casting="unsafe")
     return np.ldexp(re, -h, out=re)
-
-
-@dataclass(frozen=True)
-class BitString:
-    """An n-bit value; bit(1) is the most significant bit."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
-
-    def bit(self, i: int) -> int:
-        if not 1 <= i <= self.width:
-            raise ValueError(f"bit index {i} out of range 1..{self.width}")
-        return (self.value >> (self.width - i)) & 1
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
 
 
 class BooleanOracle:
@@ -155,13 +138,9 @@ class BooleanOracle:
     def marked(self) -> tuple[int, ...]:
         return tuple(k for k in range(1 << self.n) if (self.table >> k) & 1)
 
-    def truth_values(self) -> np.ndarray:
-        """f(0), ..., f(2^n - 1) as a uint8 array."""
-        return _truth_rows(self.n, [self])[0]
-
     def sign_array(self) -> np.ndarray:
         """(-1)^f(k) for all k, as int64."""
-        return 1 - 2 * self.truth_values().astype(np.int64)
+        return _sign_table(self.n, [self])[0]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BooleanOracle):
@@ -175,22 +154,18 @@ class BooleanOracle:
         return f"BooleanOracle(n={self.n}, table={self.table:#x})"
 
 
-def _truth_rows(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
-    """f(k) for each of ``oracles`` (rows, all on n bits) and each k
-    (columns) as a uint8 array."""
+def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
+    """(-1)^f(k) for each of ``oracles`` (rows, all on n bits) and each k
+    (columns) as int64; :meth:`BooleanOracle.sign_array` is its one-row
+    case."""
     if any(f.n != n for f in oracles):
         raise ValueError(f"oracle arity does not match n={n}")
     size = 1 << n
     nbytes = (size + 7) // 8
     buf = b"".join(f.table.to_bytes(nbytes, "little") for f in oracles)
     rows = np.frombuffer(buf, np.uint8).reshape(len(oracles), nbytes)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
-
-
-def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
-    """(-1)^f(k) for each of ``oracles`` (rows, all on n bits) and each k
-    (columns) as int64: row r is ``oracles[r].sign_array()``."""
-    return 1 - 2 * _truth_rows(n, oracles).astype(np.int64)
+    truth = np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
+    return 1 - 2 * truth.astype(np.int64)
 
 
 def all_oracles(n: int) -> Iterator[BooleanOracle]:
@@ -419,9 +394,6 @@ class StateVector:
                     q = q >> min(shift, 63)
                 equal &= (p == q).all(axis=1)
         return equal.tolist()
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("StateVector is mutable and unhashable")
 
     def _scan(self) -> tuple[int, ...]:
         """Each exact plane's largest integer magnitude; a plane whose

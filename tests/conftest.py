@@ -9,11 +9,11 @@ library's gate application paths.  The exact reference applies
 DyadicReal matrices one amplitude at a time, and the ancilla helpers work
 amplitude by amplitude through the public API, for the same reason.  The
 X, Z and identity gates, the pair-reversed gate, basis states, the tensor
-product, the unitarity check, the mod-2 inner product, sampling,
-empirical distributions, constant oracles, float copies of states and
-the bits of a bit string are built on the public API too: the library
-itself needs none of them.  ``report_dict`` renders a sweep report as one
-dict, the reference that the streamed report is checked against.
+product, the unitarity check, sampling, empirical distributions,
+constant oracles and float copies of states are built on the public
+API too: the library itself needs none of them.  ``report_dict``
+renders a sweep report as one dict, the reference that the streamed
+report is checked against.
 """
 
 from __future__ import annotations
@@ -213,13 +213,6 @@ def is_unitary(gate: cs.Gate) -> bool:
     return True
 
 
-def mod2_inner(x: cs.BitString, y: cs.BitString) -> int:
-    """Bitwise inner product x_1 y_1 + ... + x_n y_n mod 2."""
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
-    return (x.value & y.value).bit_count() & 1
-
-
 def basis_state(num_qubits: int, index: int, backend: str = cs.EXACT) -> cs.StateVector:
     """|index> on ``num_qubits`` qubits."""
     if not 0 <= index < 1 << num_qubits:
@@ -263,11 +256,6 @@ def constant_oracle(n: int, value: int) -> cs.BooleanOracle:
 def to_float(s: cs.StateVector) -> cs.StateVector:
     """``s`` as a float state, amplitudes as by ``to_float_array``."""
     return cs.StateVector.from_amplitudes(s.to_float_array(), cs.FLOAT)
-
-
-def bits(x: cs.BitString) -> tuple[int, ...]:
-    """x's bits, most significant first."""
-    return tuple(x.bit(i) for i in range(1, x.width + 1))
 
 
 def report_dict(report: cs.SweepReport) -> dict:

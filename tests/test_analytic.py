@@ -2,29 +2,15 @@ import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import BitString, BooleanOracle, DyadicReal, StateVector
-from conftest import constant_oracle, mod2_inner
+from compsearch import BooleanOracle, DyadicReal, StateVector
+from conftest import constant_oracle
 
 INV = DyadicReal(0, 1, 1)
 
 
-class TestMod2Inner:
-    def test_basic(self):
-        assert mod2_inner(BitString(0b101, 3), BitString(0b100, 3)) == 1
-        assert mod2_inner(BitString(0b11, 2), BitString(0b11, 2)) == 0
-
-    def test_zero_argument(self):
-        for v in range(8):
-            assert mod2_inner(BitString(v, 3), BitString(0, 3)) == 0
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            mod2_inner(BitString(1, 2), BitString(1, 3))
-
-
 class TestDeltaIdentity:
     def test_equal_arguments(self):
-        assert cs.delta_identity(2, BitString(3, 2), BitString(3, 2)) == 4
+        assert cs.delta_identity(2, 3, 3) == 4
         assert cs.delta_identity(3, 5, 5) == 8
 
     def test_distinct_arguments(self):

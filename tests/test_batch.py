@@ -77,6 +77,18 @@ def test_sign_table_rows_are_the_truth_tables():
         gates._apply_signs(StateVector(4), np.ones((3, 4), np.int64), 1)
 
 
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_batched_window_is_checked_per_row_before_any_write(backend):
+    # Two rows of 4 qubits: the window 4..5 fits the state's 5 qubits but
+    # not a row's 4.
+    rng = np.random.Generator(np.random.PCG64(4))
+    s = random_exact_state(5, rng) if backend == cs.EXACT else random_float_state(5, rng)
+    before = s.copy()
+    with pytest.raises(ValueError, match="qubit range 4..5 invalid for 4 qubits"):
+        gates._apply_signs(s, -np.ones((2, 4), np.int64), 4)
+    assert s == before
+
+
 def random_row_table(rng, rows: int, m: int, exact: bool) -> Distribution:
     """``rows`` unequal tables over m qubits, as one row table; exact
     ones are unnormalized, which the TV and marginal code do not read."""

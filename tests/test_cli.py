@@ -388,7 +388,7 @@ REJECTIONS = {
     "sweep --n 2": "sweep needs --out",
     "grover-compare --n 1 --marked 0": "comparison needs n >= 2, got 1",
     "grover-compare --n 2 --marked 9": "marked element 9 out of range for n=2",
-    "grover-compare --n 2 --marked 1 --samples 0": "--samples must be >= 1",
+    "grover-compare --n 2 --marked 1 --samples 0": "samples must be >= 1, got 0",
     "verify --n 2 --marked x": "--marked 'x' is not a comma-separated int list",
     "grover-compare --n 2 --marked x": "--marked 'x' is not an integer",
     "verify --n 2 --truth-table 12": "--truth-table must be hex like 0x1a",

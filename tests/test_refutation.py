@@ -101,6 +101,18 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution((np.array([np.nan, 1.0]),))
 
+    def test_rejects_negative_entries(self):
+        # Each table sums to 1; p0 = (sqrt2 - 2)/2 < 0 in the last one.
+        for planes, h in (
+            ((np.array([2.0, -1.0]),), 0),
+            (([2, -1], [0, 0]), 0),
+            (([-2, 4], [1, -1]), 1),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                Distribution(planes, h)
+        # p0 = (2 - sqrt2)/2 > 0, with a negative sqrt2 part.
+        assert Distribution(([2, 0], [-1, 1]), 1)[0] == DyadicReal(2, -1, 1)
+
 
 class TestMarginal:
     def test_second_register_uniform_for_every_oracle(self):
@@ -179,7 +191,8 @@ class TestMarginal:
 def exact_tables(draw, size: int = 8):
     """(pa, pb, h) with mixed signs and zeros, the last entry chosen so
     that the table sums to 1; entries are small, or fit int64 but square
-    beyond it, or pass int64 themselves."""
+    beyond it, or pass int64 themselves.  Some entries are negative,
+    which the public constructor refuses, so tables are built unchecked."""
     bits, top_h = draw(st.sampled_from([(12, 8), (40, 20), (90, 80)]))
     h = draw(st.integers(0, top_h))
     bound = 1 << bits
@@ -194,10 +207,11 @@ class TestTvDistanceDifferential:
     @given(exact_tables(), exact_tables(), st.booleans())
     def test_exact_matches_dyadic_loop(self, p, q, as_int64):
         # as_int64 stores the planes as int64 where they fit, the layout
-        # distribution() builds; the constructor keeps Python ints.
+        # distribution() builds; otherwise they hold Python ints, as the
+        # constructor stores them.
         dists = []
         for pa, pb, h in (p, q):
-            d = Distribution((pa, pb), h)
+            d = Distribution._of(tuple(np.array(x, dtype=object) for x in (pa, pb)), h)
             if as_int64 and max(map(abs, pa + pb)) < 1 << 62:
                 d.planes = tuple(x.astype(np.int64) for x in d.planes)
             dists.append(d)
@@ -382,6 +396,14 @@ class TestCompareGrover:
             cs.compare_grover(1, 0)
         with pytest.raises(ValueError):
             cs.compare_grover(3, 8)
+
+    def test_samples_refused_before_any_circuit(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a circuit ran")
+
+        monkeypatch.setattr(refutation, "simulate", no_run)
+        with pytest.raises(ValueError, match="samples"):
+            cs.compare_grover(3, 1, samples=0)
 
 
 class TestCheckOracle:

@@ -2,30 +2,11 @@ import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import BitString, BooleanOracle, Distribution, DyadicReal, StateVector
+from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector
 from compsearch.dyadic import SQRT2
-from conftest import basis_state, bits, constant_oracle, random_exact_state, tensor, to_float
+from conftest import basis_state, constant_oracle, random_exact_state, tensor, to_float
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
-
-
-class TestBitString:
-    def test_msb_first_accessor(self):
-        x = BitString(0b101, 3)
-        assert (x.bit(1), x.bit(2), x.bit(3)) == (1, 0, 1)
-        assert bits(x) == (1, 0, 1)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            BitString(4, 2)
-        with pytest.raises(ValueError):
-            BitString(0, 0)
-        with pytest.raises(ValueError):
-            BitString(1, 1).bit(2)
-
-    def test_str_and_index(self):
-        assert str(BitString(5, 4)) == "0101"
-        assert int(BitString(5, 4)) == 5
 
 
 class TestBooleanOracle:
@@ -42,9 +23,9 @@ class TestBooleanOracle:
 
     def test_truth_values_and_signs(self):
         f = BooleanOracle(3, 0b10110100)
-        vals = f.truth_values()
-        assert vals.tolist() == [(f.table >> k) & 1 for k in range(8)]
-        assert np.array_equal(f.sign_array(), 1 - 2 * vals.astype(np.int64))
+        signs = f.sign_array()
+        assert signs.dtype == np.int64
+        assert signs.tolist() == [1 - 2 * ((f.table >> k) & 1) for k in range(8)]
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
