@@ -437,6 +437,84 @@ class TestKernelDifferential:
             assert np.max(np.abs(s.to_float_array() - ref)) <= 1e-12
 
 
+def float_reference(amps: np.ndarray, G: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The float kernel's result by numpy slices alone: out_i is the sum
+    over nonzero G[i, j] of fl(G[i, j] * x_j), own slot first, where
+    slot j has the bit of qubits[t] at position k - 1 - t.  Every row of
+    the gates it serves has at most two nonzero entries, whose float sum
+    does not depend on the order."""
+    m, k = len(amps).bit_length() - 1, len(qubits)
+    axes = [q - 1 for q in qubits]
+    x = np.moveaxis(amps.reshape((2,) * m), axes, range(k)).reshape(1 << k, -1)
+    out = np.empty_like(x)
+    for i in range(1 << k):
+        cols = sorted((j for j in range(1 << k) if G[i, j] != 0), key=lambda j: j != i)
+        assert 1 <= len(cols) <= 2
+        out[i] = G[i, cols[0]] * x[cols[0]]
+        for j in cols[1:]:
+            out[i] = out[i] + G[i, j] * x[j]
+    return np.moveaxis(out.reshape((2,) * m), range(k), axes).reshape(-1)
+
+
+def signed_zero_state(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Float amplitudes with many +0.0, -0.0 and repeated values, so that
+    sums of two scaled slots hit signed zeros and exact cancellations."""
+    v = rng.normal(size=1 << m)
+    kind = rng.permutation(np.arange(v.size) % 4)
+    v[kind == 0] = 0.0
+    v[kind == 1] = -0.0
+    v[kind == 2] = rng.choice([-1.5, -0.5, 0.5, 1.5], size=int((kind == 2).sum()))
+    return v
+
+
+# H and C have entries of one magnitude; controlled-H and M mix
+# magnitudes 1 and 1/sqrt(2), and M has a row of two unit entries.
+BITWISE_GATES = {
+    1: (cs.hadamard(), cs.Gate("M", ((1, -1), (INV, INV)))),
+    2: (cs.comparison_gate(), LIBRARY["CH"]),
+}
+
+
+def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
+    m = len(amps).bit_length() - 1
+    for gate in BITWISE_GATES[len(qubits)]:
+        s = StateVector.from_amplitudes(amps, cs.FLOAT)
+        assert np.array_equal(np.signbit(s._planes[0]), np.signbit(amps))
+        got = gates._apply(s, qubits, gate)._planes[0]
+        want = float_reference(amps, gate.float_matrix(), qubits)
+        assert np.array_equal(got, want), (gate, qubits, m)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (gate, qubits, m)
+
+
+class TestFloatKernelBitwise:
+    """The float kernel against :func:`float_reference`, bit for bit and
+    sign of zero for sign of zero."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_every_placement(self, m):
+        rng = np.random.Generator(np.random.PCG64(40 + m))
+        amps = signed_zero_state(m, rng)
+        for q in range(1, m + 1):
+            assert_float_kernel_bitwise(amps, (q,))
+        for p in range(1, m + 1):
+            for q in range(1, m + 1):
+                if p != q:
+                    assert_float_kernel_bitwise(amps, (p, q))
+
+    def test_chunked_and_transposed_walks(self):
+        # 2^17 amplitudes: gates on low, middle and high qubits walk the
+        # plane in chunks, and those on the last qubit transpose them.
+        m = 17
+        placements = [(1,), (9,), (17,), (1, 2), (2, 1), (8, 10), (9, 3),
+                      (16, 17), (17, 16), (1, 17), (17, 1)]
+        layouts = [gates._layout(m, qubits) for qubits in placements]
+        assert any(len(chunks) > 1 for _, _, chunks, _ in layouts)
+        assert any(perm for *_, perm in layouts)
+        amps = signed_zero_state(m, np.random.Generator(np.random.PCG64(57)))
+        for qubits in placements:
+            assert_float_kernel_bitwise(amps, qubits)
+
+
 def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
     """Run ``word`` on the library kernels and return the state; on the
     exact backend, also require zero-tolerance agreement with
