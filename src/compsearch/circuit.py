@@ -159,9 +159,9 @@ def _run(
 ) -> StateVector:
     """Apply the circuit to ``state`` in place, snapshotting it into
     ``trace`` at every checkpoint when one is given.  With a sign table
-    ``signs``, the state holds one row per row of the table as its
-    leading qubits (see :func:`_simulate_rows`)."""
-    shift = state.num_qubits - circuit.width
+    ``signs``, the state holds one row per row of the table on its
+    trailing qubits, and each gate acts on its own qubits of every row
+    (see :func:`_simulate_rows`)."""
     for op in circuit.ops:
         if isinstance(op, Checkpoint):
             if trace is not None:
@@ -169,7 +169,7 @@ def _run(
         elif isinstance(op, GatePlacement):
             # Through the module, so that wrappers of these names see the call.
             apply = gates.apply_gate1 if len(op.qubits) == 1 else gates.apply_gate2
-            apply(state, *(q + shift for q in op.qubits), op.gate)
+            apply(state, *op.qubits, op.gate)
         elif signs is None:
             gates.apply_phase_oracle(state, op.oracle, op.reg_start)
         else:
@@ -201,11 +201,20 @@ def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVe
     multiplies by signs[r] (see :func:`gates._apply_signs`) in place of
     its own oracle's signs.
 
-    The result is one state of log2 R + width qubits, for R = len(signs)
-    a power of two, holding run r's final state where its leading log2 R
-    qubits read r.  A gate on qubit q of a run is the same gate on qubit
-    q + log2 R of that state, so the kernels need no batch axis.
+    The runs go as one state of width + log2 R qubits, for R = len(signs)
+    a power of two, with run r where its trailing log2 R qubits read r.
+    A gate on qubit q of a run is then the same gate on qubit q of that
+    state, whose long inner axis keeps the kernels fast, and the kernels
+    need no batch axis.  The result is transposed back to one run per
+    leading row, the layout that the per-row readers take: run r's final
+    state is where the result's leading log2 R qubits read r.  For R = 1
+    that transpose is a view, so one run costs no copy.
     """
-    state = StateVector((len(signs).bit_length() - 1) + circuit.width, backend)
-    state._planes[0][:: 1 << circuit.width] = 1
-    return _run(circuit, state, signs=signs)
+    rows = len(signs)
+    state = StateVector((rows.bit_length() - 1) + circuit.width, backend)
+    state._planes[0][:rows] = 1
+    _run(circuit, state, signs=signs)
+    state._planes = tuple(
+        np.ascontiguousarray(p.reshape(-1, rows).T).reshape(-1) for p in state._planes
+    )
+    return state

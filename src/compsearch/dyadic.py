@@ -163,11 +163,3 @@ class DyadicReal:
         if self.h == 1:
             return f"{num}/2"
         return f"{num}/2^{self.h}"
-
-    def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.h)
-
-
-ZERO = DyadicReal(0, 0)
-ONE = DyadicReal(1, 0)
-INV_SQRT2 = DyadicReal(0, 1, 1)

@@ -17,11 +17,16 @@ circuits share with the probability tables.
 
 Every gate compiles once per backend into in-place ufunc steps over the
 state's planes (see :mod:`compsearch.state`), and on the exact backend
-once per pattern of zero planes, whose steps it leaves out.  One kernel
-runs those steps for both backends and both arities.  Kernels mutate
-the state in place and return it.  Oracles are applied as diagonal sign
-flips over a register window rather than materialized matrices, so
-every application is O(2^m).
+once per pattern of zero planes, whose steps it leaves out.  A float
+gate whose nonzero entries share one magnitude s != 1 (H and C) compiles
+as G / s, whose entries are +-1: the kernel scales each chunk by s once,
+and a row of two terms is then one add or subtract.  As
+fl(+-s x) = +-fl(s x) and fl(a + (-b)) = fl(a - b), signed zeros
+included, each amplitude is bit for bit the sum of fl(G[i, j] x_j) that
+the unscaled steps give.  One kernel runs those steps for both backends
+and both arities.  Kernels mutate the state in place and return it.
+Oracles are applied as diagonal sign flips over a register window
+rather than materialized matrices, so every application is O(2^m).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class Gate:
         return np.array([[e.to_float() for e in row] for row in self.matrix])
 
     def _compiled(self, key) -> tuple:
-        """The gate as ``(steps, saves, scratch, g, growth, swap, cross)``,
+        """The gate as ``(steps, saves, scratch, g, growth, swap, cross, scale)``,
         cached per ``key``: ``FLOAT``, or for an exact state the pair of
         flags saying which of its two planes is nonzero.
 
@@ -73,7 +78,9 @@ class Gate:
         places afterwards.  The steps and saved slots that write a zero
         exact plane are left out, as that plane stays zero, unless
         ``cross``: some row reads a plane other than the one it writes
-        (controlled-H), and then every step runs.
+        (controlled-H), and then every step runs.  The kernel multiplies
+        each chunk by ``scale`` before it copies the saved slots; it is 1
+        unless the float matrix was divided by its one magnitude.
         """
         if key not in self._cache:
             self._cache[key] = _compile(self, key)
@@ -120,9 +127,13 @@ def _compile(gate: Gate, key) -> tuple:
     dim = range(gate.dim)
     exact = key != FLOAT
     live = key if exact else (True,)
-    swap = False
+    swap, scale = False, 1.0
     if not exact:
         G = gate.float_matrix()
+        magnitudes = set(np.abs(G[G != 0]).tolist())
+        if len(magnitudes) == 1:
+            scale = magnitudes.pop()
+            G = G / scale  # exactly +-1 where nonzero
         g, rows = 0, [(0, i, [(G[i, j], 0, j) for j in dim]) for i in dim]
     else:
         # entry (A + B sqrt2) / 2^g times amplitude (a + b sqrt2)
@@ -176,7 +187,7 @@ def _compile(gate: Gate, key) -> tuple:
             terms.sort(key=lambda t: (t[1], t[2]) != (plane, i))
         out = planes + plane * size + i
         units = [c for c, _, _ in terms[:2]]
-        if exact and len(units) == 2 and set(units) <= {1, -1} and units != [-1, -1]:
+        if len(units) == 2 and set(units) <= {1, -1} and units != [-1, -1]:
             # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
             x0, x1 = (slot(p, j) for _, p, j in terms[:2])
             if units[0] == -1:
@@ -186,7 +197,7 @@ def _compile(gate: Gate, key) -> tuple:
         else:
             (c, p, j), *rest = terms
             x = slot(p, j)
-            if not (exact and x == out and c == 1):
+            if not (x == out and c == 1):
                 steps.append((np.multiply, x, c, False, out))
         written.add((plane, i))
         for c, p, j in rest:
@@ -209,7 +220,7 @@ def _compile(gate: Gate, key) -> tuple:
             steps += [(np.left_shift, out, k, False, out) for out, k in by_out.items() if k]
     scratch = any(step[4] == -1 for step in steps)
     saves = tuple(planes + p * size + j for p, j in saves)
-    return tuple(steps), saves, scratch, g, growth, swap, cross
+    return tuple(steps), saves, scratch, g, growth, swap, cross, scale
 
 
 def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVector:
@@ -220,26 +231,29 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  Each plane is viewed as
     (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
-    by chunk (see :func:`_layout`); in each chunk the slots that a row
-    reads after an earlier row overwrote them are copied, and the
-    compiled steps write each output slot in place by ufuncs with
-    ``out=``.  Exact integers are checked against the state's tracked
-    bounds, so a gate raises OverflowError before any write, and a plane
-    whose bound is 0 is neither read nor written unless the gate crosses
-    planes.
+    by chunk (see :func:`_layout`); each chunk is scaled by the gate's
+    float scale, if any, then the slots that a row reads after an
+    earlier row overwrote them are copied, and the compiled steps write
+    each output slot in place by ufuncs with ``out=``.  Exact integers
+    are checked against the state's tracked bounds, so a gate raises
+    OverflowError before any write, and a plane whose bound is 0 is
+    neither read nor written unless the gate crosses planes.
     """
     _check_placement(state.num_qubits, qubits, gate.dim)
     exact = state.backend == EXACT
     if exact:
         live = tuple(bound > 0 for bound in state._bounds)
-        steps, saves, scratch, g, growth, swap, cross = gate._compiled(live)
+        steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(live)
         state._make_room(growth)
     else:
-        steps, saves, scratch, g, growth, swap, cross = gate._compiled(FLOAT)
+        steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(FLOAT)
     shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
     views = [p.reshape(shape) for p in state._planes]
     for chunk in chunks:
         regions = [v[chunk] for v in views] if chunk else views
+        if scale != 1:
+            for region in regions:
+                np.multiply(region, scale, out=region)
         arrays = regions + [r[i] for r in regions for i in slots]
         if perm:
             arrays[len(regions):] = [a.transpose(perm) for a in arrays[len(regions):]]
@@ -357,20 +371,20 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     r of ``state``, multiply every basis state whose window bits read k
     by signs[r, k], for a sign table of shape (R, 2^n).
 
-    R must be a power of two.  Row r is the part of the state whose
-    leading log2 R qubits read r, and the window is qubits
-    reg_start .. reg_start + n - 1 of each row, so R = 1 is one oracle on
-    the whole state.
+    R and 2^n must be powers of two, or ValueError is raised before any
+    write.  Row r is the part of the state whose trailing log2 R qubits
+    read r, and the window is qubits reg_start .. reg_start + n - 1 of
+    the leading qubits, so R = 1 is one oracle on the whole state.
     """
     rows, size = signs.shape
-    if rows & (rows - 1) or size & (size - 1):
+    if rows < 1 or size < 1 or rows & (rows - 1) or size & (size - 1):
         raise ValueError(f"sign table shape {signs.shape} is not a power of two by 2^n")
     n = size.bit_length() - 1
     m = state.num_qubits - (rows.bit_length() - 1)
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
-    signs = signs[:, None, :, None]
+    signs = signs.T[None, :, None, :]
     for plane, bound in zip(state._planes, state._bounds):
         if bound:  # a zero plane stays zero
-            view = plane.reshape(rows, pre, size, post)
+            view = plane.reshape(pre, size, post, rows)
             view *= signs
     return state

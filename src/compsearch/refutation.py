@@ -9,11 +9,12 @@ and TV distances are computed with zero tolerance.
 ``sweep_all_f`` runs the circuit for every oracle (exhaustively up to
 n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
 output against the diagonal target state.  Oracles run a batch at a
-time: R oracles are one state whose leading log2 R qubits pick the
-oracle, and the statistics are taken per row of it.  ``compare_grover``
-runs the contrast case: the same marked element handed to Grover search
-is found with probability near 1, while the comparison circuit leaves it
-at exactly 2^-n.
+time: R oracles are one state whose trailing log2 R qubits pick the
+oracle while the circuit runs; the result is transposed so that its
+leading log2 R qubits do, and the statistics are taken per row of it.
+``compare_grover`` runs the contrast case: the same marked element
+handed to Grover search is found with probability near 1, while the
+comparison circuit leaves it at exactly 2^-n.
 """
 
 from __future__ import annotations
@@ -56,9 +57,11 @@ EXHAUSTIVE_SWEEP_MAX_N = 4
 SAMPLED_SWEEP_COUNT = 1000
 
 # Amplitudes per batch of oracles: R * 2^(2n) <= 2^17 gives R = 512
-# oracles a batch at n = 4, 128 at n = 5 and one from n = 9 on.  Batches
-# of 2^18 ran the n = 4 sweep no faster, and left about 9 MB of freed
-# arrays in the heap that glibc did not return.
+# oracles a batch at n = 4, 128 at n = 5 and one from n = 9 on.  With
+# the oracle index on the trailing qubits, batches of 2^15 to 2^19 ran
+# the n = 4 float sweep within noise of each other (fastest of 8 runs
+# each, 1.00 to 1.18 s, on a 2-core VM); batches of 2^18 also left about
+# 9 MB of freed arrays in the heap that glibc did not return.
 _BATCH_AMPS = 1 << 17
 
 

@@ -1,19 +1,32 @@
 """The batched oracle loop against one oracle at a time.
 
-A batch of R oracles runs as one state whose leading log2 R qubits pick
-the oracle.  Each row must be bit for bit the output of that oracle's
-own circuit, and each per-row statistic bit for bit what the one-table
+A batch of R oracles runs as one state whose trailing log2 R qubits pick
+the oracle, and comes back transposed so that its leading log2 R qubits
+do.  Each row must be bit for bit the output of that oracle's own
+circuit, and each per-row statistic bit for bit what the one-table
 routine, or the literal formula it replaced, gives for that row alone.
 """
 
 import json
+import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import Distribution, DyadicReal, StateVector, analytic, cli, gates, refutation, state
+from compsearch import (
+    Distribution,
+    DyadicReal,
+    StateVector,
+    analytic,
+    circuit,
+    cli,
+    gates,
+    refutation,
+    state,
+)
 from conftest import random_exact_state, random_float_state, report_dict
 
 
@@ -75,6 +88,37 @@ def test_sign_table_rows_are_the_truth_tables():
         state._sign_table(2, [cs.BooleanOracle(2, 1), cs.BooleanOracle(3, 1)])
     with pytest.raises(ValueError):
         gates._apply_signs(StateVector(4), np.ones((3, 4), np.int64), 1)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (2, 0)])
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_empty_sign_table_is_refused_before_any_write(backend, shape):
+    rng = np.random.Generator(np.random.PCG64(5))
+    s = random_exact_state(3, rng) if backend == cs.EXACT else random_float_state(3, rng)
+    before = s.copy()
+    want = re.escape(f"sign table shape {shape} is not a power of two by 2^n")
+    with pytest.raises(ValueError, match=want):
+        gates._apply_signs(s, np.ones(shape, np.int64), 1)
+    assert s == before
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_one_row_costs_no_copy(backend):
+    # One row needs no transpose back to the leading-row layout: the run
+    # peaks below its planes plus one plane, as one oracle on its own.
+    n = 8
+    f = cs.random_oracle(n, np.random.Generator(np.random.PCG64(9)))
+    build = cs.build_comparison_search(n, f)
+    signs = state._sign_table(n, [f])
+    plane = 8 << (2 * n)
+    tracemalloc.start()
+    try:
+        out = circuit._simulate_rows(build, signs, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (len(out._planes) + 1) * plane
+    assert out == cs.simulate(build, backend)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
