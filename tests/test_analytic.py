@@ -105,9 +105,9 @@ class TestClosedFormStates:
         assert exact.max_abs_diff(floaty) <= 1e-15
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^register size must be >= 1, got 0$"):
             cs.psi1(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^oracle arity 3 does not match n=2$"):
             cs.psi2(2, constant_oracle(3, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown backend 'symbolic'$"):
             cs.target_output(1, constant_oracle(1, 0), backend="symbolic")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,9 +56,9 @@ class TestBuildComparisonSearch:
         assert pairs == [(3, 6), (2, 5), (1, 4)]
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^register size must be >= 1, got 0$"):
             cs.build_comparison_search(0, F0_1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^oracle arity 1 does not match n=2$"):
             cs.build_comparison_search(2, F0_1)
 
 
@@ -156,6 +157,18 @@ class TestGrover:
             p = abs(out.amplitude(marked)) ** 2
             assert abs(p - grover_success_dense(n, marked, iters)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "n,f,iterations,message",
+        [
+            (0, F0_1, 1, "register size must be >= 1, got 0"),
+            (2, F0_1, 1, "oracle arity 1 does not match n=2"),
+            (1, F0_1, -1, "iteration count must be >= 0"),
+        ],
+    )
+    def test_rejects_bad_input(self, n, f, iterations, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cs.build_grover(n, f, iterations)
+
     def test_exact_backend_agrees(self):
         f = BooleanOracle.from_marked(2, [3])
         exact = cs.simulate(cs.build_grover(2, f, 1))
@@ -171,8 +184,20 @@ class TestGroverOptimalIterations:
         with pytest.raises(ValueError):
             cs.grover_optimal_iterations(3, 0)
 
+    def test_rejects_empty_register(self):
+        with pytest.raises(ValueError, match=r"^register size must be >= 1, got 0$"):
+            cs.grover_optimal_iterations(0, 1)
+
 
 class TestCircuitValidation:
+    def test_rejects_empty_width(self):
+        with pytest.raises(ValueError, match=r"^circuit width must be >= 1, got 0$"):
+            Circuit(0, ())
+
+    def test_rejects_unknown_op(self):
+        with pytest.raises(TypeError, match=r"^unknown op 'x'$"):
+            Circuit(1, ("x",))
+
     def test_duplicate_checkpoint_labels(self):
         with pytest.raises(ValueError):
             Circuit(1, (Checkpoint("a"), Checkpoint("a")))

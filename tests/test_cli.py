@@ -392,6 +392,8 @@ REJECTIONS = {
     "verify --n 2 --marked x": "--marked 'x' is not a comma-separated int list",
     "grover-compare --n 2 --marked x": "--marked 'x' is not an integer",
     "verify --n 2 --truth-table 12": "--truth-table must be hex like 0x1a",
+    "verify --n 2 --truth-table 0xZZ": "--truth-table '0xZZ' is not valid hex",
+    "verify --n 2 --all-f --marked 1": "--all-f excludes an explicit oracle",
 }
 
 

@@ -101,6 +101,20 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution((np.array([np.nan, 1.0]),))
 
+    @pytest.mark.parametrize(
+        "planes,h,message",
+        [
+            (([1, 0], [0, 0], [0, 0]), 0, "a table has one float plane or two integer planes"),
+            (([1, 0], [0, 0]), -1,
+             "exponent h=-1 invalid: exact tables need h >= 0, float ones h = 0"),
+            (([1, 0, 0], [0, 0, 0]), 0, "probability table size is not a power of two >= 2"),
+        ],
+    )
+    def test_rejects_malformed_tables(self, planes, h, message):
+        with pytest.raises(ValueError) as excinfo:
+            Distribution(planes, h)
+        assert str(excinfo.value) == message
+
     def test_rejects_negative_entries(self):
         # Each table sums to 1; p0 = (sqrt2 - 2)/2 < 0 in the last one.
         for planes, h in (
