@@ -48,7 +48,6 @@ from .circuit import (
     simulate,
 )
 from .analytic import (
-    delta_identity,
     psi0,
     psi1,
     psi2,

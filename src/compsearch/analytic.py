@@ -26,51 +26,24 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, BACKENDS, BooleanOracle, StateVector
-
-
-def delta_identity(n: int, k: int, l: int) -> int:
-    """sum_j (-1)^(j.(k xor l)) by direct summation over all n-bit j.
-
-    Equals 2^n when k = l and 0 otherwise; the summation is deliberately
-    literal so that the identity is verified rather than assumed.
-    """
-    if n < 1:
-        raise ValueError(f"width must be >= 1, got {n}")
-    for name, v in (("k", k), ("l", l)):
-        if not 0 <= v < (1 << n):
-            raise ValueError(f"{name}={v} out of range for width {n}")
-    d = k ^ l
-    total = 0
-    for j in range(1 << n):
-        total += -1 if (j & d).bit_count() & 1 else 1
-    return total
+from .state import EXACT, BACKENDS, BooleanOracle, StateVector, _check_register
 
 
 def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
-    if f is not None and f.n != n:
-        raise ValueError(f"oracle arity {f.n} does not match n={n}")
+    _check_register(n, f)
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-def _from_units(num_qubits: int, coeff: np.ndarray, unit: DyadicReal, backend: str) -> StateVector:
-    """State whose amplitude at x is coeff[x] * unit, for an int64
-    ``coeff`` that the state may take over: an exact plane whose
-    multiplier is 0 is a fresh np.zeros, whose pages are never written,
-    and the first whose multiplier is 1 is ``coeff`` itself."""
+def _from_units(num_qubits: int, coeff: np.ndarray, e: int, backend: str) -> StateVector:
+    """State whose amplitude at x is coeff[x] / sqrt(2)^e, for an int64
+    ``coeff`` that an exact state takes over as one plane; its other
+    plane is a fresh np.zeros, whose pages are never written."""
+    unit = DyadicReal.inv_sqrt2_pow(e)
     if backend != EXACT:
         return StateVector._from_planes(num_qubits, backend, (coeff * unit.to_float(),))
-    planes = []
-    for c in (unit.a, unit.b):
-        if c == 0:
-            planes.append(np.zeros(coeff.size, np.int64))
-        elif c == 1 and not any(p is coeff for p in planes):
-            planes.append(coeff)
-        else:
-            planes.append(coeff * c)
+    zeros = np.zeros(coeff.size, np.int64)
+    planes = (coeff, zeros) if unit.a else (zeros, coeff)
     return StateVector._from_planes(num_qubits, EXACT, planes, unit.h)
 
 
@@ -84,14 +57,14 @@ def psi1(n: int, backend: str = EXACT) -> StateVector:
     """The double uniform superposition: all 2^(2n) amplitudes 1/2^n."""
     _check_args(n, None, backend)
     coeff = np.ones(1 << (2 * n), dtype=np.int64)
-    return _from_units(2 * n, coeff, DyadicReal(1, 0, n), backend)
+    return _from_units(2 * n, coeff, 2 * n, backend)
 
 
 def psi2(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
     """Amplitude of |j>|k> is (-1)^f(k) / 2^n."""
     _check_args(n, f, backend)
     coeff = np.tile(f.sign_array(), 1 << n)
-    return _from_units(2 * n, coeff, DyadicReal(1, 0, n), backend)
+    return _from_units(2 * n, coeff, 2 * n, backend)
 
 
 def psi2a(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -113,7 +86,7 @@ def psi2a(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
                 idx = (((j & ~1) | t) << n) | k
                 sign = base + (1 + jn + kn) * t
                 coeff[idx] += -1 if sign & 1 else 1
-    return _from_units(2 * n, coeff, DyadicReal(0, 1, n + 1), backend)
+    return _from_units(2 * n, coeff, 2 * n + 1, backend)
 
 
 def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -134,7 +107,7 @@ def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
                 e = fk + (j & k).bit_count() + lbits + (l & (j ^ k)).bit_count()
                 total += -1 if e & 1 else 1
             coeff[(l << n) | k] = total
-    return _from_units(2 * n, coeff, DyadicReal.inv_sqrt2_pow(3 * n), backend)
+    return _from_units(2 * n, coeff, 3 * n, backend)
 
 
 def target_output(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -152,4 +125,4 @@ def _target_rows(n: int, signs: np.ndarray, backend: str) -> StateVector:
     coeff = np.zeros((rows, size * size), dtype=np.int64)
     coeff[:, :: size + 1] = signs
     num_qubits = (rows.bit_length() - 1) + 2 * n
-    return _from_units(num_qubits, coeff.reshape(-1), DyadicReal.inv_sqrt2_pow(n), backend)
+    return _from_units(num_qubits, coeff.reshape(-1), n, backend)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .state import EXACT, BooleanOracle, StateVector, _qubit_range
+from .state import EXACT, BooleanOracle, StateVector, _check_register, _qubit_range
 
 PSI0, PSI1, PSI2, PSI2A, PSI3 = "psi0", "psi1", "psi2", "psi2a", "psi3"
 CHECKPOINT_LABELS = (PSI0, PSI1, PSI2, PSI2A, PSI3)
@@ -90,10 +90,7 @@ def build_comparison_search(n: int, f: BooleanOracle) -> Circuit:
     For n = 1 the single comparison gate makes psi2a and psi3 coincide;
     both labels are still emitted.
     """
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
-    if f.n != n:
-        raise ValueError(f"oracle arity {f.n} does not match n={n}")
+    _check_register(n, f)
     ops: list[CircuitOp] = [Checkpoint(PSI0)]
     ops += [GatePlacement((q,), gates.hadamard()) for q in range(1, 2 * n + 1)]
     ops.append(Checkpoint(PSI1))
@@ -115,10 +112,7 @@ def _nonzero_marker(n: int) -> BooleanOracle:
 def build_grover(n: int, f: BooleanOracle, iterations: int) -> Circuit:
     """Grover search: H layer, then ``iterations`` rounds of oracle plus
     diffusion (H layer, phase flip on all nonzero states, H layer)."""
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
-    if f.n != n:
-        raise ValueError(f"oracle arity {f.n} does not match n={n}")
+    _check_register(n, f)
     if iterations < 0:
         raise ValueError("iteration count must be >= 0")
     h_layer = [GatePlacement((q,), gates.hadamard()) for q in range(1, n + 1)]
@@ -134,8 +128,7 @@ def build_grover(n: int, f: BooleanOracle, iterations: int) -> Circuit:
 
 def grover_optimal_iterations(n: int, num_marked: int) -> int:
     """floor((pi/4) * sqrt(2^n / num_marked))."""
-    if n < 1:
-        raise ValueError(f"register size must be >= 1, got {n}")
+    _check_register(n)
     if not 1 <= num_marked <= (1 << n):
         raise ValueError(f"marked count {num_marked} out of range for n={n}")
     return math.floor((math.pi / 4) * math.sqrt((1 << n) / num_marked))

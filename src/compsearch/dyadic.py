@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import total_ordering
 
 SQRT2 = math.sqrt(2)  # 1.4142135623730951
 
 
-@total_ordering
 class DyadicReal:
     """Value (a + b*sqrt(2)) / 2^h with integer a, b and h >= 0; a
     non-integer part raises TypeError.
@@ -94,18 +92,6 @@ class DyadicReal:
     def __rmul__(self, other: int | DyadicReal) -> DyadicReal:
         return self * other
 
-    def __pow__(self, e: int) -> DyadicReal:
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        out = DyadicReal(1, 0, 0)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __abs__(self) -> DyadicReal:
         return -self if self.sign() < 0 else self
 
@@ -135,11 +121,6 @@ class DyadicReal:
         if isinstance(other, DyadicReal):
             return self.a == other.a and self.b == other.b and self.h == other.h
         return NotImplemented
-
-    def __lt__(self, other: int | DyadicReal) -> bool:
-        if not isinstance(other, (int, DyadicReal)):
-            return NotImplemented
-        return (self - other).sign() < 0
 
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.h))

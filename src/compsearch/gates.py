@@ -241,12 +241,10 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     """
     _check_placement(state.num_qubits, qubits, gate.dim)
     exact = state.backend == EXACT
+    key = tuple(bound > 0 for bound in state._bounds) if exact else FLOAT
+    steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(key)
     if exact:
-        live = tuple(bound > 0 for bound in state._bounds)
-        steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(live)
         state._make_room(growth)
-    else:
-        steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(FLOAT)
     shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
     views = [p.reshape(shape) for p in state._planes]
     for chunk in chunks:
@@ -260,13 +258,8 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
         arrays += [arrays[src].copy() for src in saves]
         if scratch:
             arrays.append(np.empty(arrays[-1].shape, arrays[-1].dtype))
-        if perm:
-            for ufunc, x, y, y_is_slot, out in steps:
-                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
-        else:
-            # Without order=: parsing it costs small states a few percent.
-            for ufunc, x, y, y_is_slot, out in steps:
-                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])
+        for ufunc, x, y, y_is_slot, out in steps:
+            ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
     if exact:
         state._h += g
         bounds = tuple(b * growth for b in state._bounds)

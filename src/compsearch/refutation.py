@@ -74,10 +74,11 @@ class Distribution:
     * float -- one float64 plane, and h = 0.
 
     The constructor stores exact planes as Python ints, so that no sum
-    over them can wrap, and checks that every entry is non-negative and
-    that the table sums to 1.  Inside this module a *row table* holds R
-    tables at once, as planes of shape (R, 2^m); ``len``,
-    ``num_qubits``, :func:`marginal` and the TV code read the last axis.
+    over them can wrap, refuses a non-integer exact entry with
+    TypeError, and checks that every entry is non-negative and that the
+    table sums to 1.  Inside this module a *row table* holds R tables at
+    once, as planes of shape (R, 2^m); ``len``, ``num_qubits``,
+    :func:`marginal` and the TV code read the last axis.
     """
 
     __slots__ = ("planes", "h", "num_qubits", "exact")
@@ -93,7 +94,8 @@ class Distribution:
         if size < 2 or size & (size - 1) or any(p.shape != (size,) for p in planes):
             raise ValueError("probability table size is not a power of two >= 2")
         if exact:
-            negative = any(_value(planes, h, x).sign() < 0 for x in range(size))
+            # min reads every entry, so a non-integer one raises TypeError.
+            negative = min(_value(planes, h, x).sign() for x in range(size)) < 0
         else:
             negative = not (planes[0] >= 0).all()  # a NaN entry fails too
         if negative:

@@ -38,6 +38,7 @@ states and probability tables alike, ``_value`` reads one entry and
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -87,11 +88,12 @@ def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
 
 def _value(planes, h: int, x) -> DyadicReal | float:
     """Entry x of ``planes`` at exponent h: a DyadicReal for two exact
-    planes, a float for one float plane."""
+    planes, whose non-integer entry raises TypeError, or a float for one
+    float plane."""
     if len(planes) == 1:
         return float(planes[0][x])
     a, b = planes
-    return DyadicReal(int(a[x]), int(b[x]), h)
+    return DyadicReal(a[x], b[x], h)
 
 
 def _as_float(planes, h: int) -> np.ndarray:
@@ -109,11 +111,13 @@ def _as_float(planes, h: int) -> np.ndarray:
 
 class BooleanOracle:
     """A function f: {0, ..., 2^n - 1} -> {0, 1} held as a truth-table
-    bitmask whose bit k is f(k)."""
+    bitmask whose bit k is f(k); a non-integer n or table raises
+    TypeError."""
 
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table: int) -> None:
+        n, table = operator.index(n), operator.index(table)
         if n < 1:
             raise ValueError(f"oracle arity must be >= 1, got {n}")
         if not 0 <= table < (1 << (1 << n)):
@@ -152,6 +156,16 @@ class BooleanOracle:
 
     def __repr__(self) -> str:
         return f"BooleanOracle(n={self.n}, table={self.table:#x})"
+
+
+def _check_register(n: int, f: BooleanOracle | None = None) -> None:
+    """Raise ValueError unless a register has n >= 1 qubits and the
+    oracle ``f``, if given, is on n bits.  The one check of a register
+    size, for circuit builders and closed forms."""
+    if n < 1:
+        raise ValueError(f"register size must be >= 1, got {n}")
+    if f is not None and f.n != n:
+        raise ValueError(f"oracle arity {f.n} does not match n={n}")
 
 
 def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:

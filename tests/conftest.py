@@ -11,7 +11,8 @@ amplitude by amplitude through the public API, for the same reason.  The
 X, Z and identity gates, the pair-reversed gate, basis states, the tensor
 product, the unitarity check, sampling, empirical distributions,
 constant oracles and float copies of states are built on the public
-API too: the library itself needs none of them.  ``report_dict``
+API too: the library itself needs none of them.  ``delta_identity`` is
+the parity identity that psi3 collapses by, summed literally.  ``report_dict``
 renders a sweep report as one dict, the reference that the streamed
 report is checked against.
 """
@@ -70,6 +71,8 @@ EXACT_MATRICES = {
     "C": ((_R, _O, _R, _O), (_O, _R, _O, -_R), (-_R, _O, _R, _O), (_O, _R, _O, _R)),
     # Controlled-H mixes entries with and without sqrt(2).
     "CH": ((_I, _O, _O, _O), (_O, _I, _O, _O), (_O, _O, _R, _R), (_O, _O, _R, -_R)),
+    # H (x) H: every row has four nonzero entries, +-1/2.
+    "HH": tuple(tuple(_R * _R * (-1) ** (i & j).bit_count() for j in range(4)) for i in range(4)),
 }
 
 
@@ -256,6 +259,24 @@ def constant_oracle(n: int, value: int) -> cs.BooleanOracle:
 def to_float(s: cs.StateVector) -> cs.StateVector:
     """``s`` as a float state, amplitudes as by ``to_float_array``."""
     return cs.StateVector.from_amplitudes(s.to_float_array(), cs.FLOAT)
+
+
+def delta_identity(n: int, k: int, l: int) -> int:
+    """sum_j (-1)^(j.(k xor l)) by direct summation over all n-bit j.
+
+    Equals 2^n when k = l and 0 otherwise; the summation is deliberately
+    literal so that the identity is verified rather than assumed.
+    """
+    if n < 1:
+        raise ValueError(f"width must be >= 1, got {n}")
+    for name, v in (("k", k), ("l", l)):
+        if not 0 <= v < (1 << n):
+            raise ValueError(f"{name}={v} out of range for width {n}")
+    d = k ^ l
+    total = 0
+    for j in range(1 << n):
+        total += -1 if (j & d).bit_count() & 1 else 1
+    return total
 
 
 def report_dict(report: cs.SweepReport) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 import compsearch as cs
 from compsearch import DyadicReal, StateVector
 from compsearch.cli import main
-from conftest import basis_state, is_unitary, random_exact_state
+from conftest import basis_state, delta_identity, is_unitary, random_exact_state
 
 FLOAT_TOL = 1e-12
 
@@ -64,7 +64,7 @@ def test_criterion_3_delta_identity_exhaustive():
         for k in range(size):
             for l in range(size):
                 want = size if k == l else 0
-                assert cs.delta_identity(n, k, l) == want
+                assert delta_identity(n, k, l) == want
                 pairs += 1
     report(3, f"parity identity holds on all {pairs} (k, l) pairs up to n=8")
 

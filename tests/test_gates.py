@@ -382,6 +382,7 @@ LIBRARY = {
     "Z": pauli_z(),
     "C": cs.comparison_gate(),
     "CH": cs.Gate("CH", EXACT_MATRICES["CH"]),
+    "HH": cs.Gate("HH", EXACT_MATRICES["HH"]),
 }
 
 
@@ -438,18 +439,19 @@ class TestKernelDifferential:
 
 
 def float_reference(amps: np.ndarray, G: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The float kernel's result by numpy slices alone: out_i is the sum
-    over nonzero G[i, j] of fl(G[i, j] * x_j), own slot first, where
-    slot j has the bit of qubits[t] at position k - 1 - t.  Every row of
-    the gates it serves has at most two nonzero entries, whose float sum
-    does not depend on the order."""
+    """The float kernel's result by numpy slices alone: out_i is the sum,
+    left to right, over nonzero G[i, j] of fl(G[i, j] * x_j), where slot
+    j has the bit of qubits[t] at position k - 1 - t.  A row of two terms
+    adds its own slot first, though that sum does not depend on the
+    order; a longer row adds in column order."""
     m, k = len(amps).bit_length() - 1, len(qubits)
     axes = [q - 1 for q in qubits]
     x = np.moveaxis(amps.reshape((2,) * m), axes, range(k)).reshape(1 << k, -1)
     out = np.empty_like(x)
     for i in range(1 << k):
-        cols = sorted((j for j in range(1 << k) if G[i, j] != 0), key=lambda j: j != i)
-        assert 1 <= len(cols) <= 2
+        cols = [j for j in range(1 << k) if G[i, j] != 0]
+        if len(cols) <= 2:
+            cols.sort(key=lambda j: j != i)
         out[i] = G[i, cols[0]] * x[cols[0]]
         for j in cols[1:]:
             out[i] = out[i] + G[i, j] * x[j]
@@ -467,11 +469,12 @@ def signed_zero_state(m: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-# H and C have entries of one magnitude; controlled-H and M mix
-# magnitudes 1 and 1/sqrt(2), and M has a row of two unit entries.
+# H, C and H (x) H have entries of one magnitude, and the rows of
+# H (x) H sum four terms; controlled-H and M mix magnitudes 1 and
+# 1/sqrt(2), and M has a row of two unit entries.
 BITWISE_GATES = {
     1: (cs.hadamard(), cs.Gate("M", ((1, -1), (INV, INV)))),
-    2: (cs.comparison_gate(), LIBRARY["CH"]),
+    2: (cs.comparison_gate(), LIBRARY["CH"], LIBRARY["HH"]),
 }
 
 
@@ -581,6 +584,16 @@ class TestExactKernelDifferential:
             finally:
                 gates._layout.cache_clear()
         assert chunked.tobytes() == flat.tobytes()
+
+    def test_four_term_rows(self):
+        # H (x) H sums four unit terms a row: on the a plane alone, on the
+        # b plane alone (after H) and on both (after controlled-H), on
+        # adjacent, reversed and nonadjacent pairs.
+        word = (4, 6, [("HH", 1, 2), ("H", 4), ("HH", 4, 2), ("CH", 3, 1),
+                       ("HH", 1, 3), ("HH", 2, 4)])
+        live = []
+        _run_word(word, check=lambda s: live.append(tuple(b > 0 for b in s._bounds)))
+        assert live == [(True, False), (False, True), (False, True)] + [(True, True)] * 3
 
     def test_cross_plane_gate_then_both_planes(self):
         # H leaves the a plane zero, so the next gates skip it; controlled-H

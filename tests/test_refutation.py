@@ -115,6 +115,13 @@ class TestDistribution:
             Distribution(planes, h)
         assert str(excinfo.value) == message
 
+    def test_rejects_non_integer_exact_entries(self):
+        # Each sums to 1 as floats; entries were once truncated by int(),
+        # so the first two were built and the last read as negative.
+        for planes in (([1.5, -0.5], [0, 0]), ([1, 0], [0.5, 0]), ([-1, 2.0], [0, 0])):
+            with pytest.raises(TypeError):
+                Distribution(planes)
+
     def test_rejects_negative_entries(self):
         # Each table sums to 1; p0 = (sqrt2 - 2)/2 < 0 in the last one.
         for planes, h in (

@@ -35,6 +35,16 @@ class TestBooleanOracle:
         with pytest.raises(ValueError):
             BooleanOracle(2, 0)(4)
 
+    def test_non_integer_arguments_rejected(self):
+        # A float table once built an oracle whose repr, sign_array and
+        # calls then failed.
+        for n, table in ((2, 1.5), (2.0, 1), (2, "0x6")):
+            with pytest.raises(TypeError):
+                BooleanOracle(n, table)
+        f = BooleanOracle(np.int64(2), np.int64(6))
+        assert type(f.n) is type(f.table) is int
+        assert repr(f) == "BooleanOracle(n=2, table=0x6)"
+
     def test_all_oracles_counts(self):
         assert sum(1 for _ in cs.all_oracles(1)) == 4
         assert sum(1 for _ in cs.all_oracles(2)) == 16
