@@ -11,8 +11,8 @@ amplitude by amplitude through the public API, for the same reason.  The
 X, Z and identity gates, the pair-reversed gate, basis states, the tensor
 product, the unitarity check, sampling, empirical distributions,
 constant oracles and float copies of states are built on the public
-API too: the library itself needs none of them.  ``delta_identity`` is
-the parity identity that psi3 collapses by, summed literally.  ``report_dict``
+API too: the library itself needs none of them.  ``delta_identity`` sums
+the parity identity that psi3 collapses by, literally.  ``report_dict``
 renders a sweep report as one dict, the reference that the streamed
 report is checked against.
 """
