@@ -116,8 +116,8 @@ class TestDistribution:
         assert str(excinfo.value) == message
 
     def test_rejects_non_integer_exact_entries(self):
-        # Each sums to 1 as floats; entries were once truncated by int(),
-        # so the first two were built and the last read as negative.
+        # Each sums to 1 as floats.  Truncated by int(), the first two
+        # would pass every check and the last would read as negative.
         for planes in (([1.5, -0.5], [0, 0]), ([1, 0], [0.5, 0]), ([-1, 2.0], [0, 0])):
             with pytest.raises(TypeError):
                 Distribution(planes)

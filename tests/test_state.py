@@ -36,8 +36,8 @@ class TestBooleanOracle:
             BooleanOracle(2, 0)(4)
 
     def test_non_integer_arguments_rejected(self):
-        # A float table once built an oracle whose repr, sign_array and
-        # calls then failed.
+        # Refused at once: an oracle with a float table would fail later,
+        # in repr, sign_array and every call.
         for n, table in ((2, 1.5), (2.0, 1), (2, "0x6")):
             with pytest.raises(TypeError):
                 BooleanOracle(n, table)
