@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -612,3 +613,44 @@ class TestExactKernelDifferential:
         assert live[:3] == [(False, True), (False, True), (True, False)]
         assert live[3:] == [(True, True)] * 6
         assert all(plane.any() for plane in s._planes)
+
+
+def kernel_trail(m: int, backend: str, seed: int, count: int = 300) -> str:
+    """sha256 over ``(_h, _bounds, sha256 of each plane's bytes)`` after
+    every gate of a seeded word of ``count`` H and C gates on |0...0>."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    s = StateVector(m, backend)
+    trail = hashlib.sha256()
+    for _ in range(count):
+        if rng.integers(2):
+            cs.apply_gate1(s, int(rng.integers(1, m + 1)), cs.hadamard())
+        else:
+            p, q = rng.choice(m, size=2, replace=False) + 1
+            cs.apply_gate2(s, int(p), int(q), cs.comparison_gate())
+        planes = [hashlib.sha256(p.tobytes()).hexdigest() for p in s._planes]
+        trail.update(repr((s._h, s._bounds, planes)).encode())
+    return trail.hexdigest()
+
+
+# The trail digest per (width, backend).  A change in any amplitude, in
+# the exponent h, in a tracked bound (so in when _make_room rescans) or
+# in which exact plane is which changes it.
+KERNEL_TRAILS = {
+    (3, cs.EXACT):
+        "f6e78d11bc7789385b77730c2e6b3e28d2ef7e9f216cb7291292abb880c6f009",
+    (5, cs.EXACT):
+        "71d8acca835f24f9a46aea135bed846543d58b20c81e07f9720432af89a3f048",
+    (8, cs.EXACT):
+        "40e70f6ce6f10f448f42df1f1bfa77a887cdd078e4f01de4ab92d3d51d9c6eb1",
+    (3, cs.FLOAT):
+        "6c03f82cf41b6b5db3db6bf4d6ae04166db6af5327fc23d4a7cb8b3009674546",
+    (5, cs.FLOAT):
+        "ae9b919379c027c4870c8e0e50c9f7027dfdc499b3744f1d3dd7fb24475b666f",
+    (8, cs.FLOAT):
+        "677a0110ea0869c53f235d91382c8221ccb998981884ab16c66704687ab03045",
+}
+
+
+def test_exact_kernel_trail_pinned():
+    for (m, backend), digest in KERNEL_TRAILS.items():
+        assert kernel_trail(m, backend, seed=70 + m) == digest, (m, backend)
