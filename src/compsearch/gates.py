@@ -15,38 +15,89 @@ ValueError before any write.  A phase oracle's register window has one
 check too, :func:`compsearch.state._qubit_range`, which the kernel and
 circuits share with the probability tables.
 
-Every gate compiles once per backend into in-place ufunc steps over the
-state's planes (see :mod:`compsearch.state`), and on the exact backend
-once per pattern of zero planes, whose steps it leaves out.  A float
-gate whose nonzero entries share one magnitude s != 1 (H and C) compiles
-as G / s, whose entries are +-1: the kernel scales each chunk by s once,
-and a row of two terms is then one add or subtract.  As
+Every gate is (1/sqrt(2))^e times a matrix S of 0 and +-1, for one
+e >= 0, and compiles once, when it is built, into in-place ufunc steps
+that apply S to one plane (see :mod:`compsearch.state`); a row of two
+terms is one add or subtract.  One kernel runs those steps on each
+nonzero plane of either backend, for both arities, so a zero exact plane
+stays zero.  A float chunk is first scaled by s = (1/sqrt(2))^e.  As
 fl(+-s x) = +-fl(s x) and fl(a + (-b)) = fl(a - b), signed zeros
 included, each amplitude is bit for bit the sum of fl(G[i, j] x_j) that
-the unscaled steps give.  One kernel runs those steps for both backends
-and both arities.  Kernels mutate the state in place and return it.
-Oracles are applied as diagonal sign flips over a register window
-rather than materialized matrices, so every application is O(2^m).
+unscaled steps would give.  Exact planes take S as it is and h grows
+by ceil(e/2): for odd e, as (a + b sqrt2) / sqrt2 = (2 b + a sqrt2) / 2,
+the new b plane is doubled and the planes trade places.  Kernels mutate
+the state in place and return it.  Oracles are applied as diagonal
+sign flips over a register window rather than materialized matrices, so
+every application is O(2^m).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, BooleanOracle, StateVector, _qubit_range
+from .state import EXACT, BooleanOracle, StateVector, _qubit_range
+
+
+def _compile(signs) -> tuple:
+    """The steps that apply the 0/+-1 matrix ``signs`` to one plane:
+    ``(steps, saves, growth)``.
+
+    The kernel lists the plane's slot arrays (gate slot j at j), then
+    copies of the ``saves`` slots, which some row reads after an earlier
+    row overwrote them.  Each step ``(ufunc, x, y, y_is_slot, out)`` is
+    one call ``ufunc(arrays[x], arrays[y] if y_is_slot else y,
+    out=arrays[out])``.  No integer grows by more than the factor
+    ``growth``, the most nonzero entries of a row.
+    """
+    dim = len(signs)
+    written, saves, steps = set(), [], []
+
+    def slot(j: int) -> int:
+        if j not in written:
+            return j
+        if j not in saves:
+            saves.append(j)
+        return dim + saves.index(j)
+
+    for i, row in enumerate(signs):
+        # An all-zero row keeps one zero term, so that it writes zeros.
+        terms = [(c, j) for j, c in enumerate(row) if c] or [(0, 0)]
+        if len(terms) <= 2:
+            # Reading the output's own slot first saves copying it; a sum
+            # of two terms is unchanged by the order, signed zeros included.
+            terms.sort(key=lambda t: t[1] != i)
+        units = [c for c, _ in terms[:2]]
+        if len(units) == 2 and units != [-1, -1]:
+            # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
+            x0, x1 = (slot(j) for _, j in terms[:2])
+            if units[0] == -1:
+                x0, x1 = x1, x0
+            steps.append((np.add if units[0] == units[1] else np.subtract, x0, x1, True, i))
+            rest = terms[2:]
+        else:
+            (c, j), *rest = terms
+            x = slot(j)
+            if not (x == i and c == 1):
+                steps.append((np.multiply, x, c, False, i))
+        written.add(i)
+        for c, j in rest:
+            steps.append((np.add if c == 1 else np.subtract, i, slot(j), True, i))
+    growth = max(sum(map(abs, row)) for row in signs)
+    return tuple(steps), tuple(saves), growth
 
 
 class Gate:
     """A named 2x2 or 4x4 matrix over the dyadic sqrt(2) ring: a gate on
     one qubit (basis |0>, |1>) or on an ordered pair (p, q) (basis
-    |b_p b_q>).  Entries are DyadicReal or int; any other shape raises
-    ValueError, and a non-integer entry TypeError."""
+    |b_p b_q>).  Entries are DyadicReal or int, and every nonzero one is
+    +-(1/sqrt(2))^e for one e >= 0: the gate is (1/sqrt(2))^e times a
+    matrix of 0 and +-1.  Any other shape or matrix raises ValueError,
+    and a non-integer entry TypeError."""
 
-    __slots__ = ("name", "matrix", "dim", "_cache")
+    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_steps")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -57,34 +108,16 @@ class Gate:
         self.dim = len(self.matrix)
         if self.dim not in (2, 4) or any(len(row) != self.dim for row in self.matrix):
             raise ValueError(f"gate {name!r} needs a 2x2 or 4x4 matrix")
-        self._cache = {}
-
-    def float_matrix(self) -> np.ndarray:
-        return np.array([[e.to_float() for e in row] for row in self.matrix])
-
-    def _compiled(self, key) -> tuple:
-        """The gate as ``(steps, saves, scratch, g, growth, swap, cross, scale)``,
-        cached per ``key``: ``FLOAT``, or for an exact state the pair of
-        flags saying which of its two planes is nonzero.
-
-        The kernel lists the flat planes, the slot arrays of every plane
-        (plane p, gate slot j at ``planes + p * dim + j``), copies of the
-        ``saves`` slots, which some row reads after an earlier row
-        overwrote them, and last, if ``scratch``, one scratch slot.  Each
-        step ``(ufunc, x, y, y_is_slot, out)`` is one call
-        ``ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out])``.
-        The exponent grows by ``g``, no integer grows by more than the
-        factor ``growth``, and ``swap`` says the two exact planes trade
-        places afterwards.  The steps and saved slots that write a zero
-        exact plane are left out, as that plane stays zero, unless
-        ``cross``: some row reads a plane other than the one it writes
-        (controlled-H), and then every step runs.  The kernel multiplies
-        each chunk by ``scale`` before it copies the saved slots; it is 1
-        unless the float matrix was divided by its one magnitude.
-        """
-        if key not in self._cache:
-            self._cache[key] = _compile(self, key)
-        return self._cache[key]
+        units = {abs(e) for row in self.matrix for e in row if e} or {DyadicReal(1, 0)}
+        unit = units.pop()
+        # 1/sqrt(2)^e is 1/2^h for e = 2h, and sqrt(2)/2^h for e = 2h - 1.
+        self._e = 2 * unit.h - unit.b
+        if units or (unit.a, unit.b) not in ((1, 0), (0, 1)) or self._e < 0:
+            raise ValueError(
+                f"gate {name!r} needs every nonzero entry to be +-(1/sqrt(2))^e for one e >= 0"
+            )
+        self._scale = unit.to_float()
+        self._steps = _compile([[e.sign() for e in row] for row in self.matrix])
 
     def __repr__(self) -> str:
         return f"Gate({self.name})"
@@ -121,151 +154,54 @@ def comparison_gate() -> Gate:
     return _COMPARISON
 
 
-def _compile(gate: Gate, key) -> tuple:
-    """See :meth:`Gate._compiled`."""
-    matrix = gate.matrix
-    dim = range(gate.dim)
-    exact = key != FLOAT
-    live = key if exact else (True,)
-    swap, scale = False, 1.0
-    if not exact:
-        G = gate.float_matrix()
-        magnitudes = set(np.abs(G[G != 0]).tolist())
-        if len(magnitudes) == 1:
-            scale = magnitudes.pop()
-            G = G / scale  # exactly +-1 where nonzero
-        g, rows = 0, [(0, i, [(G[i, j], 0, j) for j in dim]) for i in dim]
-    else:
-        # entry (A + B sqrt2) / 2^g times amplitude (a + b sqrt2)
-        # is (A a + 2 B b) + (B a + A b) sqrt2, over 2^g.
-        g = max(e.h for row in matrix for e in row)
-        A = [[e.a << (g - e.h) for e in row] for row in matrix]
-        B = [[e.b << (g - e.h) for e in row] for row in matrix]
-        swap = not any(map(any, A))
-        rows = []
-        for i in dim:
-            if swap:
-                # All A = 0: the new a = 2 B b overwrites b and the new
-                # b = B a overwrites a, each plane mixed on its own.
-                rows += [(0, i, [(B[i][j], 0, j) for j in dim]),
-                         (1, i, [(2 * B[i][j], 1, j) for j in dim])]
-            else:
-                a = [(A[i][j], 0, j) for j in dim] + [(2 * B[i][j], 1, j) for j in dim]
-                b = [(A[i][j], 1, j) for j in dim] + [(B[i][j], 0, j) for j in dim]
-                rows += [(0, i, a), (1, i, b)]
-    size = gate.dim
-    planes = 2 if exact else 1
-    first_saved = planes + planes * size
-    written, saves, steps, shifts, growth = set(), [], [], {}, 1
-    cross = any(p != plane for plane, _, terms in rows for c, p, _ in terms if c)
-
-    def slot(p: int, j: int) -> int:
-        if (p, j) not in written:
-            return planes + p * size + j
-        if (p, j) not in saves:
-            saves.append((p, j))
-        return first_saved + saves.index((p, j))
-
-    for plane, i, terms in rows:
-        # An all-zero row keeps one zero term, so that it writes zeros.
-        terms = [t for t in terms if t[0] != 0] or terms[:1]
-        shift = 0
-        if exact:
-            # Pull the terms' common power of two out as a final shift.
-            common = functools.reduce(operator.or_, (c for c, _, _ in terms))
-            shift = (common & -common).bit_length() - 1 if common else 0
-            terms = [(c >> shift, p, j) for c, p, j in terms]
-            growth = max(growth, sum(abs(c) for c, _, _ in terms) << shift)
-        if not (cross or live[plane]):
-            # A zero plane that no other plane feeds stays zero.  Its rows
-            # still count in growth, so the int64 guard is the same for
-            # every pattern of zero planes.
-            continue
-        if exact or len(terms) <= 2:
-            # Reading the output's own slot first saves copying it; integer
-            # sums and two-term float sums are unchanged by the order.
-            terms.sort(key=lambda t: (t[1], t[2]) != (plane, i))
-        out = planes + plane * size + i
-        units = [c for c, _, _ in terms[:2]]
-        if len(units) == 2 and set(units) <= {1, -1} and units != [-1, -1]:
-            # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
-            x0, x1 = (slot(p, j) for _, p, j in terms[:2])
-            if units[0] == -1:
-                x0, x1 = x1, x0
-            steps.append((np.add if units[0] == units[1] else np.subtract, x0, x1, True, out))
-            rest = terms[2:]
-        else:
-            (c, p, j), *rest = terms
-            x = slot(p, j)
-            if not (x == out and c == 1):
-                steps.append((np.multiply, x, c, False, out))
-        written.add((plane, i))
-        for c, p, j in rest:
-            x = slot(p, j)
-            if c == 1 or c == -1:
-                steps.append((np.add if c == 1 else np.subtract, out, x, True, out))
-            else:
-                steps += [(np.multiply, x, c, False, -1), (np.add, out, -1, True, out)]
-        shifts.setdefault(plane, {})[out] = shift
-    # Shifts go last, as no row reads a live slot once it is written; a
-    # plane whose rows all shift alike shifts whole, which stays
-    # contiguous however low the gate's qubits are.
-    for plane, by_out in shifts.items():
-        common = set(by_out.values())
-        if common == {0}:
-            continue
-        if len(common) == 1:
-            steps.append((np.left_shift, plane, common.pop(), False, plane))
-        else:
-            steps += [(np.left_shift, out, k, False, out) for out, k in by_out.items() if k]
-    scratch = any(step[4] == -1 for step in steps)
-    saves = tuple(planes + p * size + j for p, j in saves)
-    return tuple(steps), saves, scratch, g, growth, swap, cross, scale
-
-
 def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVector:
     """Apply ``gate`` to the ordered ``qubits`` of ``state``, in place.
 
     Raises ValueError, before any write, unless the qubits are distinct
     and in range and the gate's matrix is 2^len(qubits) square.
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
-    (first qubit most significant).  Each plane is viewed as
-    (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
-    by chunk (see :func:`_layout`); each chunk is scaled by the gate's
-    float scale, if any, then the slots that a row reads after an
-    earlier row overwrote them are copied, and the compiled steps write
-    each output slot in place by ufuncs with ``out=``.  Exact integers
-    are checked against the state's tracked bounds, so a gate raises
-    OverflowError before any write, and a plane whose bound is 0 is
-    neither read nor written unless the gate crosses planes.
+    (first qubit most significant).  Each plane whose bound is nonzero
+    (a float plane always) is viewed as (pre, 2, [mid, 2,] post) around
+    the sorted qubits and walked chunk by chunk (see :func:`_layout`).
+    A float chunk is first scaled by (1/sqrt(2))^e; then the slots that
+    a row reads after an earlier row overwrote them are copied, and the
+    compiled steps write each output slot in place by ufuncs with
+    ``out=``.  For odd e, as (a + b sqrt2) / sqrt2 = (2 b + a sqrt2) / 2,
+    the exact b plane is then doubled and the two planes trade places.
+    Exact integers are checked against the state's tracked bounds, so a
+    gate raises OverflowError before any write.
     """
     _check_placement(state.num_qubits, qubits, gate.dim)
+    steps, saves, growth = gate._steps
     exact = state.backend == EXACT
-    key = tuple(bound > 0 for bound in state._bounds) if exact else FLOAT
-    steps, saves, scratch, g, growth, swap, cross, scale = gate._compiled(key)
+    odd = gate._e & 1
     if exact:
+        growth <<= odd
         state._make_room(growth)
+    scale = 1 if exact else gate._scale
     shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
-    views = [p.reshape(shape) for p in state._planes]
+    live = [
+        (p.reshape(shape), odd and k == 1)
+        for k, (p, bound) in enumerate(zip(state._planes, state._bounds))
+        if bound
+    ]
     for chunk in chunks:
-        regions = [v[chunk] for v in views] if chunk else views
-        if scale != 1:
-            for region in regions:
+        for view, double in live:
+            region = view[chunk] if chunk else view
+            if scale != 1:
                 np.multiply(region, scale, out=region)
-        arrays = regions + [r[i] for r in regions for i in slots]
-        if perm:
-            arrays[len(regions):] = [a.transpose(perm) for a in arrays[len(regions):]]
-        arrays += [arrays[src].copy() for src in saves]
-        if scratch:
-            arrays.append(np.empty(arrays[-1].shape, arrays[-1].dtype))
-        for ufunc, x, y, y_is_slot, out in steps:
-            ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+            arrays = [region[i] for i in slots]
+            if perm:
+                arrays = [a.transpose(perm) for a in arrays]
+            arrays += [arrays[j].copy() for j in saves]
+            for ufunc, x, y, y_is_slot, out in steps:
+                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+            if double:
+                np.left_shift(region, 1, out=region)
     if exact:
-        state._h += g
+        state._h += (gate._e + 1) // 2
         bounds = tuple(b * growth for b in state._bounds)
-        if cross:
-            bounds = (max(bounds),) * 2
-        elif swap:
+        if odd:
             bounds, state._planes = bounds[::-1], state._planes[::-1]
         state._bounds = bounds
     elif not np.isfinite(state._planes[0]).all():

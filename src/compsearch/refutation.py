@@ -19,6 +19,7 @@ comparison circuit leaves it at exactly 2^-n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from itertools import islice
 
@@ -94,7 +95,9 @@ class Distribution:
         if size < 2 or size & (size - 1) or any(p.shape != (size,) for p in planes):
             raise ValueError("probability table size is not a power of two >= 2")
         if exact:
-            # min reads every entry, so a non-integer one raises TypeError.
+            # Python ints, as numpy integers would sum in int64 and wrap; a
+            # non-integer entry raises TypeError.
+            planes = tuple(np.array([operator.index(x) for x in p], dtype=object) for p in planes)
             negative = min(_value(planes, h, x).sign() for x in range(size)) < 0
         else:
             negative = not (planes[0] >= 0).all()  # a NaN entry fails too

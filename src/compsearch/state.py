@@ -17,14 +17,13 @@ planes:
   compares values at the larger h of the two states and changes
   neither.  Each exact
   state tracks ``_bounds``, one upper bound per plane on its integer
-  magnitudes, so a bound of 0 means that plane is all zero.  The gates
-  that build the paper's states (H and C, multiples of sqrt(2), and the
-  +-1 oracles) keep a zero plane zero, so gates, oracles, squaring and
-  reduction never read or write a plane whose bound is 0; only a gate
-  that mixes the planes (controlled-H) makes both nonzero.  A gate that
-  might push an integer to 2^62 first reduces h and rescans, and raises
-  OverflowError, before any write, if that does not make room.  Integers
-  never wrap.
+  magnitudes, so a bound of 0 means that plane is all zero.  Every gate
+  and oracle keeps a zero plane zero (a gate is a power of 1/sqrt(2)
+  times a matrix of 0 and +-1, see :mod:`compsearch.gates`), so gates,
+  oracles, squaring and reduction never read or write a plane whose
+  bound is 0.  A gate that might push an integer to 2^62 first reduces
+  h and rescans, and raises OverflowError, before any write, if that
+  does not make room.  Integers never wrap.
 * ``"float"`` -- one float64 plane holding the amplitudes; h = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.

@@ -56,6 +56,24 @@ class TestGate:
         with pytest.raises(TypeError):
             cs.Gate("bad", ((DyadicReal(0.5, 0), 0), (0, 1)))
 
+    def test_one_magnitude_of_entries(self):
+        # A gate is (1/sqrt(2))^e times a matrix of 0 and +-1, for one
+        # e >= 0: controlled-H and M mix magnitudes 1 and 1/sqrt(2), and
+        # sqrt(2) I would need e = -1.
+        refused = {
+            "CH": EXACT_MATRICES["CH"],
+            "M": ((1, -1), (INV, INV)),
+            "sqrt2 I": ((DyadicReal(0, 1), 0), (0, DyadicReal(0, 1))),
+        }
+        for name, rows in refused.items():
+            want = f"gate {name!r} needs every nonzero entry to be +-(1/sqrt(2))^e for one e >= 0"
+            with pytest.raises(ValueError) as info:
+                cs.Gate(name, rows)
+            assert str(info.value) == want
+        for name, rows, e in (("P0", ((1, 0), (0, 0)), 0), ("X", EXACT_MATRICES["X"], 0),
+                              ("HH", EXACT_MATRICES["HH"], 2)):
+            assert cs.Gate(name, rows)._e == e
+
 
 class TestHadamard:
     def test_matrix_entries(self):
@@ -206,7 +224,7 @@ class TestApplyGate2:
             assert s == before
 
     def test_nonadjacent_matches_dense_matrix(self):
-        G = cs.comparison_gate().float_matrix()
+        G = DENSE["C"]
         rng = np.random.Generator(np.random.PCG64(5))
         for p, q in [(1, 3), (1, 4), (2, 4), (3, 1), (4, 2)]:
             s = random_float_state(4, rng)
@@ -382,21 +400,25 @@ LIBRARY = {
     "X": pauli_x(),
     "Z": pauli_z(),
     "C": cs.comparison_gate(),
-    "CH": cs.Gate("CH", EXACT_MATRICES["CH"]),
     "HH": cs.Gate("HH", EXACT_MATRICES["HH"]),
 }
 
 
+# A start amplitude with both exact planes nonzero.
+BOTH_PLANES = DyadicReal(1, 1, 1)
+
+
 @st.composite
-def gate_words(draw, kinds=("H", "X", "Z", "C", "O"), min_size=1, max_size=12):
-    """A width m, a basis input and a word drawn from ``kinds``: H/X/Z on
-    any qubit, C or CH (controlled-H) on any ordered pair (nonadjacent
-    and reversed included) and phase oracles ("O") on any window."""
+def gate_words(draw, kinds=("H", "X", "Z", "C", "O"), min_size=1, max_size=12, starts=(1,)):
+    """A width m, an input index, its amplitude drawn from ``starts`` (every
+    other amplitude is 0) and a word drawn from ``kinds``: H/X/Z on any
+    qubit, C or HH (H (x) H) on any ordered pair (nonadjacent and
+    reversed included) and phase oracles ("O") on any window."""
     m = draw(st.integers(2, 5))
     ops = []
     for _ in range(draw(st.integers(min_size, max_size))):
         kind = draw(st.sampled_from(kinds))
-        if kind in ("C", "CH"):
+        if kind in ("C", "HH"):
             p, q = draw(st.permutations(range(1, m + 1)))[:2]
             ops.append((kind, p, q))
         elif kind == "O":
@@ -406,14 +428,14 @@ def gate_words(draw, kinds=("H", "X", "Z", "C", "O"), min_size=1, max_size=12):
             ops.append(("O", f, start))
         else:
             ops.append((kind, draw(st.integers(1, m))))
-    return m, draw(st.integers(0, (1 << m) - 1)), ops
+    return m, draw(st.integers(0, (1 << m) - 1)), draw(st.sampled_from(starts)), ops
 
 
 class TestKernelDifferential:
     @settings(max_examples=80, deadline=None)
     @given(gate_words())
     def test_both_backends_match_dense_reference(self, word):
-        m, index, ops = word
+        m, index, _, ops = word
         exact = basis_state(m, index)
         flt = basis_state(m, index, cs.FLOAT)
         ref = np.zeros(1 << m)
@@ -470,13 +492,8 @@ def signed_zero_state(m: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-# H, C and H (x) H have entries of one magnitude, and the rows of
-# H (x) H sum four terms; controlled-H and M mix magnitudes 1 and
-# 1/sqrt(2), and M has a row of two unit entries.
-BITWISE_GATES = {
-    1: (cs.hadamard(), cs.Gate("M", ((1, -1), (INV, INV)))),
-    2: (cs.comparison_gate(), LIBRARY["CH"], LIBRARY["HH"]),
-}
+# The rows of H and C sum two terms, and those of H (x) H four.
+BITWISE_GATES = {1: (cs.hadamard(),), 2: (cs.comparison_gate(), LIBRARY["HH"])}
 
 
 def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
@@ -485,7 +502,8 @@ def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...]) -> No
         s = StateVector.from_amplitudes(amps, cs.FLOAT)
         assert np.array_equal(np.signbit(s._planes[0]), np.signbit(amps))
         got = gates._apply(s, qubits, gate)._planes[0]
-        want = float_reference(amps, gate.float_matrix(), qubits)
+        G = np.array([[e.to_float() for e in row] for row in gate.matrix])
+        want = float_reference(amps, G, qubits)
         assert np.array_equal(got, want), (gate, qubits, m)
         assert np.array_equal(np.signbit(got), np.signbit(want)), (gate, qubits, m)
 
@@ -520,13 +538,14 @@ class TestFloatKernelBitwise:
 
 
 def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
-    """Run ``word`` on the library kernels and return the state; on the
-    exact backend, also require zero-tolerance agreement with
-    ``conftest.exact_apply``.  ``check``, if given, sees the state after
-    every op."""
-    m, index, ops = word
-    s = basis_state(m, index, backend)
-    ref = [DyadicReal(int(x == index), 0) for x in range(1 << m)]
+    """Run ``word`` (see :func:`gate_words`) on the library kernels and
+    return the state; on the exact backend, also require zero-tolerance
+    agreement with ``conftest.exact_apply``.  ``check``, if given, sees
+    the state after every op."""
+    m, index, start, ops = word
+    ref = [DyadicReal.from_int(0)] * (1 << m)
+    ref[index] = start if isinstance(start, DyadicReal) else DyadicReal.from_int(start)
+    s = StateVector.from_amplitudes(ref, backend)
     for op in ops:
         if op[0] == "O":
             _, f, start = op
@@ -558,19 +577,19 @@ def _check_bounds(s: StateVector) -> None:
 
 class TestExactKernelDifferential:
     @settings(max_examples=80, deadline=None)
-    @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O")))
+    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), starts=(1, BOTH_PLANES)))
     def test_words_match_exact_reference(self, word):
         _run_word(word, check=_check_bounds)
 
     @settings(max_examples=25, deadline=None)
-    @given(gate_words(kinds=("H", "C", "CH"), min_size=40, max_size=64))
+    @given(gate_words(kinds=("H", "C", "HH"), min_size=40, max_size=64, starts=(1, BOTH_PLANES)))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
         # leave int64's checked range unless the kernel reduces on the way.
         _run_word(word, check=_check_bounds)
 
     @settings(max_examples=60, deadline=None)
-    @given(gate_words(kinds=("H", "X", "Z", "C", "CH", "O"), max_size=20))
+    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=(1, BOTH_PLANES)))
     def test_chunked_walk_matches(self, word):
         # Large states are walked in chunks, short inner axes transposed.
         # Chunks of two amplitudes per slot take those paths at any width:
@@ -588,30 +607,35 @@ class TestExactKernelDifferential:
 
     def test_four_term_rows(self):
         # H (x) H sums four unit terms a row: on the a plane alone, on the
-        # b plane alone (after H) and on both (after controlled-H), on
-        # adjacent, reversed and nonadjacent pairs.
-        word = (4, 6, [("HH", 1, 2), ("H", 4), ("HH", 4, 2), ("CH", 3, 1),
-                       ("HH", 1, 3), ("HH", 2, 4)])
-        live = []
-        _run_word(word, check=lambda s: live.append(tuple(b > 0 for b in s._bounds)))
-        assert live == [(True, False), (False, True), (False, True)] + [(True, True)] * 3
+        # b plane alone (after H or C) and on both (from a start amplitude
+        # (1 + sqrt2)/2), on adjacent, reversed and nonadjacent pairs.
+        ops = [("HH", 1, 2), ("H", 4), ("HH", 4, 2), ("C", 3, 1), ("HH", 1, 3), ("H", 2),
+               ("HH", 2, 4)]
+        a, b, both = (True, False), (False, True), (True, True)
+        for start, want in ((1, [a, b, b, a, a, b, b]), (BOTH_PLANES, [both] * 7)):
+            live = []
+            _run_word((4, 6, start, ops),
+                      check=lambda s: live.append(tuple(x > 0 for x in s._bounds)))
+            assert live == want
 
     def test_cross_plane_gate_then_both_planes(self):
-        # H leaves the a plane zero, so the next gates skip it; controlled-H
-        # reads both planes and makes both nonzero, and the H and C after
-        # it run every step.
+        # From a basis input H leaves the a plane zero, so the next gates
+        # skip it; from a start amplitude (1 + sqrt2)/2 both planes are
+        # nonzero, and H, C, H (x) H and the oracle run every step on both.
         f = BooleanOracle(2, 0b0110)
-        word = (3, 5, [("H", 1), ("O", f, 2), ("C", 2, 3), ("CH", 1, 2),
-                       ("H", 3), ("C", 2, 3), ("O", f, 1), ("H", 2), ("C", 3, 1)])
+        ops = [("H", 1), ("O", f, 2), ("C", 2, 3), ("HH", 1, 2), ("H", 3), ("C", 2, 3),
+               ("O", f, 1), ("H", 2), ("C", 3, 1)]
         live = []
 
         def check(s):
             _check_bounds(s)
             live.append(tuple(bound > 0 for bound in s._bounds))
 
-        s = _run_word(word, check=check)
-        assert live[:3] == [(False, True), (False, True), (True, False)]
-        assert live[3:] == [(True, True)] * 6
+        _run_word((3, 5, 1, ops), check=check)
+        assert live[:4] == [(False, True), (False, True), (True, False), (True, False)]
+        live.clear()
+        s = _run_word((3, 5, BOTH_PLANES, ops), check=check)
+        assert live == [(True, True)] * 9
         assert all(plane.any() for plane in s._planes)
 
 

@@ -10,6 +10,7 @@ from conftest import (
     basis_state,
     constant_oracle,
     empirical_distribution,
+    exact_apply,
     random_exact_state,
     random_float_state,
     report_dict,
@@ -32,18 +33,18 @@ def output_for(n: int, f: BooleanOracle) -> StateVector:
 def wide_exact_state() -> StateVector:
     """A normalized 3-qubit state whose integers pass 2^30, so that their
     squares summed over the table do not fit in int64: 400 random H and
-    controlled-H gates (controlled-H mixes entries with and without
-    sqrt(2), so the integers keep growing)."""
-    ch = cs.Gate("CH", EXACT_MATRICES["CH"])
+    controlled-H gates applied by ``conftest.exact_apply`` (controlled-H
+    mixes entries with and without sqrt(2), so the integers keep growing,
+    and the library's Gate refuses it)."""
     rng = np.random.Generator(np.random.PCG64(1))
-    s = StateVector(3)
+    amps = [DyadicReal(int(x == 0), 0) for x in range(8)]
     for _ in range(400):
         if rng.integers(2):
-            cs.apply_gate1(s, int(rng.integers(1, 4)), cs.hadamard())
+            amps = exact_apply(amps, EXACT_MATRICES["H"], (int(rng.integers(1, 4)),), 3)
         else:
             p, q = rng.choice(3, size=2, replace=False) + 1
-            cs.apply_gate2(s, int(p), int(q), ch)
-    return s
+            amps = exact_apply(amps, EXACT_MATRICES["CH"], (int(p), int(q)), 3)
+    return StateVector.from_amplitudes(amps)
 
 
 class TestDistribution:
@@ -133,6 +134,14 @@ class TestDistribution:
                 Distribution(planes, h)
         # p0 = (2 - sqrt2)/2 > 0, with a negative sqrt2 part.
         assert Distribution(([2, 0], [-1, 1]), 1)[0] == DyadicReal(2, -1, 1)
+
+    def test_numpy_integer_entries_are_stored_as_python_ints(self):
+        # 2^62 + 2^62 wraps in int64; as Python ints the table sums to 2^63.
+        big = 1 << 62
+        for pa in ([np.int64(big)] * 2, [big] * 2, np.array([big] * 2)):
+            d = Distribution((pa, [0, 0]), 63)
+            assert d[0] == d[1] == DyadicReal(1, 0, 1)
+            assert all(type(x) is int for p in d.planes for x in p)
 
 
 class TestMarginal:

@@ -133,11 +133,11 @@ class TestStateVector:
 
     @pytest.mark.parametrize("backend", cs.BACKENDS)
     def test_copy_keeps_value_bounds_and_zero_plane(self, backend):
-        # H on qubit 1 of |000> leaves the exact a plane zero; controlled-H
-        # then makes both planes nonzero.
-        ch = cs.Gate("CH", ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, INV, INV), (0, 0, INV, -INV)))
-        s = cs.apply_gate1(StateVector(3, backend), 1, cs.hadamard())
-        for step in range(2):
+        # H on qubit 1 of |000> leaves the exact a plane zero; a state
+        # built with an amplitude (1 + sqrt2)/2 has both planes nonzero.
+        one_plane = cs.apply_gate1(StateVector(3, backend), 1, cs.hadamard())
+        both = StateVector.from_amplitudes([INV, 0, 0, 0, DyadicReal(1, 1, 1), 0, 0, 0], backend)
+        for step, s in enumerate((one_plane, both)):
             t = s.copy()
             assert t == s
             # At minimal h: h = 0, or some integer is odd.
@@ -151,7 +151,6 @@ class TestStateVector:
                 assert [b > 0 for b in t._bounds] == [step == 1, True]
             cs.apply_gate1(t, 2, cs.hadamard())
             assert t != s
-            cs.apply_gate2(s, 1, 2, ch)
 
     def test_to_float_array(self):
         s = StateVector.from_amplitudes([INV, -INV])
