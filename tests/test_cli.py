@@ -441,6 +441,8 @@ REPORT_DIGESTS = {
         "75aa7abcef60d9c78c9230ea0e625a5cfc17c11d67c77829bbb42062b714286c",
     "sweep --n 6 --backend exact --seed 3":
         "b62a4ab392019250160e5864c2538693377a92502323d77789267e3edae9b257",
+    "trace --n 4 --backend exact --marked 3":
+        "9050a958fa93a6f25dd46346a66cd28fea490af448f1645737116e2f81d3fdb3",
 }
 
 

@@ -639,18 +639,25 @@ class TestExactKernelDifferential:
         assert all(plane.any() for plane in s._planes)
 
 
-def kernel_trail(m: int, backend: str, seed: int, count: int = 300) -> str:
-    """sha256 over ``(_h, _bounds, sha256 of each plane's bytes)`` after
-    every gate of a seeded word of ``count`` H and C gates on |0...0>."""
+def seeded_word(m: int, backend: str, seed: int, count: int = 300):
+    """Yield the state after every gate of a seeded word of ``count`` H
+    and C gates on |0...0>."""
     rng = np.random.Generator(np.random.PCG64(seed))
     s = StateVector(m, backend)
-    trail = hashlib.sha256()
     for _ in range(count):
         if rng.integers(2):
             cs.apply_gate1(s, int(rng.integers(1, m + 1)), cs.hadamard())
         else:
             p, q = rng.choice(m, size=2, replace=False) + 1
             cs.apply_gate2(s, int(p), int(q), cs.comparison_gate())
+        yield s
+
+
+def kernel_trail(m: int, backend: str, seed: int, count: int = 300) -> str:
+    """sha256 over ``(_h, _bounds, sha256 of each plane's bytes)`` after
+    every gate of :func:`seeded_word`."""
+    trail = hashlib.sha256()
+    for s in seeded_word(m, backend, seed, count):
         planes = [hashlib.sha256(p.tobytes()).hexdigest() for p in s._planes]
         trail.update(repr((s._h, s._bounds, planes)).encode())
     return trail.hexdigest()
@@ -678,3 +685,39 @@ KERNEL_TRAILS = {
 def test_exact_kernel_trail_pinned():
     for (m, backend), digest in KERNEL_TRAILS.items():
         assert kernel_trail(m, backend, seed=70 + m) == digest, (m, backend)
+
+
+def value_trail(m: int, backend: str, seed: int) -> str:
+    """sha256 over public reads after every gate of :func:`seeded_word`:
+    the bytes of ``to_float_array()`` and, on the exact backend, the
+    canonical (a, b, h) of every amplitude."""
+    trail = hashlib.sha256()
+    for s in seeded_word(m, backend, seed):
+        trail.update(s.to_float_array().tobytes())
+        if backend == cs.EXACT:
+            amps = [(v.a, v.b, v.h) for v in s.amplitudes()]
+            trail.update(repr(amps).encode())
+    return trail.hexdigest()
+
+
+# The value trail per (width, backend): a change in any amplitude's
+# value, or in its float conversion, changes it.
+VALUE_TRAILS = {
+    (3, cs.EXACT):
+        "1202e3604610f2ea072fad0c1031a7f97521c833f6096dfa4d2d6684bb2a8838",
+    (5, cs.EXACT):
+        "662079a03fdba604cd84139753fd30394ba31786572e6799c2a2f65af12bcb46",
+    (8, cs.EXACT):
+        "9dbed9503bd4152652ffaf4e960fb1c01162f7f6d4711892443efd5c31ac9bd8",
+    (3, cs.FLOAT):
+        "65104344f58343302d9fe6bb271b91b8b739404cce3d0b01b56c417686222e81",
+    (5, cs.FLOAT):
+        "4709508c2030f32705d258facea39d410668217fd5ef2d9b6df4aba422b1acaf",
+    (8, cs.FLOAT):
+        "490642943ba2867fdb0ebaddfae254acc85d338b7960295a0ea927c9a79645a8",
+}
+
+
+def test_kernel_value_trail_pinned():
+    for (m, backend), digest in VALUE_TRAILS.items():
+        assert value_trail(m, backend, seed=70 + m) == digest, (m, backend)
