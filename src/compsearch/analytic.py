@@ -37,14 +37,11 @@ def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
 
 def _from_units(num_qubits: int, coeff: np.ndarray, e: int, backend: str) -> StateVector:
     """State whose amplitude at x is coeff[x] / sqrt(2)^e, for an int64
-    ``coeff`` that an exact state takes over as one plane; its other
-    plane is a fresh np.zeros, whose pages are never written."""
-    unit = DyadicReal.inv_sqrt2_pow(e)
-    if backend != EXACT:
-        return StateVector._from_planes(num_qubits, backend, (coeff * unit.to_float(),))
-    zeros = np.zeros(coeff.size, np.int64)
-    planes = (coeff, zeros) if unit.a else (zeros, coeff)
-    return StateVector._from_planes(num_qubits, EXACT, planes, unit.h)
+    ``coeff`` that an exact state takes over as its plane."""
+    if backend == EXACT:
+        return StateVector._from_plane(num_qubits, EXACT, coeff, e)
+    scale = DyadicReal.inv_sqrt2_pow(e).to_float()
+    return StateVector._from_plane(num_qubits, backend, coeff * scale)
 
 
 def psi0(n: int, backend: str = EXACT) -> StateVector:

@@ -205,9 +205,7 @@ def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVe
     """
     rows = len(signs)
     state = StateVector((rows.bit_length() - 1) + circuit.width, backend)
-    state._planes[0][:rows] = 1
+    state._plane[:rows] = 1
     _run(circuit, state, signs=signs)
-    state._planes = tuple(
-        np.ascontiguousarray(p.reshape(-1, rows).T).reshape(-1) for p in state._planes
-    )
+    state._plane = np.ascontiguousarray(state._plane.reshape(-1, rows).T).reshape(-1)
     return state

@@ -407,8 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # A run that ran out of memory stopped; it is no verification failure.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

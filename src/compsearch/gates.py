@@ -18,14 +18,12 @@ circuits share with the probability tables.
 Every gate is (1/sqrt(2))^e times a matrix S of 0 and +-1, for one
 e >= 0, and compiles once, when it is built, into in-place ufunc steps
 that apply S to one plane (see :mod:`compsearch.state`); a row of two
-terms is one add or subtract.  One kernel runs those steps on each
-nonzero plane of either backend, for both arities, so a zero exact plane
-stays zero.  A float chunk is first scaled by s = (1/sqrt(2))^e.  As
-fl(+-s x) = +-fl(s x) and fl(a + (-b)) = fl(a - b), signed zeros
-included, each amplitude is bit for bit the sum of fl(G[i, j] x_j) that
-unscaled steps would give.  Exact planes take S as it is and h grows
-by ceil(e/2): for odd e, as (a + b sqrt2) / sqrt2 = (2 b + a sqrt2) / 2,
-the new b plane is doubled and the planes trade places.  Kernels mutate
+terms is one add or subtract.  One kernel runs those steps on the plane
+of either backend, for both arities.  A float chunk is first scaled by
+s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
+fl(a - b), signed zeros included, each amplitude is bit for bit the sum
+of fl(G[i, j] x_j) that unscaled steps would give.  An exact plane
+takes S as it is, and the state's exponent grows by e.  Kernels mutate
 the state in place and return it.  Oracles are applied as diagonal
 sign flips over a register window rather than materialized matrices, so
 every application is O(2^m).
@@ -160,51 +158,37 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     Raises ValueError, before any write, unless the qubits are distinct
     and in range and the gate's matrix is 2^len(qubits) square.
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
-    (first qubit most significant).  Each plane whose bound is nonzero
-    (a float plane always) is viewed as (pre, 2, [mid, 2,] post) around
-    the sorted qubits and walked chunk by chunk (see :func:`_layout`).
-    A float chunk is first scaled by (1/sqrt(2))^e; then the slots that
-    a row reads after an earlier row overwrote them are copied, and the
-    compiled steps write each output slot in place by ufuncs with
-    ``out=``.  For odd e, as (a + b sqrt2) / sqrt2 = (2 b + a sqrt2) / 2,
-    the exact b plane is then doubled and the two planes trade places.
-    Exact integers are checked against the state's tracked bounds, so a
-    gate raises OverflowError before any write.
+    (first qubit most significant).  The state's plane is viewed as
+    (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
+    by chunk (see :func:`_layout`).  A float chunk is first scaled by
+    (1/sqrt(2))^e; then the slots that a row reads after an earlier row
+    overwrote them are copied, and the compiled steps write each output
+    slot in place by ufuncs with ``out=``.  An exact state's exponent
+    then grows by e.  Exact integers are checked against the state's
+    tracked bound, so a gate raises OverflowError before any write.
     """
     _check_placement(state.num_qubits, qubits, gate.dim)
     steps, saves, growth = gate._steps
     exact = state.backend == EXACT
-    odd = gate._e & 1
     if exact:
-        growth <<= odd
         state._make_room(growth)
     scale = 1 if exact else gate._scale
     shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
-    live = [
-        (p.reshape(shape), odd and k == 1)
-        for k, (p, bound) in enumerate(zip(state._planes, state._bounds))
-        if bound
-    ]
+    view = state._plane.reshape(shape)
     for chunk in chunks:
-        for view, double in live:
-            region = view[chunk] if chunk else view
-            if scale != 1:
-                np.multiply(region, scale, out=region)
-            arrays = [region[i] for i in slots]
-            if perm:
-                arrays = [a.transpose(perm) for a in arrays]
-            arrays += [arrays[j].copy() for j in saves]
-            for ufunc, x, y, y_is_slot, out in steps:
-                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
-            if double:
-                np.left_shift(region, 1, out=region)
+        region = view[chunk] if chunk else view
+        if scale != 1:
+            np.multiply(region, scale, out=region)
+        arrays = [region[i] for i in slots]
+        if perm:
+            arrays = [a.transpose(perm) for a in arrays]
+        arrays += [arrays[j].copy() for j in saves]
+        for ufunc, x, y, y_is_slot, out in steps:
+            ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
     if exact:
-        state._h += (gate._e + 1) // 2
-        bounds = tuple(b * growth for b in state._bounds)
-        if odd:
-            bounds, state._planes = bounds[::-1], state._planes[::-1]
-        state._bounds = bounds
-    elif not np.isfinite(state._planes[0]).all():
+        state._e += gate._e
+        state._bound *= growth
+    elif not np.isfinite(state._plane).all():
         raise ArithmeticError("non-finite amplitude in float backend")
     return state
 
@@ -311,9 +295,6 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     n = size.bit_length() - 1
     m = state.num_qubits - (rows.bit_length() - 1)
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
-    signs = signs.T[None, :, None, :]
-    for plane, bound in zip(state._planes, state._bounds):
-        if bound:  # a zero plane stays zero
-            view = plane.reshape(pre, size, post, rows)
-            view *= signs
+    view = state._plane.reshape(pre, size, post, rows)
+    view *= signs.T[None, :, None, :]
     return state

@@ -68,7 +68,7 @@ _BATCH_AMPS = 1 << 17
 
 class Distribution:
     """Dense probability table over the 2^m basis outcomes of m qubits,
-    held like a :class:`StateVector` as planes plus one exponent h:
+    held as planes plus one exponent h:
 
     * exact -- two integer planes (pa, pb), and
       p(x) = (pa[x] + pb[x]*sqrt(2)) / 2^h;

@@ -5,34 +5,31 @@ so an m-qubit basis state |b_1 b_2 ... b_m> has index sum_i b_i 2^(m-i).
 With two n-qubit registers the product state |j>|k> sits at index
 j * 2^n + k.
 
-A state is stored as a tuple of *planes*, flat arrays of length 2^m,
-plus one exponent h.  The two amplitude backends differ only in the
-planes:
+A state is stored as one *plane*, a flat array of length 2^m, plus
+one exponent e >= 0.  The two amplitude backends differ only in the
+plane:
 
-* ``"exact"`` -- two int64 planes (a, b); the amplitude at x is
-  (a[x] + b[x]*sqrt(2)) / 2^h.  All gates in this library scale every
-  amplitude by the same power of 1/sqrt(2), so one exponent suffices.
-  h is minimal (not every integer even) after construction, ``copy()``
+* ``"exact"`` -- one int64 plane c; the amplitude at x is
+  c[x] / sqrt(2)^e.  Every gate in this library is a power of
+  1/sqrt(2) times a matrix of 0 and +-1 (see :mod:`compsearch.gates`),
+  and every state the circuits pass through has this form.  e is
+  minimal (e < 2, or some integer odd) after construction, ``copy()``
   and ``circuit.run``; gate kernels may leave it larger.  ``==``
-  compares values at the larger h of the two states and changes
-  neither.  Each exact
-  state tracks ``_bounds``, one upper bound per plane on its integer
-  magnitudes, so a bound of 0 means that plane is all zero.  Every gate
-  and oracle keeps a zero plane zero (a gate is a power of 1/sqrt(2)
-  times a matrix of 0 and +-1, see :mod:`compsearch.gates`), so gates,
-  oracles, squaring and reduction never read or write a plane whose
-  bound is 0.  A gate that might push an integer to 2^62 first reduces
-  h and rescans, and raises OverflowError, before any write, if that
-  does not make room.  Integers never wrap.
-* ``"float"`` -- one float64 plane holding the amplitudes; h = 0.
+  compares values at the larger e of the two states and changes
+  neither.  Each exact state tracks ``_bound``, an upper bound on its
+  integer magnitudes.  A gate that might push an integer to 2^62 first
+  reduces e and rescans, and raises OverflowError, before any write,
+  if that does not make room.  Integers never wrap.
+* ``"float"`` -- one float64 plane holding the amplitudes; e = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.
-  Its one bound stays 1, so no code that skips zero planes skips it.
 
-Gate kernels (:mod:`compsearch.gates`) act on the planes alike for both
+Gate kernels (:mod:`compsearch.gates`) act on the plane alike for both
 backends.  Exact states compare with ``==`` at zero tolerance.  For
 states and probability tables alike, ``_value`` reads one entry and
 ``_as_float`` converts exact planes to float; nothing else does either.
+A state hands them its plane as a table's (a, b) planes (see
+:meth:`StateVector._ring`).
 """
 
 from __future__ import annotations
@@ -53,9 +50,6 @@ FLOAT_ATOL = 1e-12
 
 # Integer magnitudes in exact states must stay below this after a gate.
 _INT64_SAFE = 1 << 62
-
-# Plane dtype and count of each backend.
-_PLANES = {EXACT: (np.int64, 2), FLOAT: (np.float64, 1)}
 
 
 # Amplitudes that one slice of a comparison of two states covers, so
@@ -202,7 +196,7 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_planes", "_h", "_bounds")
+    __slots__ = ("num_qubits", "backend", "_plane", "_e", "_bound")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
@@ -211,11 +205,10 @@ class StateVector:
             raise ValueError(f"unknown backend {backend!r}")
         self.num_qubits = num_qubits
         self.backend = backend
-        dtype, count = _PLANES[backend]
-        self._planes = tuple(np.zeros(1 << num_qubits, dtype=dtype) for _ in range(count))
-        self._planes[0][0] = 1
-        self._h = 0
-        self._bounds = (1,) + (0,) * (count - 1)
+        self._plane = np.zeros(1 << num_qubits, np.int64 if backend == EXACT else np.float64)
+        self._plane[0] = 1
+        self._e = 0
+        self._bound = 1
 
     @property
     def num_states(self) -> int:
@@ -226,11 +219,13 @@ class StateVector:
         """Build a state from explicit amplitudes.
 
         Exact backend accepts DyadicReal or int entries, and raises
-        TypeError on any other.  Float accepts finite real numbers
-        (DyadicReal included) and complex ones whose imaginary part is
-        zero; a nonzero imaginary part or a non-finite entry raises
-        ValueError, as float planes hold finite real amplitudes.  The
-        result is not normalized here; callers own that invariant.
+        TypeError on any other; every nonzero entry must be an integer
+        times one power of 1/sqrt(2), the same for all, or ValueError is
+        raised.  Float accepts finite real numbers (DyadicReal included)
+        and complex ones whose imaginary part is zero; a nonzero
+        imaginary part or a non-finite entry raises ValueError, as float
+        planes hold finite real amplitudes.  The result is not normalized
+        here; callers own that invariant.
         """
         size = len(amps)
         if size < 2 or size & (size - 1):
@@ -242,65 +237,78 @@ class StateVector:
                 raise ValueError("float amplitudes must be finite")
             if vals.imag.any():
                 raise ValueError("float amplitudes are real; got a nonzero imaginary part")
-            return cls._from_planes(m, FLOAT, (vals.real.copy(),))
+            return cls._from_plane(m, FLOAT, vals.real.copy())
         if backend != EXACT:
             raise ValueError(f"unknown backend {backend!r}")
         vals = [v if isinstance(v, DyadicReal) else DyadicReal.from_int(v) for v in amps]
-        h = max(v.h for v in vals)
-        a = np.array([v.a << (h - v.h) for v in vals], dtype=np.int64)
-        b = np.array([v.b << (h - v.h) for v in vals], dtype=np.int64)
-        return cls._from_planes(m, EXACT, (a, b), h)
+        # a / 2^h is a / sqrt(2)^(2h), and b sqrt(2) / 2^h is 2b / sqrt(2)^(2h + 1).
+        forms = [(2 * v.b, 2 * v.h + 1) if v.b else (v.a, 2 * v.h) for v in vals]
+        if any(v.a and v.b for v in vals) or len({f & 1 for c, f in forms if c}) > 1:
+            raise ValueError("exact amplitudes must be integers times one power of 1/sqrt(2)")
+        e = max((f for c, f in forms if c), default=0)
+        plane = np.array([c << ((e - f) // 2) for c, f in forms], dtype=np.int64)
+        return cls._from_plane(m, EXACT, plane, e)
 
     @classmethod
-    def _from_planes(
-        cls, num_qubits: int, backend: str, planes, h: int = 0, bounds: tuple | None = None
+    def _from_plane(
+        cls, num_qubits: int, backend: str, plane, e: int = 0, bound: int | None = None
     ) -> StateVector:
-        """A state that takes ownership of ``planes`` (see the module
-        docstring); exact states are reduced to their minimal h.  Exact
-        planes are scanned for their bounds unless ``bounds`` gives them."""
+        """A state that takes ownership of ``plane`` (see the module
+        docstring); exact states are reduced to their minimal e, and
+        scanned for their bound unless ``bound`` gives it."""
         s = cls.__new__(cls)
         s.num_qubits = num_qubits
         s.backend = backend
-        s._planes = tuple(planes)
-        s._h = h
-        s._bounds = (1,)
+        s._plane = plane
+        s._e = e
+        s._bound = 1
         if backend == EXACT:
-            s._bounds = bounds if bounds is not None else tuple(_abs_max(p) for p in s._planes)
+            s._bound = _abs_max(plane) if bound is None else bound
             s._canonical_reduce()
         return s
 
     def copy(self) -> StateVector:
-        """An independent state of the same value, at minimal h.  Only
-        nonzero planes are copied: a zero exact plane gets fresh
-        ``np.zeros``, whose pages are never written, and the tracked
-        bounds carry over instead of being rescanned."""
-        planes = [
-            p.copy() if bound else np.zeros(p.size, p.dtype)
-            for p, bound in zip(self._planes, self._bounds)
-        ]
-        return StateVector._from_planes(
-            self.num_qubits, self.backend, planes, self._h, self._bounds
+        """An independent state of the same value, at minimal e; the
+        tracked bound carries over instead of being rescanned."""
+        return StateVector._from_plane(
+            self.num_qubits, self.backend, self._plane.copy(), self._e, self._bound
         )
+
+    def _ring(self, plane: np.ndarray | None = None) -> tuple[tuple, int]:
+        """``plane`` (by default the state's own; else a slice of it) as
+        the planes and exponent h that ``_value`` and ``_as_float`` read.
+        A float plane is itself at h = 0; an exact plane is the a plane
+        at h = e/2 for even e, and the b plane at h = (e + 1)/2 for odd
+        e, as c / sqrt(2)^e = c sqrt(2) / 2^((e + 1)/2), beside a
+        broadcast zero."""
+        plane = self._plane if plane is None else plane
+        if self.backend == FLOAT:
+            return (plane,), 0
+        zero = np.broadcast_to(np.int64(0), plane.shape)
+        if self._e & 1:
+            return (zero, plane), (self._e + 1) // 2
+        return (plane, zero), self._e // 2
 
     def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:
             raise ValueError(f"basis index {x} out of range")
-        return _value(self._planes, self._h, x)
+        return _value(*self._ring(), x)
 
     def amplitudes(self) -> list:
-        return [self.amplitude(x) for x in range(self.num_states)]
+        planes, h = self._ring()
+        return [_value(planes, h, x) for x in range(self.num_states)]
 
     def to_float_array(self) -> np.ndarray:
         """Amplitudes as one new float64 array, for either backend; an
-        exact amplitude becomes fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
+        exact amplitude is read as the ring element (a + b sqrt2) / 2^h
+        (see :meth:`_ring`) and becomes fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
         if self.backend == FLOAT:
-            return self._planes[0].copy()
-        return _as_float(self._planes, self._h)
+            return self._plane.copy()
+        return _as_float(*self._ring())
 
     def norm_squared(self) -> DyadicReal | float:
         """Sum of squared amplitudes; exact in the exact backend."""
-        planes, h = self._squares(1, 1, self.num_states)
-        return _value(planes, h, 0)
+        return _value(*self._squares(1, 1, self.num_states), 0)
 
     def _squares(self, pre: int, keep: int, post: int) -> tuple[tuple, int]:
         """Born-rule probabilities |amp(x)|^2 of the state viewed as
@@ -309,40 +317,27 @@ class StateVector:
 
         This is the one place that squares amplitudes.  A float plane is
         squared whole, x*x (|x|*|x| bit for bit), and reshape-summed.
-        Exact planes are squared and summed by ``einsum``, with no
-        plane-sized temporary; that stays in int64 while
-        3 * bound^2 * 2^m < 2^62 for the largest integer, which bounds
-        every entry, every sum of entries and the total, and squares
-        Python ints otherwise.  An exact state is first reduced to its
-        minimal h, which leaves its value alone.
+        An exact plane c at e gives the table c*c at h = e, squared and
+        summed by ``einsum``, with no plane-sized temporary; that stays
+        in int64 while bound^2 * 2^m < 2^62 for the largest integer,
+        which bounds every entry, every sum of entries and the total,
+        and squares Python ints otherwise.  An exact state is first
+        reduced to its minimal e, which leaves its value alone.
         """
         if self.backend == FLOAT:
-            return (_sum_out(np.square(self._planes[0]), pre, keep, post),), 0
+            return (_sum_out(np.square(self._plane), pre, keep, post),), 0
         self._canonical_reduce()
         m = self.num_qubits
-        if 3 * max(self._bounds) ** 2 << m >= _INT64_SAFE:
-            # The tracked bounds can be far above the largest integer (2^35
+        if self._bound**2 << m >= _INT64_SAFE:
+            # The tracked bound can be far above the largest integer (2^35
             # against 1 after the n = 10 circuit): rescan before leaving int64.
-            self._bounds = self._scan()
-        wide = 3 * max(self._bounds) ** 2 << m >= _INT64_SAFE
-        a, b = (
-            (p.astype(object) if wide and bound else p).reshape(pre, keep, post)
-            for p, bound in zip(self._planes, self._bounds)
-        )
-        sum_products = "ijk,ijk->j"
-        # (a + b sqrt2)^2 = (a^2 + 2 b^2) + (2 a b) sqrt2; the terms of a
-        # zero plane are left out.
-        if not self._bounds[1]:
-            aa = np.einsum(sum_products, a, a)
-            return (aa, np.zeros_like(aa)), 2 * self._h
-        bb = np.einsum(sum_products, b, b)
-        bb *= 2
-        if not self._bounds[0]:
-            return (bb, np.zeros_like(bb)), 2 * self._h
-        aa, ab = np.einsum(sum_products, a, a), np.einsum(sum_products, a, b)
-        aa += bb
-        ab *= 2
-        return (aa, ab), 2 * self._h
+            self._bound = _abs_max(self._plane)
+        c = self._plane
+        if self._bound**2 << m >= _INT64_SAFE:
+            c = c.astype(object)
+        c = c.reshape(pre, keep, post)
+        cc = np.einsum("ijk,ijk->j", c, c)
+        return (cc, np.zeros_like(cc)), self._e
 
     def is_normalized(self) -> bool:
         if self.backend == EXACT:
@@ -363,19 +358,18 @@ class StateVector:
             return False
         return self._rows_equal(other, 1)[0]
 
-    def _column_chunks(self, other: StateVector, rows: int) -> Iterator[tuple[list, list]]:
+    def _column_chunks(self, other: StateVector, rows: int) -> Iterator[tuple]:
         """Both states' planes viewed as ``rows`` rows, in column slices
         of about _COMPARE_CHUNK amplitudes: ``(self's, other's)`` per
         slice.  Row r is the part of a state whose leading log2(rows)
         qubits read r."""
         if self.num_qubits != other.num_qubits:
             raise ValueError("qubit counts differ")
-        x = [p.reshape(rows, -1) for p in self._planes]
-        y = [p.reshape(rows, -1) for p in other._planes]
+        x, y = self._plane.reshape(rows, -1), other._plane.reshape(rows, -1)
         step = max(1, _COMPARE_CHUNK // rows)
-        for start in range(0, x[0].shape[1], step):
+        for start in range(0, x.shape[1], step):
             cols = slice(start, start + step)
-            yield [p[:, cols] for p in x], [p[:, cols] for p in y]
+            yield x[:, cols], y[:, cols]
 
     def _deviations(self, other: StateVector, rows: int) -> list[float]:
         """Per row (see :meth:`_column_chunks`), the largest deviation of
@@ -384,66 +378,61 @@ class StateVector:
         any order."""
         dev = np.zeros(rows)
         for x, y in self._column_chunks(other, rows):
-            diff = _as_float(x, self._h) - _as_float(y, other._h)
+            diff = _as_float(*self._ring(x)) - _as_float(*other._ring(y))
             np.maximum(dev, np.abs(diff, out=diff).max(axis=1), out=dev)
         return dev.tolist()
 
     def _rows_equal(self, other: StateVector, rows: int) -> list[bool]:
         """Per row (see :meth:`_column_chunks`), whether the two states of
         one backend hold equal values, changing neither: float planes by
-        ``==``, and exact planes at the larger h of the two.  An integer
-        x at h - s equals y at h exactly when y is a multiple of 2^s and
-        y >> s == x, which needs no shift that could overflow."""
-        if self._h > other._h:
+        ``==``, and exact planes at the larger e of the two.  An integer
+        x at e - 2s equals y at e exactly when y is a multiple of 2^s and
+        y >> s == x, which needs no shift that could overflow; x at
+        e - 2s - 1 equals y only when both are 0, as sqrt(2) is
+        irrational."""
+        if self._e > other._e:
             return other._rows_equal(self, rows)
-        shift = other._h - self._h
+        shift, odd = divmod(other._e - self._e, 2)
         # Past 63 bits only y = 0 is a multiple of 2^shift in int64.
         low = (1 << shift) - 1 if shift < 64 else -1
         equal = np.ones(rows, dtype=bool)
         for x, y in self._column_chunks(other, rows):
-            for p, q in zip(x, y):
-                if shift:
-                    equal &= ~(q & low).any(axis=1)
-                    q = q >> min(shift, 63)
-                equal &= (p == q).all(axis=1)
+            if odd:
+                equal &= ~x.any(axis=1) & ~y.any(axis=1)
+                continue
+            if shift:
+                equal &= ~(y & low).any(axis=1)
+                y = y >> min(shift, 63)
+            equal &= (x == y).all(axis=1)
         return equal.tolist()
 
-    def _scan(self) -> tuple[int, ...]:
-        """Each exact plane's largest integer magnitude; a plane whose
-        bound is 0 is zero and is not read."""
-        return tuple(_abs_max(p) if bound else 0 for p, bound in zip(self._planes, self._bounds))
-
     def _canonical_reduce(self) -> None:
-        """Divide out common powers of two so the shared h is minimal."""
-        if self._h == 0:
+        """Divide out common factors of 2, lowering e by 2 for each, while
+        e >= 2, so that e is minimal."""
+        if self._e < 2:
             return
         # Two's complement keeps the lowest set bit of -v, so OR-ing the
         # raw values finds the common power of two.
-        live = [p for p, bound in zip(self._planes, self._bounds) if bound]
-        mask = 0
-        for p in live:
-            mask |= int(np.bitwise_or.reduce(p))
+        mask = int(np.bitwise_or.reduce(self._plane))
         if mask == 0:
-            self._h = 0
-            self._bounds = (0, 0)
+            self._e = self._bound = 0
             return
-        t = min((mask & -mask).bit_length() - 1, self._h)
+        t = min((mask & -mask).bit_length() - 1, self._e // 2)
         if t:
-            for p in live:
-                p >>= t
-            self._h -= t
-            self._bounds = tuple(bound >> t for bound in self._bounds)
+            self._plane >>= t
+            self._e -= 2 * t
+            self._bound >>= t
 
     def _make_room(self, growth: int) -> None:
         """Make sure a gate that grows integers by at most ``growth`` stays
-        below 2^62: when the tracked bound allows no such gate, reduce h
+        below 2^62: when the tracked bound allows no such gate, reduce e
         and rescan; raise OverflowError if there is still no room.  The
         state's value never changes here."""
-        if max(self._bounds) * growth < _INT64_SAFE:
+        if self._bound * growth < _INT64_SAFE:
             return
         self._canonical_reduce()
-        self._bounds = self._scan()
-        if max(self._bounds) * growth >= _INT64_SAFE:
+        self._bound = _abs_max(self._plane)
+        if self._bound * growth >= _INT64_SAFE:
             raise OverflowError(
                 "exact amplitude integers would exceed int64; "
                 "state has grown beyond this backend's checked range"

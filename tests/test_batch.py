@@ -38,8 +38,8 @@ def batch_rows(monkeypatch, n: int, rows: int) -> None:
 def row_state(out: StateVector, rows: int, r: int) -> StateVector:
     """Row r of a batched state as a state of its own."""
     m = out.num_qubits - (rows.bit_length() - 1)
-    planes = [p.reshape(rows, -1)[r].copy() for p in out._planes]
-    return StateVector._from_planes(m, out.backend, planes, out._h)
+    plane = out._plane.reshape(rows, -1)[r].copy()
+    return StateVector._from_plane(m, out.backend, plane, out._e)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
@@ -60,7 +60,7 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
             if backend == cs.EXACT:
                 assert got == want
             else:
-                assert np.array_equal(got._planes[0], want._planes[0])
+                assert np.array_equal(got._plane, want._plane)
             target = cs.target_output(n, f, backend)
             assert match[r] is True
             assert dev[r] == want.max_abs_diff(target)
@@ -105,7 +105,7 @@ def test_empty_sign_table_is_refused_before_any_write(backend, shape):
 @pytest.mark.parametrize("backend", cs.BACKENDS)
 def test_one_row_costs_no_copy(backend):
     # One row needs no transpose back to the leading-row layout: the run
-    # peaks below its planes plus one plane, as one oracle on its own.
+    # peaks below its plane plus one plane, as one oracle on its own.
     n = 8
     f = cs.random_oracle(n, np.random.Generator(np.random.PCG64(9)))
     build = cs.build_comparison_search(n, f)
@@ -117,7 +117,7 @@ def test_one_row_costs_no_copy(backend):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (len(out._planes) + 1) * plane
+    assert peak < 2 * plane
     assert out == cs.simulate(build, backend)
 
 
@@ -199,25 +199,37 @@ def test_row_equality_compares_values_across_h(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(8))
     rows = 4
     x = random_exact_state(5, rng, depth=20)
-    for shift in (1, 3):
-        planes = [p << shift for p in x._planes]
-        planes[0][1] += 1  # row 0: not a multiple of 2^shift
-        planes[0][9] += 1 << shift  # row 1: a multiple, another value
-        y = StateVector._from_planes(5, cs.EXACT, planes, x._h + shift)
-        y._h = x._h + shift  # undo the reduction to minimal h
-        want = [
+    assert x._plane.reshape(rows, -1).any(axis=1).all()
+
+    def same_rows(x, y):
+        return [
             row_state(x, rows, r).amplitudes() == row_state(y, rows, r).amplitudes()
             for r in range(rows)
         ]
+
+    for shift in (1, 3):
+        plane = x._plane << shift
+        plane[1] += 1  # row 0: not a multiple of 2^shift
+        plane[9] += 1 << shift  # row 1: a multiple, another value
+        y = StateVector._from_plane(5, cs.EXACT, plane, x._e + 2 * shift)
+        y._e = x._e + 2 * shift  # undo the reduction to minimal e
+        want = same_rows(x, y)
         assert want == [False, False, True, True]
         assert x._rows_equal(y, rows) == y._rows_equal(x, rows) == want
-    # Past 63 bits only a zero row can equal a row at the larger h.
-    zero = StateVector._from_planes(5, cs.EXACT, [np.zeros(32, np.int64)] * 2, 0)
-    zero._h = x._h + 70
+    # Past 63 bits only a zero row can equal a row at the larger e.
+    zero = StateVector._from_plane(5, cs.EXACT, np.zeros(32, np.int64))
+    zero._e = x._e + 140
     cleared = x.copy()
-    for p in cleared._planes:
-        p[8:16] = 0
+    cleared._plane[8:16] = 0
     assert cleared._rows_equal(zero, rows) == [False, True, False, False]
+    # At e of the other parity only two zero rows are equal: the values
+    # differ by a factor sqrt(2)^odd, which is irrational.
+    for odd in (1, 3):
+        y = StateVector._from_plane(5, cs.EXACT, x._plane.copy(), x._e + odd)
+        y._plane[8:24] = 0  # rows 1 and 2
+        want = same_rows(cleared, y)
+        assert want == [False, True, False, False]
+        assert cleared._rows_equal(y, rows) == y._rows_equal(cleared, rows) == want
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)

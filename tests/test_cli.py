@@ -53,6 +53,30 @@ class TestVerify:
         assert run_cli("verify", "--n", "13", "--backend", "float", "--marked", "1") == 2
         assert run_cli("nonsense") == 2
 
+    @pytest.mark.parametrize("late", [False, True])
+    @pytest.mark.parametrize("message, want", [
+        ("Unable to allocate 128. MiB", "error: Unable to allocate 128. MiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys, tmp_path, late, message, want):
+        # Running out of memory, in the command or while its report is
+        # written, stops the run: exit 2, not 1, which means a failed
+        # verification.  The error is raised, never provoked.
+        def pieces():
+            yield "{"
+            raise MemoryError(message)
+
+        def exhausted(args):
+            if late:
+                return 0, pieces()
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_verify", exhausted)
+        out = tmp_path / "verify.json"
+        assert run_cli("verify", "--n", "2", "--all-f", "--out", str(out)) == 2
+        assert capsys.readouterr().err == want + "\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_grammars_agree(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli("verify", "--n", "2", "--marked", "1,2", "--out", str(a)) == 0

@@ -404,8 +404,8 @@ LIBRARY = {
 }
 
 
-# A start amplitude with both exact planes nonzero.
-BOTH_PLANES = DyadicReal(1, 1, 1)
+# Start amplitudes at even and at odd e: 1 and 1/sqrt(2).
+STARTS = (1, INV)
 
 
 @st.composite
@@ -500,8 +500,8 @@ def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...]) -> No
     m = len(amps).bit_length() - 1
     for gate in BITWISE_GATES[len(qubits)]:
         s = StateVector.from_amplitudes(amps, cs.FLOAT)
-        assert np.array_equal(np.signbit(s._planes[0]), np.signbit(amps))
-        got = gates._apply(s, qubits, gate)._planes[0]
+        assert np.array_equal(np.signbit(s._plane), np.signbit(amps))
+        got = gates._apply(s, qubits, gate)._plane
         G = np.array([[e.to_float() for e in row] for row in gate.matrix])
         want = float_reference(amps, G, qubits)
         assert np.array_equal(got, want), (gate, qubits, m)
@@ -567,124 +567,67 @@ def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
     return s
 
 
-def _check_bounds(s: StateVector) -> None:
-    """Each exact plane's tracked bound covers its integers, so a bound of
-    0, whose plane the kernels skip, means that plane is zero."""
-    for plane, bound in zip(s._planes, s._bounds):
-        assert bound >= int(np.abs(plane).max())
-        assert bound or not plane.any()
+def _check_bound(s: StateVector) -> None:
+    """The exact plane's tracked bound covers its integers."""
+    assert s._bound >= int(np.abs(s._plane).max())
 
 
 class TestExactKernelDifferential:
     @settings(max_examples=80, deadline=None)
-    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), starts=(1, BOTH_PLANES)))
+    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), starts=STARTS))
     def test_words_match_exact_reference(self, word):
-        _run_word(word, check=_check_bounds)
+        _run_word(word, check=_check_bound)
 
     @settings(max_examples=25, deadline=None)
-    @given(gate_words(kinds=("H", "C", "HH"), min_size=40, max_size=64, starts=(1, BOTH_PLANES)))
+    @given(gate_words(kinds=("H", "C", "HH"), min_size=40, max_size=64, starts=STARTS))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
         # leave int64's checked range unless the kernel reduces on the way.
-        _run_word(word, check=_check_bounds)
+        _run_word(word, check=_check_bound)
 
     @settings(max_examples=60, deadline=None)
-    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=(1, BOTH_PLANES)))
+    @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=STARTS))
     def test_chunked_walk_matches(self, word):
         # Large states are walked in chunks, short inner axes transposed.
         # Chunks of two amplitudes per slot take those paths at any width:
         # exact results must still match the reference, and float results
         # must be bitwise those of the unchunked walk.
-        flat = _run_word(word, cs.FLOAT)._planes[0]
+        flat = _run_word(word, cs.FLOAT)._plane
         with mock.patch.object(gates, "_CHUNK", 2):
             gates._layout.cache_clear()
             try:
                 _run_word(word)
-                chunked = _run_word(word, cs.FLOAT)._planes[0]
+                chunked = _run_word(word, cs.FLOAT)._plane
             finally:
                 gates._layout.cache_clear()
         assert chunked.tobytes() == flat.tobytes()
 
     def test_four_term_rows(self):
-        # H (x) H sums four unit terms a row: on the a plane alone, on the
-        # b plane alone (after H or C) and on both (from a start amplitude
-        # (1 + sqrt2)/2), on adjacent, reversed and nonadjacent pairs.
+        # H (x) H sums four unit terms a row, at even and at odd e (after
+        # H or C, or from a start amplitude 1/sqrt(2)), on adjacent,
+        # reversed and nonadjacent pairs; the parity of e follows the
+        # gates' own e, 2 for H (x) H and 1 for H and C.
         ops = [("HH", 1, 2), ("H", 4), ("HH", 4, 2), ("C", 3, 1), ("HH", 1, 3), ("H", 2),
                ("HH", 2, 4)]
-        a, b, both = (True, False), (False, True), (True, True)
-        for start, want in ((1, [a, b, b, a, a, b, b]), (BOTH_PLANES, [both] * 7)):
-            live = []
-            _run_word((4, 6, start, ops),
-                      check=lambda s: live.append(tuple(x > 0 for x in s._bounds)))
-            assert live == want
-
-    def test_cross_plane_gate_then_both_planes(self):
-        # From a basis input H leaves the a plane zero, so the next gates
-        # skip it; from a start amplitude (1 + sqrt2)/2 both planes are
-        # nonzero, and H, C, H (x) H and the oracle run every step on both.
-        f = BooleanOracle(2, 0b0110)
-        ops = [("H", 1), ("O", f, 2), ("C", 2, 3), ("HH", 1, 2), ("H", 3), ("C", 2, 3),
-               ("O", f, 1), ("H", 2), ("C", 3, 1)]
-        live = []
-
-        def check(s):
-            _check_bounds(s)
-            live.append(tuple(bound > 0 for bound in s._bounds))
-
-        _run_word((3, 5, 1, ops), check=check)
-        assert live[:4] == [(False, True), (False, True), (True, False), (True, False)]
-        live.clear()
-        s = _run_word((3, 5, BOTH_PLANES, ops), check=check)
-        assert live == [(True, True)] * 9
-        assert all(plane.any() for plane in s._planes)
+        parities = [0, 1, 1, 0, 0, 1, 1]
+        for start, flip in ((1, 0), (INV, 1)):
+            seen = []
+            _run_word((4, 6, start, ops), check=lambda s: seen.append(s._e & 1))
+            assert seen == [p ^ flip for p in parities]
 
 
-def seeded_word(m: int, backend: str, seed: int, count: int = 300):
-    """Yield the state after every gate of a seeded word of ``count`` H
-    and C gates on |0...0>."""
+def seeded_word(m: int, backend: str, seed: int):
+    """Yield the state after every gate of a seeded word of 300 H and C
+    gates on |0...0>."""
     rng = np.random.Generator(np.random.PCG64(seed))
     s = StateVector(m, backend)
-    for _ in range(count):
+    for _ in range(300):
         if rng.integers(2):
             cs.apply_gate1(s, int(rng.integers(1, m + 1)), cs.hadamard())
         else:
             p, q = rng.choice(m, size=2, replace=False) + 1
             cs.apply_gate2(s, int(p), int(q), cs.comparison_gate())
         yield s
-
-
-def kernel_trail(m: int, backend: str, seed: int, count: int = 300) -> str:
-    """sha256 over ``(_h, _bounds, sha256 of each plane's bytes)`` after
-    every gate of :func:`seeded_word`."""
-    trail = hashlib.sha256()
-    for s in seeded_word(m, backend, seed, count):
-        planes = [hashlib.sha256(p.tobytes()).hexdigest() for p in s._planes]
-        trail.update(repr((s._h, s._bounds, planes)).encode())
-    return trail.hexdigest()
-
-
-# The trail digest per (width, backend).  A change in any amplitude, in
-# the exponent h, in a tracked bound (so in when _make_room rescans) or
-# in which exact plane is which changes it.
-KERNEL_TRAILS = {
-    (3, cs.EXACT):
-        "f6e78d11bc7789385b77730c2e6b3e28d2ef7e9f216cb7291292abb880c6f009",
-    (5, cs.EXACT):
-        "71d8acca835f24f9a46aea135bed846543d58b20c81e07f9720432af89a3f048",
-    (8, cs.EXACT):
-        "40e70f6ce6f10f448f42df1f1bfa77a887cdd078e4f01de4ab92d3d51d9c6eb1",
-    (3, cs.FLOAT):
-        "6c03f82cf41b6b5db3db6bf4d6ae04166db6af5327fc23d4a7cb8b3009674546",
-    (5, cs.FLOAT):
-        "ae9b919379c027c4870c8e0e50c9f7027dfdc499b3744f1d3dd7fb24475b666f",
-    (8, cs.FLOAT):
-        "677a0110ea0869c53f235d91382c8221ccb998981884ab16c66704687ab03045",
-}
-
-
-def test_exact_kernel_trail_pinned():
-    for (m, backend), digest in KERNEL_TRAILS.items():
-        assert kernel_trail(m, backend, seed=70 + m) == digest, (m, backend)
 
 
 def value_trail(m: int, backend: str, seed: int) -> str:

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
-from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation
+from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation, state
 from compsearch.circuit import Circuit, GatePlacement, PhaseOraclePlacement
 from conftest import (
-    EXACT_MATRICES,
     basis_state,
     constant_oracle,
     empirical_distribution,
-    exact_apply,
     random_exact_state,
     random_float_state,
     report_dict,
@@ -31,20 +29,13 @@ def output_for(n: int, f: BooleanOracle) -> StateVector:
 
 
 def wide_exact_state() -> StateVector:
-    """A normalized 3-qubit state whose integers pass 2^30, so that their
-    squares summed over the table do not fit in int64: 400 random H and
-    controlled-H gates applied by ``conftest.exact_apply`` (controlled-H
-    mixes entries with and without sqrt(2), so the integers keep growing,
-    and the library's Gate refuses it)."""
-    rng = np.random.Generator(np.random.PCG64(1))
-    amps = [DyadicReal(int(x == 0), 0) for x in range(8)]
-    for _ in range(400):
-        if rng.integers(2):
-            amps = exact_apply(amps, EXACT_MATRICES["H"], (int(rng.integers(1, 4)),), 3)
-        else:
-            p, q = rng.choice(3, size=2, replace=False) + 1
-            amps = exact_apply(amps, EXACT_MATRICES["CH"], (int(p), int(q)), 3)
-    return StateVector.from_amplitudes(amps)
+    """The normalized 3-qubit state c_x / sqrt(2)^61, for eight odd
+    integers c_x whose squares sum to 2^61.  Some pass 2^29.5, so that
+    squaring takes Python ints.  Words of H and C never get there, as
+    those gates are Clifford."""
+    c = [359322283, -511927881, 530513823, 439000555, -525619413, 415557161, -963941653,
+         -249693643]
+    return StateVector.from_amplitudes([DyadicReal(0, x, 31) for x in c])
 
 
 class TestDistribution:
@@ -187,7 +178,7 @@ class TestMarginal:
         rng = np.random.Generator(np.random.PCG64(21))
         if backend == cs.EXACT:
             wide = wide_exact_state()
-            assert 3 * max(wide._scan()) ** 2 << wide.num_qubits >= 1 << 62
+            assert state._abs_max(wide._plane) ** 2 << wide.num_qubits >= 1 << 62
             states = [random_exact_state(6, rng, depth=30), output_for(3, BooleanOracle(3, 0x5a)), wide]
         else:
             states = [random_float_state(6, rng), to_float(output_for(3, BooleanOracle(3, 0x5a)))]

@@ -7,6 +7,7 @@ from compsearch.dyadic import SQRT2
 from conftest import basis_state, constant_oracle, random_exact_state, tensor, to_float
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
+HALF = DyadicReal(1, 0, 1)
 
 
 class TestBooleanOracle:
@@ -74,6 +75,28 @@ class TestStateVector:
         assert s.amplitude(1) == -INV
         assert s.norm_squared() == 1
 
+    def test_from_amplitudes_exact_refuses_two_forms(self):
+        # Each entry must be an integer times one power of 1/sqrt(2): not
+        # (1 + sqrt2)/2, and not 1/2 beside 1/sqrt(2).
+        want = "exact amplitudes must be integers times one power of 1/sqrt(2)"
+        for amps in ([DyadicReal(1, 1, 1), DyadicReal(1, -1, 1)], [HALF, HALF, INV, 0]):
+            with pytest.raises(ValueError) as info:
+                StateVector.from_amplitudes(amps)
+            assert str(info.value) == want
+
+    def test_from_amplitudes_exact_takes_one_power(self):
+        # c / sqrt(2)^e: 1/sqrt(2) is c = 1 at e = 1, 2 sqrt(2)/4 is the
+        # same, and sqrt(2) is c = 2 at e = 1.
+        for amps, plane, e in (
+            ([INV, INV], [1, 1], 1),
+            ([DyadicReal(0, 2, 2), DyadicReal(0, -2, 2)], [1, -1], 1),
+            ([DyadicReal(0, 1, 0), 0], [2, 0], 1),
+            ([HALF, 0, 0, -HALF], [1, 0, 0, -1], 2),
+        ):
+            s = StateVector.from_amplitudes(amps)
+            assert s._plane.tolist() == plane and s._e == e
+            assert s.amplitudes() == amps
+
     def test_from_amplitudes_float(self):
         s = StateVector.from_amplitudes([0.6, -0.8], cs.FLOAT)
         assert s.backend == cs.FLOAT
@@ -109,18 +132,18 @@ class TestStateVector:
     def test_norm_with_sqrt2_parts(self):
         s = StateVector.from_amplitudes([INV, INV])
         assert s.norm_squared() == 1
-        t = StateVector.from_amplitudes([DyadicReal(1, 1, 1), DyadicReal(1, -1, 1)])
-        # |(1+sqrt2)/2|^2 + |(1-sqrt2)/2|^2 = (3+2sqrt2)/4 + (3-2sqrt2)/4
-        assert t.norm_squared() == DyadicReal(3, 0, 1)
+        t = StateVector.from_amplitudes([DyadicReal(0, 3, 3), DyadicReal(0, -1, 3)])
+        # |3 sqrt2/8|^2 + |-sqrt2/8|^2 = 18/64 + 2/64
+        assert t.norm_squared() == DyadicReal(5, 0, 4)
 
     def test_equality_is_value_equality(self):
         a = StateVector.from_amplitudes([INV, -INV])
         b = StateVector.from_amplitudes([DyadicReal(0, 2, 2), DyadicReal(0, -2, 2)])
         assert a == b
         assert a != StateVector.from_amplitudes([INV, INV])
-        # H twice leaves |0> at a larger h than StateVector(1)'s 0.
+        # H twice leaves |0> at a larger e than StateVector(1)'s 0.
         twice = cs.apply_gate1(cs.apply_gate1(StateVector(1), 1, cs.hadamard()), 1, cs.hadamard())
-        assert twice._h > 0
+        assert twice._e > 0
         assert twice == StateVector(1) and StateVector(1) == twice
         assert twice != StateVector.from_amplitudes([0, 1])
 
@@ -132,23 +155,21 @@ class TestStateVector:
         assert t != s
 
     @pytest.mark.parametrize("backend", cs.BACKENDS)
-    def test_copy_keeps_value_bounds_and_zero_plane(self, backend):
-        # H on qubit 1 of |000> leaves the exact a plane zero; a state
-        # built with an amplitude (1 + sqrt2)/2 has both planes nonzero.
-        one_plane = cs.apply_gate1(StateVector(3, backend), 1, cs.hadamard())
-        both = StateVector.from_amplitudes([INV, 0, 0, 0, DyadicReal(1, 1, 1), 0, 0, 0], backend)
-        for step, s in enumerate((one_plane, both)):
+    def test_copy_keeps_value_and_bound(self, backend):
+        # H on qubit 1 of |000> leaves e odd; H on qubits 1 and 2 leaves
+        # it even, and H H on qubit 3 leaves it above its minimum.
+        odd = cs.apply_gate1(StateVector(3, backend), 1, cs.hadamard())
+        even = cs.apply_gate1(odd.copy(), 2, cs.hadamard())
+        wide = cs.apply_gate1(cs.apply_gate1(even.copy(), 3, cs.hadamard()), 3, cs.hadamard())
+        if backend == cs.EXACT:
+            assert (odd._e, even._e, wide._e) == (1, 2, 4)
+        for s in (odd, even, wide):
             t = s.copy()
             assert t == s
-            # At minimal h: h = 0, or some integer is odd.
-            assert t._h == 0 or any(int(np.bitwise_or.reduce(p)) & 1 for p in t._planes)
-            for plane, copied, bound in zip(s._planes, t._planes, t._bounds):
-                assert not np.shares_memory(plane, copied)
-                assert bound >= int(np.abs(copied).max())
-                if not bound:
-                    assert not copied.any()
-            if backend == cs.EXACT:
-                assert [b > 0 for b in t._bounds] == [step == 1, True]
+            assert not np.shares_memory(s._plane, t._plane)
+            assert t._bound >= int(np.abs(t._plane).max())
+            # At minimal e: e < 2, or some integer is odd.
+            assert t._e < 2 or int(np.bitwise_or.reduce(t._plane)) & 1
             cs.apply_gate1(t, 2, cs.hadamard())
             assert t != s
 
@@ -207,15 +228,14 @@ class TestStateVector:
             with pytest.raises(OverflowError):
                 apply(s)
             assert s == before
-        # The same guard when only the b plane is nonzero, so the gate
-        # skips the a plane.
-        big_b = DyadicReal(0, 1 << 61, 0)
+        # The same guard at odd e, where no factor of 2 can be divided out.
+        big_odd = DyadicReal(0, 1 << 61, 1)
         for width, apply in (
             (1, lambda s: cs.apply_gate1(s, 1, cs.hadamard())),
             (2, lambda s: cs.apply_gate2(s, 1, 2, cs.comparison_gate())),
         ):
-            s = StateVector.from_amplitudes([big_b] + [0] * ((1 << width) - 1))
-            assert s._bounds == (0, 1 << 61)
+            s = StateVector.from_amplitudes([big_odd] + [0] * ((1 << width) - 1))
+            assert (s._e, s._bound) == (1, 1 << 61)
             before = s.copy()
             with pytest.raises(OverflowError):
                 apply(s)
@@ -289,20 +309,24 @@ class TestOneReader:
     @pytest.mark.parametrize("big", [False, True])
     def test_exact_state(self, big):
         if big:
-            # Integers past 2^53 in both planes, squares past int64.
-            a = np.array([2**60 - 1, 3, -5, 2**55 + 1])
-            b = np.array([7, -(2**58) - 1, 2**57 + 3, 0])
-            s = StateVector._from_planes(2, cs.EXACT, (a, b), 61)
+            # Integers past 2^53, squares past int64, at odd and even e.
+            c = np.array([2**60 - 1, -(2**58) - 1, 2**57 + 3, 2**55 + 1])
+            states = [StateVector._from_plane(2, cs.EXACT, c.copy(), e) for e in (121, 122)]
         else:
-            s = random_exact_state(4, np.random.Generator(np.random.PCG64(9)), depth=20)
-        planes, h = s._planes, s._h
-        assert s.to_float_array().tobytes() == literal_float(planes, h).tobytes()
-        amps = [DyadicReal(int(planes[0][x]), int(planes[1][x]), h) for x in range(s.num_states)]
-        assert all(same(s.amplitude(x), amp) for x, amp in enumerate(amps))
-        assert same(s.norm_squared(), sum((amp * amp for amp in amps), DyadicReal(0, 0)))
+            states = [random_exact_state(4, np.random.Generator(np.random.PCG64(9)), depth=20)]
+        for s in states:
+            # c / sqrt(2)^e is c / 2^(e/2) for even e, c sqrt(2) / 2^((e+1)/2) for odd.
+            c, e = s._plane, s._e
+            zero = [0] * s.num_states
+            planes, h = ((zero, c), (e + 1) // 2) if e % 2 else ((c, zero), e // 2)
+            assert s.to_float_array().tobytes() == literal_float(planes, h).tobytes()
+            amps = [DyadicReal(int(planes[0][x]), int(planes[1][x]), h)
+                    for x in range(s.num_states)]
+            assert all(same(s.amplitude(x), amp) for x, amp in enumerate(amps))
+            assert same(s.norm_squared(), sum((amp * amp for amp in amps), DyadicReal(0, 0)))
 
     def test_float_state(self):
         s = to_float(random_exact_state(3, np.random.Generator(np.random.PCG64(10))))
-        plane = s._planes[0]
+        plane = s._plane
         assert all(same(s.amplitude(x), float(plane[x])) for x in range(s.num_states))
         assert same(s.norm_squared(), float(np.square(plane).sum()))
