@@ -36,8 +36,9 @@ def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
 
 
 def _from_units(num_qubits: int, coeff: np.ndarray, e: int, backend: str) -> StateVector:
-    """State whose amplitude at x is coeff[x] / sqrt(2)^e, for an int64
-    ``coeff`` that an exact state takes over as its plane."""
+    """State whose amplitude at x is coeff[x] / sqrt(2)^e, for an integer
+    ``coeff`` (int64, or int8 for the +-1 signs of the target) that an
+    exact state takes over as its plane."""
     if backend == EXACT:
         return StateVector._from_plane(num_qubits, EXACT, coeff, e)
     scale = DyadicReal.inv_sqrt2_pow(e).to_float()
@@ -119,7 +120,7 @@ def _target_rows(n: int, signs: np.ndarray, backend: str) -> StateVector:
     two: row r is where the leading log2 R qubits read r, laid out like
     :func:`compsearch.circuit._simulate_rows`' result."""
     rows, size = signs.shape
-    coeff = np.zeros((rows, size * size), dtype=np.int64)
+    coeff = np.zeros((rows, size * size), dtype=np.int8)
     coeff[:, :: size + 1] = signs
     num_qubits = (rows.bit_length() - 1) + 2 * n
     return _from_units(num_qubits, coeff.reshape(-1), n, backend)

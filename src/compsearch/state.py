@@ -9,7 +9,7 @@ A state is stored as one *plane*, a flat array of length 2^m, plus
 one exponent e >= 0.  The two amplitude backends differ only in the
 plane:
 
-* ``"exact"`` -- one int64 plane c; the amplitude at x is
+* ``"exact"`` -- one integer plane c; the amplitude at x is
   c[x] / sqrt(2)^e.  Every gate in this library is a power of
   1/sqrt(2) times a matrix of 0 and +-1 (see :mod:`compsearch.gates`),
   and every state the circuits pass through has this form.  e is
@@ -17,9 +17,13 @@ plane:
   and ``circuit.run``; gate kernels may leave it larger.  ``==``
   compares values at the larger e of the two states and changes
   neither.  Each exact state tracks ``_bound``, an upper bound on its
-  integer magnitudes.  A gate that might push an integer to 2^62 first
-  reduces e and rescans, and raises OverflowError, before any write,
-  if that does not make room.  Integers never wrap.
+  integer magnitudes.  ``StateVector(m)`` starts c as int8, and a gate
+  that might push an integer to 2^(bits - 2) of c's dtype first reduces
+  e and rescans, then widens c to int16, int32 and int64 as needed, and
+  raises OverflowError, before any write, only where int64 has no room
+  (2^62).  Integers never wrap.  The closed forms and
+  ``from_amplitudes`` build int64 planes; the width is internal, and no
+  value, comparison or report depends on it.
 * ``"float"`` -- one float64 plane holding the amplitudes; e = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.
@@ -48,7 +52,8 @@ BACKENDS = (EXACT, FLOAT)
 # Amplitude tolerance for the float backend; see norm/deviation checks.
 FLOAT_ATOL = 1e-12
 
-# Integer magnitudes in exact states must stay below this after a gate.
+# Integer magnitudes in an int64 plane or table must stay below this;
+# it is _safe of an int64 plane.
 _INT64_SAFE = 1 << 62
 
 
@@ -60,6 +65,12 @@ _COMPARE_CHUNK = 1 << 16
 def _abs_max(plane: np.ndarray) -> int:
     """max |plane| as a Python int, without a temporary plane."""
     return max(int(plane.max()), -int(plane.min()))
+
+
+def _safe(plane: np.ndarray) -> int:
+    """The bound that integer magnitudes in ``plane`` must stay below
+    after a gate: 2^(bits - 2) for its dtype, 2^62 for int64."""
+    return 1 << (8 * plane.itemsize - 2)
 
 
 def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
@@ -205,7 +216,7 @@ class StateVector:
             raise ValueError(f"unknown backend {backend!r}")
         self.num_qubits = num_qubits
         self.backend = backend
-        self._plane = np.zeros(1 << num_qubits, np.int64 if backend == EXACT else np.float64)
+        self._plane = np.zeros(1 << num_qubits, np.int8 if backend == EXACT else np.float64)
         self._plane[0] = 1
         self._e = 0
         self._bound = 1
@@ -318,11 +329,12 @@ class StateVector:
         This is the one place that squares amplitudes.  A float plane is
         squared whole, x*x (|x|*|x| bit for bit), and reshape-summed.
         An exact plane c at e gives the table c*c at h = e, squared and
-        summed by ``einsum``, with no plane-sized temporary; that stays
-        in int64 while bound^2 * 2^m < 2^62 for the largest integer,
-        which bounds every entry, every sum of entries and the total,
-        and squares Python ints otherwise.  An exact state is first
-        reduced to its minimal e, which leaves its value alone.
+        summed by ``einsum``, with no plane-sized temporary; that sums
+        in int64, whatever the plane's width, while bound^2 * 2^m < 2^62
+        for the largest integer, which bounds every entry, every sum of
+        entries and the total, and squares Python ints otherwise.  An
+        exact state is first reduced to its minimal e, which leaves its
+        value alone.
         """
         if self.backend == FLOAT:
             return (_sum_out(np.square(self._plane), pre, keep, post),), 0
@@ -332,11 +344,12 @@ class StateVector:
             # The tracked bound can be far above the largest integer (2^35
             # against 1 after the n = 10 circuit): rescan before leaving int64.
             self._bound = _abs_max(self._plane)
-        c = self._plane
+        # Summed in an int8 plane's own dtype, 2^8 squares of 1 would wrap.
+        c, dtype = self._plane, np.int64
         if self._bound**2 << m >= _INT64_SAFE:
-            c = c.astype(object)
+            c, dtype = c.astype(object), None
         c = c.reshape(pre, keep, post)
-        cc = np.einsum("ijk,ijk->j", c, c)
+        cc = np.einsum("ijk,ijk->j", c, c, dtype=dtype)
         return (cc, np.zeros_like(cc)), self._e
 
     def is_normalized(self) -> bool:
@@ -401,6 +414,8 @@ class StateVector:
                 equal &= ~x.any(axis=1) & ~y.any(axis=1)
                 continue
             if shift:
+                # NumPy 2 refuses a Python-int low outside y's dtype.
+                y = y.astype(np.int64)
                 equal &= ~(y & low).any(axis=1)
                 y = y >> min(shift, 63)
             equal &= (x == y).all(axis=1)
@@ -425,18 +440,22 @@ class StateVector:
 
     def _make_room(self, growth: int) -> None:
         """Make sure a gate that grows integers by at most ``growth`` stays
-        below 2^62: when the tracked bound allows no such gate, reduce e
-        and rescan; raise OverflowError if there is still no room.  The
-        state's value never changes here."""
-        if self._bound * growth < _INT64_SAFE:
+        below the plane's :func:`_safe` bound: when the tracked bound
+        allows no such gate, reduce e and rescan, then widen the plane
+        one integer width at a time until it has room; raise
+        OverflowError if an int64 plane still has none.  The state's
+        value never changes here."""
+        if self._bound * growth < _safe(self._plane):
             return
         self._canonical_reduce()
         self._bound = _abs_max(self._plane)
-        if self._bound * growth >= _INT64_SAFE:
-            raise OverflowError(
-                "exact amplitude integers would exceed int64; "
-                "state has grown beyond this backend's checked range"
-            )
+        while self._bound * growth >= _safe(self._plane):
+            if self._plane.itemsize >= 8:
+                raise OverflowError(
+                    "exact amplitude integers would exceed int64; "
+                    "state has grown beyond this backend's checked range"
+                )
+            self._plane = self._plane.astype(f"i{2 * self._plane.itemsize}")
 
     def terms(self) -> str:
         """The first 16 nonzero amplitudes as a ket string."""

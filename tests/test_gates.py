@@ -537,15 +537,19 @@ class TestFloatKernelBitwise:
             assert_float_kernel_bitwise(amps, qubits)
 
 
-def _run_word(word, backend: str = cs.EXACT, check=None) -> StateVector:
+def _run_word(word, backend: str = cs.EXACT, check=None, narrow: bool = False) -> StateVector:
     """Run ``word`` (see :func:`gate_words`) on the library kernels and
     return the state; on the exact backend, also require zero-tolerance
     agreement with ``conftest.exact_apply``.  ``check``, if given, sees
-    the state after every op."""
+    the state after every op.  ``narrow`` starts an exact plane as int8,
+    as ``StateVector(m)`` does, rather than as ``from_amplitudes``'
+    int64."""
     m, index, start, ops = word
     ref = [DyadicReal.from_int(0)] * (1 << m)
     ref[index] = start if isinstance(start, DyadicReal) else DyadicReal.from_int(start)
     s = StateVector.from_amplitudes(ref, backend)
+    if narrow:
+        s._plane = s._plane.astype(np.int8)
     for op in ops:
         if op[0] == "O":
             _, f, start = op
@@ -582,8 +586,10 @@ class TestExactKernelDifferential:
     @given(gate_words(kinds=("H", "C", "HH"), min_size=40, max_size=64, starts=STARTS))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
-        # leave int64's checked range unless the kernel reduces on the way.
+        # leave int64's checked range unless the kernel reduces on the way,
+        # and leave int8's unless it also widens.
         _run_word(word, check=_check_bound)
+        _run_word(word, check=_check_bound, narrow=True)
 
     @settings(max_examples=60, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=STARTS))

@@ -4,7 +4,18 @@ import pytest
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector
 from compsearch.dyadic import SQRT2
-from conftest import basis_state, constant_oracle, random_exact_state, tensor, to_float
+from compsearch import gates
+from compsearch.circuit import build_grover, grover_optimal_iterations, run, simulate
+from conftest import (
+    EXACT_MATRICES,
+    basis_state,
+    constant_oracle,
+    exact_apply,
+    exact_phase_oracle,
+    random_exact_state,
+    tensor,
+    to_float,
+)
 
 INV = DyadicReal(0, 1, 1)  # 1/sqrt(2)
 HALF = DyadicReal(1, 0, 1)
@@ -244,6 +255,153 @@ class TestStateVector:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(StateVector(1))
+
+
+# Gates of each growth factor (the most nonzero entries of a row), with
+# the qubits of a 3-qubit state that they act on here.
+GROWING = {
+    "H": (cs.hadamard(), (2,), 2),
+    "C": (cs.comparison_gate(), (3, 1), 2),
+    "HH": (cs.Gate("HH", EXACT_MATRICES["HH"]), (1, 3), 4),
+}
+
+
+def _bounded(dtype, bound: int, e: int, odd_entry: bool = False) -> StateVector:
+    """A 3-qubit exact state of ``dtype`` at exponent e (not reduced, as a
+    gate kernel leaves it) whose largest integer magnitude is ``bound``;
+    one entry 1 if ``odd_entry``, so that no factor of 2 divides out."""
+    plane = np.array([bound, -bound, 0, bound, -bound, bound, 0, -bound], dtype)
+    plane[2] = odd_entry
+    s = StateVector._from_plane(3, cs.EXACT, plane)
+    s._e = e
+    return s
+
+
+class TestPlaneWidths:
+    """An exact plane starts as int8 and widens to int16, int32 and int64
+    only when a gate could leave it no headroom; its integers never
+    wrap, and its width never shows in a value."""
+
+    @pytest.mark.parametrize("name", sorted(GROWING))
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_width_boundary_matches_exact_reference(self, dtype, name):
+        gate, qubits, growth = GROWING[name]
+        safe = 1 << (8 * np.dtype(dtype).itemsize - 2)
+        wider = np.dtype(f"i{2 * np.dtype(dtype).itemsize}")
+        info = np.iinfo(dtype)
+        # (bound, e, odd entry, widens): just below the bound the gate
+        # fits; at it, a reduction of e makes room only when every
+        # integer is even and e >= 2; at the dtype's own limits an
+        # unwidened gate would wrap.
+        cases = [
+            (safe // growth - 1, 1, False, False),
+            (safe // growth - 1, 2, True, False),
+            (safe // growth, 2, False, False),
+            (safe // growth, 1, False, True),
+            (safe // growth, 2, True, True),
+            (safe // growth, 3, True, True),
+            (info.max, 1, False, True),
+        ]
+        for bound, e, odd_entry, widens in cases:
+            s = _bounded(dtype, bound, e, odd_entry)
+            if bound == info.max:
+                s._plane[1] = info.min
+                s._bound = -info.min
+            ref = exact_apply(s.amplitudes(), EXACT_MATRICES[name], qubits, 3)
+            gates._apply(s, qubits, gate)
+            case = (bound, e, odd_entry)
+            assert s._plane.dtype == (wider if widens else dtype), case
+            assert s.amplitudes() == ref, case
+            assert s == StateVector.from_amplitudes(ref), case
+            assert s._bound >= int(np.abs(s._plane).max()), case
+
+    @pytest.mark.parametrize("name", sorted(GROWING))
+    def test_int64_at_the_bound_raises_and_keeps_the_state(self, name):
+        gate, qubits, growth = GROWING[name]
+        s = _bounded(np.int64, (1 << 62) // growth, 1)
+        before = s.copy()
+        with pytest.raises(OverflowError):
+            gates._apply(s, qubits, gate)
+        assert s == before
+        # Where e can be reduced, the same bound leaves room.
+        s = _bounded(np.int64, (1 << 62) // growth, 2)
+        ref = exact_apply(s.amplitudes(), EXACT_MATRICES[name], qubits, 3)
+        gates._apply(s, qubits, gate)
+        assert s._plane.dtype == np.int64 and s.amplitudes() == ref
+
+    def test_circuit_state_equals_closed_form_across_widths(self):
+        # After H on every qubit, the oracle and the first comparison
+        # gate, the kernel leaves {0, +-2} in int8 at e = 2n + 1; the
+        # closed form holds {0, +-1} in int64 at e = 2n - 1.
+        n, f = 3, BooleanOracle(3, 0x5A)
+        s = StateVector(2 * n)
+        for q in range(1, 2 * n + 1):
+            cs.apply_gate1(s, q, cs.hadamard())
+        cs.apply_phase_oracle(s, f, n + 1)
+        cs.apply_gate2(s, n, 2 * n, cs.comparison_gate())
+        closed = cs.psi2a(n, f)
+        assert (s._plane.dtype, s._e) == (np.int8, 2 * n + 1)
+        assert (closed._plane.dtype, closed._e) == (np.int64, 2 * n - 1)
+        assert s == closed and closed == s
+        # A shift of 8 bits or more: the multiple-of-2^shift mask is out
+        # of int8's range, and only zero rows can be equal.
+        s = StateVector(17)
+        for q in range(2, 18):
+            cs.apply_gate1(s, q, cs.hadamard())
+        assert (s._plane.dtype, s._e) == (np.int8, 16)
+        other = StateVector._from_plane(17, cs.EXACT, np.eye(1, 1 << 17, dtype=np.int64)[0])
+        assert other._e == 0
+        assert s != other and other != s
+        assert s._rows_equal(other, 2) == [False, True]
+        assert other._rows_equal(s, 2) == [False, True]
+
+    def test_squares_of_an_int8_plane_sum_past_int8(self):
+        # 2^8 squares of 1 sum to 256, and a marginal sums 128 of them.
+        s = StateVector(8)
+        for q in range(1, 9):
+            cs.apply_gate1(s, q, cs.hadamard())
+        assert s._plane.dtype == np.int8
+        assert s.norm_squared() == 1 and s.is_normalized()
+        assert [cs.distribution(s, 1, 1)[x] for x in range(2)] == [HALF, HALF]
+        full = cs.distribution(s)
+        assert all(full[x] == DyadicReal(1, 0, 8) for x in range(256))
+
+    def test_signs_on_an_int8_plane(self):
+        # One oracle, then two at once on a trailing row qubit; the int64
+        # sign table flips the int8 plane in place.
+        f = BooleanOracle(2, 0b0110)
+        s = StateVector(3)
+        for q in range(1, 4):
+            cs.apply_gate1(s, q, cs.hadamard())
+        plane = s._plane
+        ref = exact_phase_oracle(s.amplitudes(), f, 2, 3)
+        gates._apply_signs(s, f.sign_array()[None], 2)
+        assert s._plane is plane and plane.dtype == np.int8
+        assert s.amplitudes() == ref
+        signs = np.array([[1, -1, -1, 1], [-1, 1, 1, 1]], np.int64)
+        s = StateVector(4)
+        for q in range(1, 5):
+            cs.apply_gate1(s, q, cs.hadamard())
+        gates._apply_signs(s, signs, 2)
+        assert s._plane.dtype == np.int8
+        assert s._plane.tolist() == [signs[x & 1, (x >> 1) & 3] for x in range(16)]
+
+    @pytest.mark.parametrize("n, dtype", [(2, np.int8), (4, np.int16), (6, np.int32)])
+    def test_exact_grover_widens_as_needed(self, n, dtype):
+        # The same circuit from an int64 start gives identical values.
+        circuit = build_grover(n, BooleanOracle.from_marked(n, [1]), grover_optimal_iterations(n, 1))
+        s = simulate(circuit)
+        assert s._plane.dtype == dtype
+        start = StateVector._from_plane(n, cs.EXACT, np.eye(1, 1 << n, dtype=np.int64)[0])
+        wide = run(circuit, start)
+        assert wide._plane.dtype == np.int64
+        assert s == wide and s.amplitudes() == wide.amplitudes()
+
+    def test_exact_grover_past_int64_raises(self):
+        for n in (8, 10):
+            circuit = build_grover(n, BooleanOracle.from_marked(n, [1]), grover_optimal_iterations(n, 1))
+            with pytest.raises(OverflowError):
+                simulate(circuit)
 
 
 def literal_float(planes, h: int) -> np.ndarray:
