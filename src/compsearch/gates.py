@@ -19,14 +19,21 @@ Every gate is (1/sqrt(2))^e times a matrix S of 0 and +-1, for one
 e >= 0, and compiles once, when it is built, into in-place ufunc steps
 that apply S to one plane (see :mod:`compsearch.state`); a row of two
 terms is one add or subtract.  One kernel runs those steps on the plane
-of either backend, for both arities.  A float chunk is first scaled by
+of either backend, for both arities, slot by slot: each slot is a
+strided view of the plane, walked chunk by chunk.  Where the lowest
+qubit of a placement has a short post axis, such views would loop over
+a few amplitudes at a time; there the gate compiles, once per
+placement, into steps over contiguous runs instead (see :func:`_runs`):
+each output is a +-1 coefficient vector times a run, plus at most one
+more such term, which may read the run's partner, its amplitudes with
+one short qubit's bit flipped.  A float chunk is first scaled by
 s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
-fl(a - b), signed zeros included, each amplitude is bit for bit the sum
-of fl(G[i, j] x_j) that unscaled steps would give.  An exact plane
-takes S as it is, and the state's exponent grows by e.  Kernels mutate
-the state in place and return it.  Oracles are applied as diagonal
-sign flips over a register window rather than materialized matrices, so
-every application is O(2^m).
+fl(a - b), signed zeros included, each amplitude is, on either walk,
+bit for bit the sum of fl(G[i, j] x_j) that unscaled steps would give.
+An exact plane takes S as it is, and the state's exponent grows by e.
+Kernels mutate the state in place and return it.  Oracles are applied
+as diagonal sign flips over a register window rather than materialized
+matrices, so every application is O(2^m).
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ class Gate:
     matrix of 0 and +-1.  Any other shape or matrix raises ValueError,
     and a non-integer entry TypeError."""
 
-    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_steps")
+    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_signs", "_steps")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -115,7 +122,8 @@ class Gate:
                 f"gate {name!r} needs every nonzero entry to be +-(1/sqrt(2))^e for one e >= 0"
             )
         self._scale = unit.to_float()
-        self._steps = _compile([[e.sign() for e in row] for row in self.matrix])
+        self._signs = tuple(tuple(e.sign() for e in row) for row in self.matrix)
+        self._steps = _compile(self._signs)
 
     def __repr__(self) -> str:
         return f"Gate({self.name})"
@@ -159,36 +167,49 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     and in range and the gate's matrix is 2^len(qubits) square.
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  The state's plane is viewed as
-    (pre, 2, [mid, 2,] post) around the sorted qubits and walked chunk
-    by chunk (see :func:`_layout`).  A float chunk is first scaled by
-    (1/sqrt(2))^e; then the slots that a row reads after an earlier row
-    overwrote them are copied, and the compiled steps write each output
-    slot in place by ufuncs with ``out=``.  An exact state's exponent
-    then grows by e.  Exact integers are checked against the state's
-    tracked bound, so a gate raises OverflowError before any write.
+    (pre, 2, [mid, 2,] post) around its axis qubits and walked chunk by
+    chunk (see :func:`_layout`).  The axis qubits are the gate's qubits,
+    unless :func:`_runs` takes the gate's short-post qubits inside
+    contiguous runs; then they are the rest.  A float chunk is first
+    scaled by (1/sqrt(2))^e.  On the slot walk the slots that a row reads
+    after an earlier row overwrote them are then copied; either walk's
+    steps write each output in place by ufuncs with ``out=``.  An exact
+    state's exponent then grows by e.  Exact integers are checked
+    against the state's tracked bound, so a gate raises OverflowError
+    before any write.
     """
-    _check_placement(state.num_qubits, qubits, gate.dim)
+    m = state.num_qubits
+    _check_placement(m, qubits, gate.dim)
     steps, saves, growth = gate._steps
     exact = state.backend == EXACT
     if exact:
         state._make_room(growth)
     scale = 1 if exact else gate._scale
-    shape, slots, chunks, perm = _layout(state.num_qubits, qubits)
-    view = state._plane.reshape(shape)
+    plane = state._plane
+    runs = _runs(gate._signs, m, qubits)
+    if runs is None:
+        shape, slots, chunks, _ = _layout(m, qubits, plane.itemsize)
+        extra = []
+    else:
+        axes, period, steps, temps, periods = runs
+        saves = ()
+        shape, slots, chunks, dims = _layout(m, axes, plane.itemsize, period)
+        extra = [np.empty(dims, plane.dtype) for _ in range(temps)]
+        extra += [_pattern(p, dims[-1], plane.dtype) for p in periods]
+    view = plane.reshape(shape)
     for chunk in chunks:
         region = view[chunk] if chunk else view
         if scale != 1:
             np.multiply(region, scale, out=region)
         arrays = [region[i] for i in slots]
-        if perm:
-            arrays = [a.transpose(perm) for a in arrays]
         arrays += [arrays[j].copy() for j in saves]
+        arrays += extra
         for ufunc, x, y, y_is_slot, out in steps:
             ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
     if exact:
         state._e += gate._e
         state._bound *= growth
-    elif not np.isfinite(state._plane).all():
+    elif not np.isfinite(plane).all():
         raise ArithmeticError("non-finite amplitude in float backend")
     return state
 
@@ -208,33 +229,35 @@ def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
         raise ValueError(f"a {dim}x{dim} gate cannot act on {len(qubits)} qubit(s)")
 
 
-# Amplitudes per slot that one chunk of a gate covers, so that every
-# step of the chunk runs in cache, and the inner-axis length below which
-# a chunk's slots are iterated along their longest axis instead.
-_CHUNK = 1 << 14
-_SHORT_INNER = 8
+# Bytes per slot that one chunk of a gate covers, so that every step of
+# the chunk runs in cache; the post-axis length, in amplitudes, below
+# which a gate qubit is taken inside contiguous runs; and the bytes that
+# one coefficient vector of a run covers.
+_CHUNK = 1 << 17
+_SHORT = 256
+_PATTERN = 1 << 12
 
 
 @functools.lru_cache(maxsize=1024)
-def _layout(m: int, qubits: tuple[int, ...]) -> tuple:
-    """How the kernel walks a plane for a gate on ``qubits``:
-    ``(shape, slots, chunks, perm)``.
+def _layout(m: int, qubits: tuple[int, ...], itemsize: int, period: int = 1) -> tuple:
+    """How the kernel walks a plane of ``itemsize``-byte amplitudes around
+    the axis ``qubits``: ``(shape, slots, chunks, dims)``.
 
     ``shape`` views a plane as (pre, 2, [mid, 2,] post) around the sorted
-    qubits; ``slots`` holds, per gate slot, the index of that slot's
-    amplitudes in the view or in a chunk of it.  ``chunks`` index the
-    view, each keeping the gate axes whole and covering about ``_CHUNK``
-    amplitudes per slot: whole outer indices while the rest is larger,
-    then a slice of the next axis.  ``perm``, when set, reorders the axes
-    of a chunk's slots so that their longest one is innermost; ufuncs
-    then run in that (C) order, as numpy would otherwise loop innermost
-    over a short post axis.
+    qubits, or as (2^m,) around none; ``slots`` holds, per slot, the
+    index of that slot's amplitudes in the view or in a chunk of it, the
+    bit of qubits[t] at position len(qubits) - 1 - t.  ``chunks`` index
+    the view, each keeping the qubit axes whole and covering about
+    ``_CHUNK`` bytes, and at least ``period`` amplitudes, per slot: whole
+    outer indices while the rest is larger, then a slice of the next
+    axis.  All chunks are alike, and ``dims`` is the shape of one of a
+    chunk's slots.
     """
     order = sorted(qubits)
     shape = []
     for prev, q in zip([0] + order, order):
         shape += [1 << (q - prev - 1), 2]
-    shape.append(1 << (m - order[-1]))
+    shape.append(1 << (m - (order[-1] if order else 0)))
     k = len(qubits)
     slots = []
     for r in range(1 << k):
@@ -242,23 +265,167 @@ def _layout(m: int, qubits: tuple[int, ...]) -> tuple:
         for q in order:
             index += [(r >> (k - 1 - qubits.index(q))) & 1, slice(None)]
         slots.append(tuple(index))
+    size = max(_CHUNK // itemsize, period)
     chunks = [()]
     dims = shape[::2]
     inner = 1 << (m - k)
     for axis in range(0, len(shape), 2):
-        if inner <= _CHUNK:
+        if inner <= size:
             break
         inner //= shape[axis]
-        step = max(1, _CHUNK // inner)
+        step = max(1, size // inner)
         dims[axis // 2] = step
         gap = (slice(None),) if axis else ()
         cuts = [slice(i, i + step) for i in range(0, shape[axis], step)]
         chunks = [c + gap + (cut,) for c in chunks for cut in cuts]
-    perm = None
-    longest = max(range(len(dims)), key=dims.__getitem__)
-    if len(chunks) > 1 and dims[-1] < _SHORT_INNER and longest != len(dims) - 1:
-        perm = tuple(t for t in range(len(dims)) if t != longest) + (longest,)
-    return tuple(shape), tuple(slots), tuple(chunks), perm
+    return tuple(shape), tuple(slots), tuple(chunks), tuple(dims)
+
+
+@functools.lru_cache(maxsize=1024)
+def _runs(signs: tuple, m: int, qubits: tuple[int, ...]) -> tuple | None:
+    """How the kernel applies the 0/+-1 matrix ``signs`` to ``qubits`` of
+    an m-qubit plane over contiguous runs: ``(axes, period, steps, temps,
+    periods)``, or None for the slot walk.
+
+    A gate qubit whose post axis is shorter than ``_SHORT`` amplitudes is
+    short; the rest, ``axes``, keep their slot views, whose post axis
+    then holds every short bit, so that the amplitudes of one axis slot
+    form runs along it.  Inside a run an output slot is a sum of at most
+    two terms, each a +-1 coefficient vector, periodic in ``period``
+    amplitudes, times an axis slot or its partner c[x ^ 2^b] across some
+    short bits b.  A float term is then exactly +-x, and every output
+    is the same two rounded products, summed, as on the slot walk.  A
+    gate with no short qubit, a term whose coefficients include 0, or an
+    output of no term or of more than two takes the slot walk.
+
+    ``steps`` are the kernel's ``(ufunc, x, y, y_is_slot, out)`` over the
+    arrays: the axis slots of a chunk, ``temps`` buffers of a slot's
+    shape, then one coefficient vector per entry of ``periods``, which
+    holds one period of each (see :func:`_pattern`).  Every term but an
+    output's own slot is first built in its buffer; then each output is
+    written in place.
+    """
+    k = len(qubits)
+    short = [t for t in range(k) if 1 << (m - qubits[t]) < _SHORT]
+    if not short:
+        return None
+    ties = [t for t in range(k) if t not in short]
+    bits = [m - qubits[t] for t in short]
+
+    def row(a: int, s: int) -> int:
+        """The gate index of axis slot a where short bit j reads s >> j & 1."""
+        i = 0
+        for u, t in enumerate(ties):
+            i |= (a >> (len(ties) - 1 - u) & 1) << (k - 1 - t)
+        for j, t in enumerate(short):
+            i |= (s >> j & 1) << (k - 1 - t)
+        return i
+
+    # Per output slot, its terms (source slot, flipped short bits, the
+    # coefficient at each reading of the short bits), its own slot first.
+    nslots, nshort = 1 << len(ties), 1 << len(short)
+    outputs = []
+    for a in range(nslots):
+        terms = []
+        for src in range(nslots):
+            for flip in range(nshort):
+                coef = tuple(signs[row(a, s)][row(src, s ^ flip)] for s in range(nshort))
+                if not all(coef):
+                    if any(coef):
+                        return None
+                elif (src, flip) == (a, 0):
+                    terms.insert(0, (src, flip, coef))
+                else:
+                    terms.append((src, flip, coef))
+        if not 1 <= len(terms) <= 2:
+            return None
+        outputs.append(terms)
+
+    temps = sum(len(terms) - (terms[0][:2] == (a, 0)) for a, terms in enumerate(outputs))
+    patterns = []
+
+    def signed(x: int, coef: tuple, out: int) -> list:
+        """Steps that write coef * arrays[x] to arrays[out]."""
+        if all(c == 1 for c in coef):
+            return [] if x == out else [(np.multiply, x, 1, False, out)]
+        if all(c == -1 for c in coef):
+            return [(np.multiply, x, -1, False, out)]
+        if coef not in patterns:
+            patterns.append(coef)
+        return [(_times, x, nslots + temps + patterns.index(coef), True, out)]
+
+    built, writes, buffer = [], [], nslots
+    for a, terms in enumerate(outputs):
+        acc = None
+        for n, (src, flip, coef) in enumerate(terms):
+            sign = 1
+            if n:
+                # A second term is +-pattern * x: one add or subtract.
+                sign, coef = coef[0], tuple(coef[0] * c for c in coef)
+            if n == 0 and (src, flip) == (a, 0):
+                writes += signed(a, coef, a)
+                acc = a
+                continue
+            for j, b in enumerate(bits):
+                if flip >> j & 1:
+                    built.append((_partner, src, 1 << b, False, buffer))
+                    src = buffer
+            built += signed(src, coef, buffer)
+            if acc is None:
+                acc = buffer
+            else:
+                writes.append((np.add if sign == 1 else np.subtract, acc, buffer, True, a))
+            buffer += 1
+        if len(terms) == 1 and acc != a:
+            writes.append((np.multiply, acc, 1, False, a))
+    period = 2 << max(bits)
+    pos = np.arange(period)
+    reading = sum((pos >> b & 1) << j for j, b in enumerate(bits))
+    periods = tuple(np.array(coef, np.int8)[reading] for coef in patterns)
+    axes = tuple(qubits[t] for t in ties)
+    return axes, period, tuple(built + writes), temps, periods
+
+
+def _pattern(period: np.ndarray, run: int, dtype: np.dtype) -> np.ndarray:
+    """The coefficient vector of one ``period`` as ``dtype``, repeated to
+    about ``_PATTERN`` bytes, and at most ``run`` amplitudes."""
+    length = min(run, max(len(period), _PATTERN // dtype.itemsize))
+    return period.astype(dtype).reshape(1, -1).repeat(length // len(period), 0).reshape(-1)
+
+
+def _times(x: np.ndarray, pattern: np.ndarray, out: np.ndarray, order: str = "C") -> None:
+    """out = x * pattern, the pattern repeated along the last axis of x
+    and out, which is contiguous and a multiple of the pattern's period
+    long."""
+    shape = x.shape[:-1] + (-1, len(pattern))
+    np.multiply(x.reshape(shape), pattern, out=out.reshape(shape), order=order)
+
+
+def _partner(x: np.ndarray, block: int, out: np.ndarray, order: str = "C") -> None:
+    """out[..., i] = x[..., i ^ block] for a power of two ``block``: swap
+    adjacent blocks along the last axis, which is contiguous in both
+    arrays and a multiple of 2 * block long.  Blocks of 1 or 2 bytes are
+    the halves of a 2- or 4-byte word, swapped by a rotate; longer ones
+    are copied in words of up to 8 bytes, by strided copies along the
+    blocks, one per word column where a block holds only one or two
+    words, as numpy copies short inner axes slowly.  ``order`` is taken,
+    and ignored, so that the kernel calls it as it calls a ufunc."""
+    if x is out:
+        x = x.copy()
+    size = block * x.itemsize
+    if size <= 2:
+        word, bits = np.dtype(f"u{2 * size}"), 8 * size
+        w, o = x.view(word), out.view(word)
+        np.left_shift(w, bits, out=o)
+        np.bitwise_or(o, np.right_shift(w, bits), out=o)
+        return
+    unit = min(size, 8)
+    words = size // unit
+    shape = x.shape[:-1] + (-1, 2, words)
+    w, o = x.view(f"u{unit}").reshape(shape), out.view(f"u{unit}").reshape(shape)
+    for col in range(words) if words <= 2 else (slice(None),):
+        np.copyto(o[..., 0, col], w[..., 1, col])
+        np.copyto(o[..., 1, col], w[..., 0, col])
 
 
 def apply_gate1(state: StateVector, q: int, gate: Gate) -> StateVector:
@@ -296,5 +463,6 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     m = state.num_qubits - (rows.bit_length() - 1)
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
     view = state._plane.reshape(pre, size, post, rows)
-    view *= signs.T[None, :, None, :]
+    # In the plane's own dtype, numpy runs no cast of every amplitude.
+    view *= signs.T.astype(view.dtype)[None, :, None, :]
     return state

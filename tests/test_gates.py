@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -496,9 +497,11 @@ def signed_zero_state(m: int, rng: np.random.Generator) -> np.ndarray:
 BITWISE_GATES = {1: (cs.hadamard(),), 2: (cs.comparison_gate(), LIBRARY["HH"])}
 
 
-def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...]) -> None:
+def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...], kernels=None) -> None:
+    """The float kernel bit for bit against :func:`float_reference`, for
+    each gate of ``kernels`` (by default those of ``BITWISE_GATES``)."""
     m = len(amps).bit_length() - 1
-    for gate in BITWISE_GATES[len(qubits)]:
+    for gate in kernels or BITWISE_GATES[len(qubits)]:
         s = StateVector.from_amplitudes(amps, cs.FLOAT)
         assert np.array_equal(np.signbit(s._plane), np.signbit(amps))
         got = gates._apply(s, qubits, gate)._plane
@@ -523,18 +526,124 @@ class TestFloatKernelBitwise:
                 if p != q:
                     assert_float_kernel_bitwise(amps, (p, q))
 
-    def test_chunked_and_transposed_walks(self):
+    def test_chunked_and_run_walks(self):
         # 2^17 amplitudes: gates on low, middle and high qubits walk the
-        # plane in chunks, and those on the last qubit transpose them.
+        # plane in chunks, and those whose lowest qubit has a post axis
+        # under _SHORT amplitudes walk contiguous runs.
         m = 17
         placements = [(1,), (9,), (17,), (1, 2), (2, 1), (8, 10), (9, 3),
                       (16, 17), (17, 16), (1, 17), (17, 1)]
-        layouts = [gates._layout(m, qubits) for qubits in placements]
+        layouts = [gates._layout(m, qubits, 8) for qubits in placements]
         assert any(len(chunks) > 1 for _, _, chunks, _ in layouts)
-        assert any(perm for *_, perm in layouts)
+        runs = {q: gates._runs(BITWISE_GATES[len(q)][0]._signs, m, q) for q in placements}
+        assert {q for q, plan in runs.items() if plan} == {
+            (17,), (8, 10), (16, 17), (17, 16), (1, 17), (17, 1)}
         amps = signed_zero_state(m, np.random.Generator(np.random.PCG64(57)))
         for qubits in placements:
             assert_float_kernel_bitwise(amps, qubits)
+
+
+# The least width of the planes that the run walk is checked on.
+RUN_WIDTH = 18
+
+
+def run_width(itemsize: int) -> int:
+    """The smallest width of at least ``RUN_WIDTH`` qubits whose plane of
+    ``itemsize``-byte amplitudes every run walk takes in several chunks:
+    a slot of a two-qubit gate with one axis qubit holds half the plane,
+    which must exceed one chunk."""
+    return max(RUN_WIDTH, (gates._CHUNK // itemsize).bit_length() + 1)
+
+
+def assert_run_walk(gate: cs.Gate, m: int, qubits: tuple[int, ...], itemsize: int) -> None:
+    """``gate`` on ``qubits`` of m takes the run walk, in several chunks."""
+    plan = gates._runs(gate._signs, m, qubits)
+    assert plan is not None, qubits
+    axes, period = plan[:2]
+    assert len(gates._layout(m, axes, itemsize, period)[2]) > 1, qubits
+
+
+def run_placements(m: int) -> list[tuple[int, ...]]:
+    """Every qubit and ordered pair of m qubits whose lowest qubit has a
+    post axis under ``gates._SHORT`` amplitudes, so that H or C on it
+    takes the run walk."""
+    short = [q for q in range(1, m + 1) if 1 << (m - q) < gates._SHORT]
+    pairs = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1)
+             if p != q and max(p, q) in short]
+    return [(q,) for q in short] + pairs
+
+
+def sparse_exact_state(m: int, dtype, bound: int, rng: np.random.Generator) -> StateVector:
+    """An m-qubit exact state of ``dtype`` at e = 1 with up to 128 random
+    integers of magnitude at most ``bound``, +-bound among them, at
+    random places and zeros elsewhere, so that an amplitude-by-amplitude
+    reference stays quick."""
+    plane = np.zeros(1 << m, dtype)
+    where = rng.integers(1 << m, size=128)
+    plane[where] = rng.integers(-bound, bound, size=128, endpoint=True)
+    plane[where[:2]] = bound, -bound
+    s = StateVector._from_plane(m, cs.EXACT, plane, bound=bound)
+    s._e = 1
+    return s
+
+
+class TestRunWalk:
+    """Gates whose lowest qubit has a short post axis walk contiguous runs
+    (``gates._runs``); on planes that span several chunks, they must
+    match the references on every such placement."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_exact_matches_reference(self, dtype):
+        # Each width takes every fourth placement, with integers just
+        # below the bound at which H or C would widen the plane.  The
+        # reference applies the gate to each group of 2^k amplitudes that
+        # differ only in the gate's qubits and hold a nonzero input.
+        width = np.dtype(dtype).itemsize
+        m = run_width(width)
+        bound = (1 << (8 * width - 2)) // 2 - 1
+        rng = np.random.Generator(np.random.PCG64(60 + width))
+        for qubits in run_placements(m)[[1, 2, 4, 8].index(width)::4]:
+            name = "H" if len(qubits) == 1 else "C"
+            gate = LIBRARY[name]
+            assert_run_walk(gate, m, qubits, width)
+            k = len(qubits)
+            # Gate slot r's amplitudes sit at offset[r] from their group.
+            offset = [sum((r >> (k - 1 - t) & 1) << (m - q) for t, q in enumerate(qubits))
+                      for r in range(1 << k)]
+            s = sparse_exact_state(m, dtype, bound, rng)
+            groups = {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()}
+            before = {g: [s.amplitude(g | d) for d in offset] for g in groups}
+            gates._apply(s, qubits, gate)
+            assert s._plane.dtype == dtype, qubits
+            for g, amps in before.items():
+                ref = exact_apply(amps, EXACT_MATRICES[name], tuple(range(1, k + 1)), k)
+                assert [s.amplitude(g | d) for d in offset] == ref, (qubits, g)
+            # No amplitude outside those groups may turn nonzero.
+            assert {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()} <= groups
+            assert s._bound >= int(np.abs(s._plane).max()), qubits
+
+    def test_float_bitwise(self):
+        m = run_width(8)
+        amps = signed_zero_state(m, np.random.Generator(np.random.PCG64(58)))
+        for qubits in run_placements(m):
+            gate = LIBRARY["H" if len(qubits) == 1 else "C"]
+            assert_run_walk(gate, m, qubits, 8)
+            assert_float_kernel_bitwise(amps, qubits, (gate,))
+
+    def test_buffers_stay_about_one_chunk(self):
+        # The run walk's buffers and coefficient vectors are about one
+        # chunk long, whatever the plane's size.
+        m = 20
+        s = StateVector(m)
+        for qubits, gate in (((m,), cs.hadamard()), ((m // 2, m), cs.comparison_gate())):
+            tracemalloc.start()
+            try:
+                gates._apply(s, qubits, gate)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert s._plane.dtype == np.int8
+            assert peak < 1 << 20, (qubits, peak)
 
 
 def _run_word(word, backend: str = cs.EXACT, check=None, narrow: bool = False) -> StateVector:
@@ -594,19 +703,23 @@ class TestExactKernelDifferential:
     @settings(max_examples=60, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=STARTS))
     def test_chunked_walk_matches(self, word):
-        # Large states are walked in chunks, short inner axes transposed.
-        # Chunks of two amplitudes per slot take those paths at any width:
-        # exact results must still match the reference, and float results
-        # must be bitwise those of the unchunked walk.
+        # Large states are walked in chunks.  Chunks of two bytes per slot
+        # (one or two amplitudes, or one period of a run) take that path
+        # at any width, on the run walk and, with _SHORT = 1, on the slot
+        # walk alone: exact results must still match the reference, and
+        # float results must be bitwise those of the unchunked walk.
         flat = _run_word(word, cs.FLOAT)._plane
-        with mock.patch.object(gates, "_CHUNK", 2):
-            gates._layout.cache_clear()
-            try:
-                _run_word(word)
-                chunked = _run_word(word, cs.FLOAT)._plane
-            finally:
+        for short in (gates._SHORT, 1):
+            with mock.patch.object(gates, "_CHUNK", 2), mock.patch.object(gates, "_SHORT", short):
                 gates._layout.cache_clear()
-        assert chunked.tobytes() == flat.tobytes()
+                gates._runs.cache_clear()
+                try:
+                    _run_word(word)
+                    chunked = _run_word(word, cs.FLOAT)._plane
+                finally:
+                    gates._layout.cache_clear()
+                    gates._runs.cache_clear()
+            assert chunked.tobytes() == flat.tobytes(), short
 
     def test_four_term_rows(self):
         # H (x) H sums four unit terms a row, at even and at odd e (after
