@@ -3,8 +3,9 @@
 The claim under test is distributional: for every oracle f the circuit's
 output measurement statistics are the same, so observing the output says
 nothing about which elements are marked.  Total variation distance is
-the metric; in the exact backend probabilities are squared ring elements
-and TV distances are computed with zero tolerance.
+the metric; in the exact backend every probability is a dyadic rational
+c / 2^h, the square of an amplitude c / sqrt(2)^e, and TV distances are
+computed with zero tolerance.
 
 ``sweep_all_f`` runs the circuit for every oracle (exhaustively up to
 n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
@@ -67,61 +68,68 @@ _BATCH_AMPS = 1 << 17
 
 
 class Distribution:
-    """Dense probability table over the 2^m basis outcomes of m qubits,
-    held as planes plus one exponent h:
+    """Dense probability table over the 2^m basis outcomes of m qubits:
+    one plane p and one exponent h.  An integer plane (any width, or
+    Python ints in an object plane) is exact, p(x) = p[x] / 2^h; a
+    float64 plane is a float table, with h = 0.
 
-    * exact -- two integer planes (pa, pb), and
-      p(x) = (pa[x] + pb[x]*sqrt(2)) / 2^h;
-    * float -- one float64 plane, and h = 0.
-
-    The constructor stores exact planes as Python ints, so that no sum
-    over them can wrap, refuses a non-integer exact entry with
-    TypeError, and checks that every entry is non-negative and that the
-    table sums to 1.  Inside this module a *row table* holds R tables at
-    once, as planes of shape (R, 2^m); ``len``, ``num_qubits``,
-    :func:`marginal` and the TV code read the last axis.
+    ``Distribution(plane, h)`` reads ``plane`` as ``np.asarray`` does,
+    except that a list of ints stays exact where NumPy would make it
+    float64.  It refuses with TypeError a plane of any other dtype, a
+    non-integer object entry and a non-integer h, stores an exact plane
+    as Python ints, so that no sum over it can wrap, and checks that
+    every entry is non-negative and that the table sums to 1.  Inside
+    this module a *row table* holds R tables at once, as a plane of
+    shape (R, 2^m); ``len``, ``num_qubits``, :func:`marginal` and the TV
+    code read the last axis.
     """
 
-    __slots__ = ("planes", "h", "num_qubits", "exact")
+    __slots__ = ("plane", "h", "num_qubits", "exact")
 
-    def __init__(self, planes, h: int = 0) -> None:
-        if len(planes) not in (1, 2):
-            raise ValueError("a table has one float plane or two integer planes")
-        exact = len(planes) == 2
+    def __init__(self, plane, h: int = 0) -> None:
+        array = np.asarray(plane)
+        if array.dtype.kind == "f" and not isinstance(plane, np.ndarray):
+            # NumPy reads ints past int64 beside smaller ones as float64.
+            objects = np.array(plane, dtype=object)
+            if all(isinstance(x, (int, np.integer)) for x in objects.flat):
+                array = objects
+        if array.ndim != 1:
+            raise ValueError(f"a table has one float or integer plane, got shape {array.shape}")
+        if array.dtype.kind not in "iuOf":
+            raise TypeError(f"probabilities must be integers or floats, got dtype {array.dtype}")
+        exact, h = array.dtype.kind != "f", operator.index(h)
         if h < 0 or (h and not exact):
             raise ValueError(f"exponent h={h} invalid: exact tables need h >= 0, float ones h = 0")
-        planes = tuple(np.array(p, dtype=object if exact else np.float64) for p in planes)
-        size = len(planes[0])
-        if size < 2 or size & (size - 1) or any(p.shape != (size,) for p in planes):
+        size = len(array)
+        if size < 2 or size & (size - 1):
             raise ValueError("probability table size is not a power of two >= 2")
         if exact:
             # Python ints, as numpy integers would sum in int64 and wrap; a
             # non-integer entry raises TypeError.
-            planes = tuple(np.array([operator.index(x) for x in p], dtype=object) for p in planes)
-            negative = min(_value(planes, h, x).sign() for x in range(size)) < 0
+            array = np.array([operator.index(x) for x in array], dtype=object)
         else:
-            negative = not (planes[0] >= 0).all()  # a NaN entry fails too
-        if negative:
+            array = array.astype(np.float64)
+        if not (array >= 0).all():  # a NaN entry fails too
             raise ValueError("probabilities must be non-negative")
-        self._init(planes, h)
+        self._init(array, h)
         self._check_total()
 
     @classmethod
-    def _of(cls, planes: tuple, h: int = 0) -> Distribution:
-        """A table over ``planes`` as they are, unchecked."""
+    def _of(cls, plane: np.ndarray, h: int = 0) -> Distribution:
+        """A table over ``plane`` as it is, unchecked."""
         dist = cls.__new__(cls)
-        dist._init(planes, h)
+        dist._init(plane, h)
         return dist
 
-    def _init(self, planes: tuple, h: int) -> None:
-        self.planes = planes
+    def _init(self, plane: np.ndarray, h: int) -> None:
+        self.plane = plane
         self.h = h
-        self.num_qubits = planes[0].shape[-1].bit_length() - 1
-        self.exact = len(planes) == 2
+        self.num_qubits = plane.shape[-1].bit_length() - 1
+        self.exact = plane.dtype.kind != "f"
 
     def _row(self, r: int) -> Distribution:
         """Row r of a row table, as a table."""
-        return Distribution._of(tuple(p[r] for p in self.planes), self.h)
+        return Distribution._of(self.plane[r], self.h)
 
     def _check_total(self) -> None:
         """Raise ValueError unless the table, or each row of a row table,
@@ -138,8 +146,8 @@ class Distribution:
     def _totals(self) -> list:
         """The sum of each row of a row table, or of the table as one
         row: DyadicReal for an exact table, float for a float one."""
-        sums = [np.atleast_1d(p.sum(axis=-1)) for p in self.planes]
-        return [_value(sums, self.h, r) for r in range(len(sums[0]))]
+        sums = np.atleast_1d(self.plane.sum(axis=-1))
+        return [_value(sums, 2 * self.h, r) for r in range(len(sums))]
 
     @property
     def probs(self) -> np.ndarray:
@@ -147,17 +155,17 @@ class Distribution:
         the float plane itself for a float one."""
         if self.exact:
             return np.array([self[x] for x in range(len(self))], dtype=object)
-        return self.planes[0]
+        return self.plane
 
     def __len__(self) -> int:
-        return self.planes[0].shape[-1]
+        return self.plane.shape[-1]
 
     def __getitem__(self, x: int) -> DyadicReal | float:
-        return _value(self.planes, self.h, x)
+        return _value(self.plane, 2 * self.h, x)
 
     def as_float_array(self) -> np.ndarray:
         """The table as float64; a float table returns its own plane."""
-        return _as_float(self.planes, self.h)
+        return _as_float(self.plane, 2 * self.h)
 
 
 def distribution(state: StateVector, first: int = 1, last: int | None = None) -> Distribution:
@@ -176,7 +184,7 @@ def marginal(dist: Distribution, first: int, last: int) -> Distribution:
     """Marginal over qubits first..last (inclusive, 1-based), summing out
     the rest."""
     pre, keep, post = _qubit_range(dist.num_qubits, first, last)
-    return Distribution._of(tuple([_sum_out(p, pre, keep, post) for p in dist.planes]), dist.h)
+    return Distribution._of(_sum_out(dist.plane, pre, keep, post), dist.h)
 
 
 def tv_distance(p: Distribution, q: Distribution) -> DyadicReal | float:
@@ -198,15 +206,13 @@ def _tv_rows(p: Distribution, q: Distribution) -> list:
         sums = np.abs(diff, out=diff).sum(axis=-1)
         return (0.5 * np.atleast_1d(sums)).tolist()
     h = max(p.h, q.h)
-    shifted = [(x, h - d.h) for d in (p, q) for x in d.planes]
-    # Differences below 2^31 square within int64; larger ones use Python ints.
-    small = all(x.dtype == np.int64 and _abs_max(x) << s < 1 << 30 for x, s in shifted)
-    pa, pb, qa, qb = (x.astype(np.int64 if small else object) << s for x, s in shifted)
-    da, db = pa - qa, pb - qb
-    # da + db sqrt2 has the sign of da when da^2 > 2 db^2, else that of db.
-    sign = np.where(da * da > 2 * db * db, np.sign(da), np.sign(db))
-    sums = (np.atleast_1d((sign * d).sum(axis=-1)) for d in (da, db))
-    return [DyadicReal(int(a), int(b), h + 1) for a, b in zip(*sums)]
+    shifted = [(d.plane, h - d.h) for d in (p, q)]
+    # Each |p - q| is below 2 * bound, so a row of them sums within int64
+    # while bound * len < 2^62; larger ones use Python ints.
+    small = all(_abs_max(x) << s < (1 << 62) // len(p) for x, s in shifted)
+    x, y = (x.astype(np.int64 if small else object) << s for x, s in shifted)
+    sums = np.atleast_1d(np.abs(x - y).sum(axis=-1))
+    return [DyadicReal(int(t), 0, h + 1) for t in sums]
 
 
 def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.ndarray:
@@ -313,8 +319,8 @@ def _row_table(out: StateVector, rows: int) -> Distribution:
     :func:`_verdicts`) as one row table, squared by
     :meth:`StateVector._squares`; raises ValueError unless every row sums
     to 1."""
-    planes, h = out._squares(1, out.num_states, 1)
-    table = Distribution._of(tuple(p.reshape(rows, -1) for p in planes), h)
+    plane, h = out._squares(1, out.num_states, 1)
+    table = Distribution._of(plane.reshape(rows, -1), h)
     table._check_total()
     return table
 
@@ -384,7 +390,7 @@ def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution], identical
         worst = 0.0
         if not identical:
             # len of a row table's plane is its row count.
-            rows = [t._row(r) for t in tables for r in range(len(t.planes[0]))]
+            rows = [t._row(r) for t in tables for r in range(len(t.plane))]
             for table in tables:
                 for row in rows:
                     worst = max(worst, *(float(d) for d in _tv_rows(table, row)))

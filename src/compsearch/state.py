@@ -31,9 +31,9 @@ plane:
 Gate kernels (:mod:`compsearch.gates`) act on the plane alike for both
 backends.  Exact states compare with ``==`` at zero tolerance.  For
 states and probability tables alike, ``_value`` reads one entry and
-``_as_float`` converts exact planes to float; nothing else does either.
-A state hands them its plane as a table's (a, b) planes (see
-:meth:`StateVector._ring`).
+``_as_float`` converts a plane to float; nothing else does either.  Both
+take one plane and its exponent e in powers of 1/sqrt(2); a table at h
+(entries over 2^h) passes 2h.
 """
 
 from __future__ import annotations
@@ -90,27 +90,31 @@ def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
     return plane.reshape(plane.shape[:-1] + (pre, keep, post)).sum(axis=(-3, -1))
 
 
-def _value(planes, h: int, x) -> DyadicReal | float:
-    """Entry x of ``planes`` at exponent h: a DyadicReal for two exact
-    planes, whose non-integer entry raises TypeError, or a float for one
-    float plane."""
-    if len(planes) == 1:
-        return float(planes[0][x])
-    a, b = planes
-    return DyadicReal(a[x], b[x], h)
+def _value(plane: np.ndarray, e: int, x) -> DyadicReal | float:
+    """Entry x of ``plane`` at exponent e (see the module docstring): a
+    float plane's as a float; an integer c, of any width or a Python int,
+    as the DyadicReal c / sqrt(2)^e, which is c / 2^(e/2) for even e and
+    c sqrt(2) / 2^((e + 1)/2) for odd e.  A non-integer entry of an
+    object plane raises TypeError."""
+    c = plane[x]
+    if plane.dtype.kind == "f":
+        return float(c)
+    if e & 1:
+        return DyadicReal(0, c, (e + 1) // 2)
+    return DyadicReal(c, 0, e // 2)
 
 
-def _as_float(planes, h: int) -> np.ndarray:
-    """Entries held by ``planes`` (of any shape) at exponent h as
-    float64: a float plane is returned as it is, and an exact entry
-    becomes the new fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h, for int64 and
-    Python-int planes alike."""
-    if len(planes) == 1:
-        return planes[0]
-    a, b = planes
-    re = np.multiply(b, SQRT2, dtype=np.float64, casting="unsafe")
-    np.add(re, a, out=re, casting="unsafe")
-    return np.ldexp(re, -h, out=re)
+def _as_float(plane: np.ndarray, e: int) -> np.ndarray:
+    """``plane`` (of any shape) at exponent e as float64: a float plane is
+    returned as it is, and an integer c becomes the new fl(c) / 2^(e/2)
+    for even e and fl(sqrt2 * fl(c)) / 2^((e + 1)/2) for odd e, for every
+    integer width and Python ints alike."""
+    if plane.dtype.kind == "f":
+        return plane
+    out = plane.astype(np.float64)
+    if e & 1:
+        np.multiply(out, SQRT2, out=out)
+    return np.ldexp(out, -((e + 1) // 2), out=out)
 
 
 class BooleanOracle:
@@ -285,45 +289,29 @@ class StateVector:
             self.num_qubits, self.backend, self._plane.copy(), self._e, self._bound
         )
 
-    def _ring(self, plane: np.ndarray | None = None) -> tuple[tuple, int]:
-        """``plane`` (by default the state's own; else a slice of it) as
-        the planes and exponent h that ``_value`` and ``_as_float`` read.
-        A float plane is itself at h = 0; an exact plane is the a plane
-        at h = e/2 for even e, and the b plane at h = (e + 1)/2 for odd
-        e, as c / sqrt(2)^e = c sqrt(2) / 2^((e + 1)/2), beside a
-        broadcast zero."""
-        plane = self._plane if plane is None else plane
-        if self.backend == FLOAT:
-            return (plane,), 0
-        zero = np.broadcast_to(np.int64(0), plane.shape)
-        if self._e & 1:
-            return (zero, plane), (self._e + 1) // 2
-        return (plane, zero), self._e // 2
-
     def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:
             raise ValueError(f"basis index {x} out of range")
-        return _value(*self._ring(), x)
+        return _value(self._plane, self._e, x)
 
     def amplitudes(self) -> list:
-        planes, h = self._ring()
-        return [_value(planes, h, x) for x in range(self.num_states)]
+        return [_value(self._plane, self._e, x) for x in range(self.num_states)]
 
     def to_float_array(self) -> np.ndarray:
-        """Amplitudes as one new float64 array, for either backend; an
-        exact amplitude is read as the ring element (a + b sqrt2) / 2^h
-        (see :meth:`_ring`) and becomes fl(fl(a) + fl(sqrt2 * fl(b))) / 2^h."""
+        """Amplitudes as one new float64 array, for either backend, an
+        exact one converted by :func:`_as_float`."""
         if self.backend == FLOAT:
             return self._plane.copy()
-        return _as_float(*self._ring())
+        return _as_float(self._plane, self._e)
 
     def norm_squared(self) -> DyadicReal | float:
         """Sum of squared amplitudes; exact in the exact backend."""
-        return _value(*self._squares(1, 1, self.num_states), 0)
+        total, h = self._squares(1, 1, self.num_states)
+        return _value(total, 2 * h, 0)
 
-    def _squares(self, pre: int, keep: int, post: int) -> tuple[tuple, int]:
+    def _squares(self, pre: int, keep: int, post: int) -> tuple[np.ndarray, int]:
         """Born-rule probabilities |amp(x)|^2 of the state viewed as
-        (pre, keep, post), summed over the outer axes: ``(planes, h)``,
+        (pre, keep, post), summed over the outer axes: ``(plane, h)``,
         laid out like a :class:`~compsearch.refutation.Distribution`.
 
         This is the one place that squares amplitudes.  A float plane is
@@ -337,7 +325,7 @@ class StateVector:
         value alone.
         """
         if self.backend == FLOAT:
-            return (_sum_out(np.square(self._plane), pre, keep, post),), 0
+            return _sum_out(np.square(self._plane), pre, keep, post), 0
         self._canonical_reduce()
         m = self.num_qubits
         if self._bound**2 << m >= _INT64_SAFE:
@@ -349,8 +337,7 @@ class StateVector:
         if self._bound**2 << m >= _INT64_SAFE:
             c, dtype = c.astype(object), None
         c = c.reshape(pre, keep, post)
-        cc = np.einsum("ijk,ijk->j", c, c, dtype=dtype)
-        return (cc, np.zeros_like(cc)), self._e
+        return np.einsum("ijk,ijk->j", c, c, dtype=dtype), self._e
 
     def is_normalized(self) -> bool:
         if self.backend == EXACT:
@@ -391,7 +378,7 @@ class StateVector:
         any order."""
         dev = np.zeros(rows)
         for x, y in self._column_chunks(other, rows):
-            diff = _as_float(*self._ring(x)) - _as_float(*other._ring(y))
+            diff = _as_float(x, self._e) - _as_float(y, other._e)
             np.maximum(dev, np.abs(diff, out=diff).max(axis=1), out=dev)
         return dev.tolist()
 

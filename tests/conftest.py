@@ -237,7 +237,7 @@ def empirical_distribution(counts: np.ndarray, num_qubits: int) -> cs.Distributi
     total = int(counts.sum())
     if total < 1:
         raise ValueError("empty counts")
-    return cs.Distribution((counts.astype(np.float64) / total,))
+    return cs.Distribution(counts.astype(np.float64) / total)
 
 
 def tensor(s: cs.StateVector, t: cs.StateVector) -> cs.StateVector:

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation, state
+from compsearch.state import _abs_max
 from compsearch.circuit import Circuit, GatePlacement, PhaseOraclePlacement
 from conftest import (
     basis_state,
@@ -87,19 +90,18 @@ class TestDistribution:
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            Distribution((np.array([0.5, 0.1]),))
+            Distribution(np.array([0.5, 0.1]))
         with pytest.raises(ValueError):
-            Distribution(([1, 0], [0, 1]), 0)
+            Distribution([1, 1], 0)
         with pytest.raises(ValueError):
-            Distribution((np.array([np.nan, 1.0]),))
+            Distribution(np.array([np.nan, 1.0]))
 
     @pytest.mark.parametrize(
         "planes,h,message",
         [
-            (([1, 0], [0, 0], [0, 0]), 0, "a table has one float plane or two integer planes"),
-            (([1, 0], [0, 0]), -1,
-             "exponent h=-1 invalid: exact tables need h >= 0, float ones h = 0"),
-            (([1, 0, 0], [0, 0, 0]), 0, "probability table size is not a power of two >= 2"),
+            (([1, 0], [0, 0], [0, 0]), 0, "a table has one float or integer plane, got shape (3, 2)"),
+            ([1, 0], -1, "exponent h=-1 invalid: exact tables need h >= 0, float ones h = 0"),
+            ([1, 0, 0], 0, "probability table size is not a power of two >= 2"),
         ],
     )
     def test_rejects_malformed_tables(self, planes, h, message):
@@ -107,32 +109,65 @@ class TestDistribution:
             Distribution(planes, h)
         assert str(excinfo.value) == message
 
-    def test_rejects_non_integer_exact_entries(self):
-        # Each sums to 1 as floats.  Truncated by int(), the first two
-        # would pass every check and the last would read as negative.
-        for planes in (([1.5, -0.5], [0, 0]), ([1, 0], [0.5, 0]), ([-1, 2.0], [0, 0])):
-            with pytest.raises(TypeError):
+    def test_rejects_a_tuple_of_planes(self):
+        # The (pa, pb) and (plane,) forms arrive as 2-D arrays; a ragged
+        # pair is refused by NumPy itself.
+        for planes in (([1, 0], [0, 0]), (np.array([0.5, 0.5]),), ([1, 0], [0, 0, 0])):
+            with pytest.raises(ValueError):
                 Distribution(planes)
 
-    def test_rejects_negative_entries(self):
-        # Each table sums to 1; p0 = (sqrt2 - 2)/2 < 0 in the last one.
-        for planes, h in (
-            ((np.array([2.0, -1.0]),), 0),
-            (([2, -1], [0, 0]), 0),
-            (([-2, 4], [1, -1]), 1),
+    def test_rejects_non_integer_exact_entries(self):
+        # Object entries are exact; each table sums to 1 as floats.
+        # Truncated by int(), the first two would pass every check and
+        # the last would read as negative.
+        for plane in (
+            np.array([1.5, -0.5], dtype=object),
+            [Fraction(1, 2), Fraction(1, 2)],
+            np.array([-1, 2.0], dtype=object),
         ):
+            with pytest.raises(TypeError):
+                Distribution(plane)
+
+    def test_rejects_entries_neither_integer_nor_float(self):
+        # Strings once read as a float table.
+        for plane in (["0.5", "0.5"], np.array([0.5, 0.5], dtype=complex), [True, False]):
+            with pytest.raises(TypeError, match="probabilities must be integers or floats"):
+                Distribution(plane)
+        for h in (1.0, 0.0):
+            with pytest.raises(TypeError):
+                Distribution([0, 1], h)
+
+    def test_exactness_is_read_from_the_dtype(self):
+        for plane, h in (
+            ([1, 0], 0),
+            (np.array([0, 1], np.int8), 0),
+            (np.array([1, 0], np.uint64), 0),
+            ([0, 1 << 70], 70),
+        ):
+            d = Distribution(plane, h)
+            assert d.exact and d.plane.dtype == object
+        for plane in ([1.0, 0.0], np.array([0.5, 0.5], np.float32)):
+            d = Distribution(plane)
+            assert not d.exact and d.plane.dtype == np.float64
+        # NumPy reads ints past int64 beside smaller ones as float64; the
+        # table stays exact.
+        assert np.asarray([2**63, 0]).dtype == np.float64
+        d = Distribution([2**63, 0, 2**62, 2**62], 64)
+        assert d.exact and list(d.probs) == [HALF, 0, DyadicReal(1, 0, 2), DyadicReal(1, 0, 2)]
+
+    def test_rejects_negative_entries(self):
+        # Each table sums to 1.
+        for plane, h in ((np.array([2.0, -1.0]), 0), ([2, -1], 0), ([-2, 6], 2)):
             with pytest.raises(ValueError, match="non-negative"):
-                Distribution(planes, h)
-        # p0 = (2 - sqrt2)/2 > 0, with a negative sqrt2 part.
-        assert Distribution(([2, 0], [-1, 1]), 1)[0] == DyadicReal(2, -1, 1)
+                Distribution(plane, h)
 
     def test_numpy_integer_entries_are_stored_as_python_ints(self):
         # 2^62 + 2^62 wraps in int64; as Python ints the table sums to 2^63.
         big = 1 << 62
-        for pa in ([np.int64(big)] * 2, [big] * 2, np.array([big] * 2)):
-            d = Distribution((pa, [0, 0]), 63)
+        for plane in ([np.int64(big)] * 2, [big] * 2, np.array([big] * 2)):
+            d = Distribution(plane, 63)
             assert d[0] == d[1] == DyadicReal(1, 0, 1)
-            assert all(type(x) is int for p in d.planes for x in p)
+            assert all(type(x) is int for x in d.plane)
 
 
 class TestMarginal:
@@ -198,8 +233,8 @@ class TestMarginal:
                         assert list(got.probs) == list(want.probs) == ref
                         assert got.as_float_array().tolist() == [p.to_float() for p in ref]
                     else:
-                        assert got.planes[0].tobytes() == want.planes[0].tobytes()
-                        np.testing.assert_allclose(got.planes[0], ref, rtol=0, atol=1e-15)
+                        assert got.plane.tobytes() == want.plane.tobytes()
+                        np.testing.assert_allclose(got.plane, ref, rtol=0, atol=1e-15)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -210,36 +245,51 @@ class TestMarginal:
 
 @st.composite
 def exact_tables(draw, size: int = 8):
-    """(pa, pb, h) with mixed signs and zeros, the last entry chosen so
-    that the table sums to 1; entries are small, or fit int64 but square
-    beyond it, or pass int64 themselves.  Some entries are negative,
-    which the public constructor refuses, so tables are built unchecked."""
-    bits, top_h = draw(st.sampled_from([(12, 8), (40, 20), (90, 80)]))
+    """(p, h) with zeros and negative entries, the last entry chosen so
+    that the table sums to 1.  Entries are small, or up to 2^60, so that
+    a row's sum of |p - q| can pass 2^63 while every entry fits int64, or
+    pass int64 themselves.  Negative entries are refused by the public
+    constructor, so tables are built unchecked."""
+    bits, top_h = draw(st.sampled_from([(12, 8), (40, 20), (60, 58), (90, 80)]))
     h = draw(st.integers(0, top_h))
     bound = 1 << bits
-    ints = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-bound, bound))
-    pa = draw(st.lists(ints, min_size=size - 1, max_size=size - 1))
-    pb = draw(st.lists(ints, min_size=size - 1, max_size=size - 1))
-    return pa + [(1 << h) - sum(pa)], pb + [-sum(pb)], h
+    ints = st.one_of(
+        st.just(0), st.integers(-3, 3), st.integers(-bound, bound), st.sampled_from([-bound, bound])
+    )
+    p = draw(st.lists(ints, min_size=size - 1, max_size=size - 1))
+    return p + [(1 << h) - sum(p)], h
 
 
 class TestTvDistanceDifferential:
     @settings(max_examples=200, deadline=None)
     @given(exact_tables(), exact_tables(), st.booleans())
     def test_exact_matches_dyadic_loop(self, p, q, as_int64):
-        # as_int64 stores the planes as int64 where they fit, the layout
-        # distribution() builds; otherwise they hold Python ints, as the
+        # as_int64 stores a plane as int64 where it fits, the layout
+        # distribution() builds; otherwise it holds Python ints, as the
         # constructor stores them.
         dists = []
-        for pa, pb, h in (p, q):
-            d = Distribution._of(tuple(np.array(x, dtype=object) for x in (pa, pb)), h)
-            if as_int64 and max(map(abs, pa + pb)) < 1 << 62:
-                d.planes = tuple(x.astype(np.int64) for x in d.planes)
-            dists.append(d)
+        for plane, h in (p, q):
+            plane = np.array(plane, dtype=object)
+            if as_int64 and _abs_max(plane) < 1 << 63:
+                plane = plane.astype(np.int64)
+            dists.append(Distribution._of(plane, h))
         want = DyadicReal(0, 0)
         for x in range(8):
-            want = want + abs(DyadicReal(p[0][x], p[1][x], p[2]) - DyadicReal(q[0][x], q[1][x], q[2]))
+            want = want + abs(DyadicReal(p[0][x], 0, p[1]) - DyadicReal(q[0][x], 0, q[1]))
         assert cs.tv_distance(*dists) == want * DyadicReal(1, 0, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_sums_past_int64_do_not_wrap(self, dtype):
+        # Every entry fits int64, and so does every shifted one, but each
+        # row's sum of |p - q| is 2^63 or more.
+        big = 1 << 61
+        p = Distribution._of(np.array([[big, 0, big, 0], [big, big, 0, 0]], dtype=dtype), 62)
+        q = Distribution._of(np.array([0, big, 0, big], dtype=dtype) >> 1, 61)
+        # Row 0 differs by 2^61 in each entry: the sum is 2^63, and the
+        # TV is 2^63 / 2^(62 + 1).
+        assert refutation._tv_rows(p, q) == [1, HALF]
+        shifted = Distribution._of(np.array([0, 1, 0, 1], dtype=dtype), 1)
+        assert refutation._tv_rows(p, shifted) == [1, HALF]
 
 
 class TestTvDistance:
@@ -265,8 +315,8 @@ class TestTvDistance:
             )
 
     def test_float_value(self):
-        p = Distribution((np.array([0.75, 0.25]),))
-        q = Distribution((np.array([0.25, 0.75]),))
+        p = Distribution(np.array([0.75, 0.25]))
+        q = Distribution(np.array([0.25, 0.75]))
         assert cs.tv_distance(p, q) == pytest.approx(0.5)
 
 
@@ -278,7 +328,7 @@ class TestSampling:
     def test_bell_empirical_tv_small(self):
         counts = sample(bell_plus(), 100_000, seed=0)
         emp = empirical_distribution(counts, 2)
-        ideal = Distribution((np.array([0.5, 0.0, 0.0, 0.5]),))
+        ideal = Distribution(np.array([0.5, 0.0, 0.0, 0.5]))
         assert cs.tv_distance(emp, ideal) < 0.01
 
     def test_two_oracles_empirically_indistinguishable(self):
@@ -348,7 +398,7 @@ class TestSweep:
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
 
     def test_all_pairs_when_tables_differ(self):
-        table = Distribution._of((np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),))
+        table = Distribution._of(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
         rep = refutation.SweepReport(1, cs.FLOAT, False, 0, cs.RNG_ALGORITHM)
         rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
         refutation._fill_pairwise_tv(rep, [table], identical=False)

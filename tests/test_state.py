@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector
 from compsearch.dyadic import SQRT2
-from compsearch import gates
+from compsearch import gates, state
 from compsearch.circuit import build_grover, grover_optimal_iterations, run, simulate
 from conftest import (
     EXACT_MATRICES,
@@ -404,10 +406,20 @@ class TestPlaneWidths:
                 simulate(circuit)
 
 
-def literal_float(planes, h: int) -> np.ndarray:
-    """Exact planes as float64 by the formula written out in full."""
-    pa, pb = (np.asarray(p).astype(np.float64) for p in planes)
-    return np.ldexp(pa + pb * SQRT2, -h)
+def literal_float(plane, e: int) -> bytes:
+    """An integer plane at e as float64 bytes, entry by entry, by the
+    formulas written out in full: fl(c) / 2^(e/2) for even e, and
+    fl(sqrt2 * fl(c)) / 2^((e + 1)/2) for odd e."""
+    if e % 2:
+        floats = [math.ldexp(SQRT2 * float(int(c)), -((e + 1) // 2)) for c in np.ravel(plane)]
+    else:
+        floats = [math.ldexp(float(int(c)), -(e // 2)) for c in np.ravel(plane)]
+    return np.array(floats, dtype=np.float64).tobytes()
+
+
+def literal_value(c, e: int) -> DyadicReal:
+    """The integer c times 1/sqrt(2)^e, by ring multiplication."""
+    return DyadicReal.from_int(int(c)) * DyadicReal.inv_sqrt2_pow(e)
 
 
 def same(x, y) -> bool:
@@ -419,46 +431,64 @@ def same(x, y) -> bool:
 
 class TestOneReader:
     """Entries of states and tables are read, and converted to float, by
-    one routine each; these pin what they give, bit for bit, against the
-    formulas written out by hand.  Integers past 2^53 round when they
-    become floats, so a change in the order of rounding would show."""
+    one routine each, from one plane and its exponent e in powers of
+    1/sqrt(2); a table at h passes 2h.  These pin what they give, bit for
+    bit, against the formulas written out by hand.  Integers past 2^53
+    round when they become floats, so a change in the order of rounding
+    would show."""
 
-    # (pa, pb, h), each table summing to 1; the constructor keeps the
-    # planes as Python ints.
-    TABLES = [
-        ([2**60 - 1, 1], [0, 0], 60),
-        ([2**79 + 12345, 2**79 - 12345], [2**70 + 7, -(2**70) - 7], 80),
-        ([2**200 + 3, 2**200 - 3], [2**180 + 1, -(2**180) - 1], 201),
-    ]
+    # Per plane width, entries that reach its ends; the int64 and object
+    # ones pass 2^53, and the object ones pass int64.
+    ENTRIES = {
+        np.int8: [-128, 127, -1, 0, 1, 90],
+        np.int16: [-(2**15), 2**15 - 1, -3, 0, 1, 12345],
+        np.int32: [-(2**31), 2**31 - 1, -5, 0, 1, 2**30 + 7],
+        np.int64: [-(2**63), 2**63 - 1, 2**53 + 1, -(2**60) - 1, 0, 2**57 + 3],
+        object: [2**200 + 3, -(2**90) - 1, 2**64 + 1, 0, 2**53 + 1, -(2**54) - 3],
+    }
 
-    @pytest.mark.parametrize("pa, pb, h", TABLES)
-    def test_python_int_table(self, pa, pb, h):
-        d = Distribution((pa, pb), h)
-        assert d.planes[0].dtype == object
-        assert d.as_float_array().tobytes() == literal_float((pa, pb), h).tobytes()
+    @pytest.mark.parametrize("e", [0, 1, 2, 7, 120, 121])
+    @pytest.mark.parametrize("dtype", list(ENTRIES), ids=lambda d: np.dtype(d).name)
+    def test_planes_of_every_width(self, dtype, e):
+        plane = np.array(self.ENTRIES[dtype], dtype=dtype)
+        assert state._as_float(plane, e).tobytes() == literal_float(plane, e)
+        for x, c in enumerate(plane):
+            assert same(state._value(plane, e, x), literal_value(c, e))
+        # Any shape: a plane of two rows converts entry for entry.
+        rows = plane.reshape(2, -1)
+        got = state._as_float(rows, e)
+        assert got.shape == rows.shape and got.tobytes() == literal_float(rows, e)
+
+    @pytest.mark.parametrize(
+        "p, h",
+        [([2**60 - 1, 1], 60), ([2**79 + 12345, 2**79 - 12345], 80), ([2**200 + 3, 2**200 - 3], 201)],
+    )
+    def test_python_int_table(self, p, h):
+        d = Distribution(p, h)
+        assert d.plane.dtype == object
+        assert d.as_float_array().tobytes() == literal_float(p, 2 * h)
         for x in range(len(d)):
-            assert same(d[x], DyadicReal(pa[x], pb[x], h))
+            assert same(d[x], DyadicReal(p[x], 0, h))
         assert all(same(t, DyadicReal(1, 0)) for t in d._totals())
 
     def test_int64_row_table(self):
         # Entries below 2^58, so that a row of 8 sums within int64.
         rng = np.random.Generator(np.random.PCG64(8))
-        a, b = (rng.integers(-(1 << 58), 1 << 58, size=(4, 8)) for _ in range(2))
+        plane = rng.integers(-(1 << 58), 1 << 58, size=(4, 8))
         h = 70
-        table = Distribution._of((a, b), h)
-        assert table.as_float_array().tobytes() == literal_float((a, b), h).tobytes()
+        table = Distribution._of(plane, h)
+        assert table.as_float_array().tobytes() == literal_float(plane, 2 * h)
         totals = table._totals()
         assert len(totals) == 4
         for r in range(4):
             row = table._row(r)
             for x in range(8):
-                assert same(row[x], DyadicReal(int(a[r, x]), int(b[r, x]), h))
-            want = DyadicReal(sum(int(v) for v in a[r]), sum(int(v) for v in b[r]), h)
-            assert same(totals[r], want)
+                assert same(row[x], DyadicReal(int(plane[r, x]), 0, h))
+            assert same(totals[r], DyadicReal(sum(int(v) for v in plane[r]), 0, h))
 
     def test_float_table(self):
         plane = np.array([0.1, 0.2, 0.3, 0.4])
-        d = Distribution._of((plane,))
+        d = Distribution._of(plane)
         assert d.as_float_array() is plane
         assert [d[x] for x in range(4)] == plane.tolist()
         assert all(type(d[x]) is float for x in range(4))
@@ -470,16 +500,13 @@ class TestOneReader:
             # Integers past 2^53, squares past int64, at odd and even e.
             c = np.array([2**60 - 1, -(2**58) - 1, 2**57 + 3, 2**55 + 1])
             states = [StateVector._from_plane(2, cs.EXACT, c.copy(), e) for e in (121, 122)]
+            assert [s._e for s in states] == [121, 122]
         else:
             states = [random_exact_state(4, np.random.Generator(np.random.PCG64(9)), depth=20)]
         for s in states:
-            # c / sqrt(2)^e is c / 2^(e/2) for even e, c sqrt(2) / 2^((e+1)/2) for odd.
             c, e = s._plane, s._e
-            zero = [0] * s.num_states
-            planes, h = ((zero, c), (e + 1) // 2) if e % 2 else ((c, zero), e // 2)
-            assert s.to_float_array().tobytes() == literal_float(planes, h).tobytes()
-            amps = [DyadicReal(int(planes[0][x]), int(planes[1][x]), h)
-                    for x in range(s.num_states)]
+            assert s.to_float_array().tobytes() == literal_float(c, e)
+            amps = [literal_value(c[x], e) for x in range(s.num_states)]
             assert all(same(s.amplitude(x), amp) for x, amp in enumerate(amps))
             assert same(s.norm_squared(), sum((amp * amp for amp in amps), DyadicReal(0, 0)))
 
