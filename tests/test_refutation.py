@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
 from compsearch import BooleanOracle, Distribution, DyadicReal, StateVector, refutation, state
-from compsearch.state import _abs_max
 from compsearch.circuit import Circuit, GatePlacement, PhaseOraclePlacement
 from conftest import (
     basis_state,
@@ -270,7 +269,7 @@ class TestTvDistanceDifferential:
         dists = []
         for plane, h in (p, q):
             plane = np.array(plane, dtype=object)
-            if as_int64 and _abs_max(plane) < 1 << 63:
+            if as_int64 and state._abs_max(plane) < 1 << 63:
                 plane = plane.astype(np.int64)
             dists.append(Distribution._of(plane, h))
         want = DyadicReal(0, 0)
