@@ -467,6 +467,8 @@ REPORT_DIGESTS = {
         "b62a4ab392019250160e5864c2538693377a92502323d77789267e3edae9b257",
     "trace --n 4 --backend exact --marked 3":
         "9050a958fa93a6f25dd46346a66cd28fea490af448f1645737116e2f81d3fdb3",
+    "trace --n 4 --backend float --truth-table 0x6a5c":
+        "e9cf2ffe2c76e9fa81f5ae81d4194c341735588e2bc55745d356ca9eb8746ee0",
 }
 
 
