@@ -201,11 +201,16 @@ def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVe
     need no batch axis.  The result is transposed back to one run per
     leading row, the layout that the per-row readers take: run r's final
     state is where the result's leading log2 R qubits read r.  For R = 1
-    that transpose is a view, so one run costs no copy.
+    that transpose is a view, so one run costs no copy.  The circuit's
+    qubits start known to read 0, as in one run from |0...0>, and the
+    result has no qubit known to read 0.
     """
     rows = len(signs)
-    state = StateVector((rows.bit_length() - 1) + circuit.width, backend)
+    lanes = rows.bit_length() - 1
+    state = StateVector(lanes + circuit.width, backend)
     state._plane[:rows] = 1
+    state._zeros = ((1 << circuit.width) - 1) << lanes
     _run(circuit, state, signs=signs)
     state._plane = np.ascontiguousarray(state._plane.reshape(-1, rows).T).reshape(-1)
+    state._zeros = 0
     return state

@@ -31,6 +31,16 @@ s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
 fl(a - b), signed zeros included, each amplitude is, on either walk,
 bit for bit the sum of fl(G[i, j] x_j) that unscaled steps would give.
 An exact plane takes S as it is, and the state's exponent grows by e.
+A state marks the qubits known to read 0 on every nonzero amplitude
+(see :mod:`compsearch.state`), as all of |0...0> does.  A gate on
+marked qubits alone meets only gate slot 0, so no integer grows, and
+the Hadamard layer that opens each circuit never reduces or rescans.
+Where the other marked qubits leave a box of at most 1/``_BOX`` of the
+plane, the slot walk covers only that box: the same steps on the same
+values, as the amplitudes outside it are 0 and stay so.  On a float
+plane they are +0.0; a float phase oracle, or a float gate with a row of
+only negative entries, would turn some into -0.0, and clears the mask
+instead.  A gate then unmarks its own qubits.
 Kernels mutate the state in place and return it.  Oracles are applied
 as diagonal sign flips over a register window rather than materialized
 matrices, so every application is O(2^m).
@@ -39,6 +49,7 @@ matrices, so every application is O(2^m).
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -102,7 +113,7 @@ class Gate:
     matrix of 0 and +-1.  Any other shape or matrix raises ValueError,
     and a non-integer entry TypeError."""
 
-    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_signs", "_steps")
+    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_signs", "_steps", "_keeps_zero")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -124,6 +135,10 @@ class Gate:
         self._scale = unit.to_float()
         self._signs = tuple(tuple(e.sign() for e in row) for row in self.matrix)
         self._steps = _compile(self._signs)
+        # A float sum of signed zeros is -0.0 only when every term is, so
+        # the gate leaves +0.0 amplitudes +0.0 unless a row has nonzero
+        # entries and none of them is positive.
+        self._keeps_zero = all(max(row) > 0 or not any(row) for row in self._signs)
 
     def __repr__(self) -> str:
         return f"Gate({self.name})"
@@ -170,25 +185,38 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     (pre, 2, [mid, 2,] post) around its axis qubits and walked chunk by
     chunk (see :func:`_layout`).  The axis qubits are the gate's qubits,
     unless :func:`_runs` takes the gate's short-post qubits inside
-    contiguous runs; then they are the rest.  A float chunk is first
-    scaled by (1/sqrt(2))^e.  On the slot walk the slots that a row reads
-    after an earlier row overwrote them are then copied; either walk's
-    steps write each output in place by ufuncs with ``out=``.  An exact
-    state's exponent then grows by e.  Exact integers are checked
-    against the state's tracked bound, so a gate raises OverflowError
-    before any write.
+    contiguous runs; then they are the rest.  Where the state's other
+    qubits known to read 0 leave a box of at most 1/``_BOX`` of the
+    plane, the slot walk covers that box alone, as the amplitudes
+    outside it are 0 and stay so.  A float chunk is first scaled by
+    (1/sqrt(2))^e.  On the slot walk the slots that a row reads after an
+    earlier row overwrote them are then copied; either walk's steps write
+    each output in place by ufuncs with ``out=``.  An exact state's
+    exponent then grows by e.  Exact integers are checked against the
+    state's tracked bound, so a gate raises OverflowError before any
+    write; when every gate qubit is known to read 0, only gate slot 0
+    holds nonzero integers, and none grows.  The gate's qubits are then
+    no longer known to read 0.
     """
     m = state.num_qubits
-    _check_placement(m, qubits, gate.dim)
+    bits = _check_placement(m, qubits, gate.dim)
     steps, saves, growth = gate._steps
     exact = state.backend == EXACT
+    if not (exact or gate._keeps_zero):
+        # The full walk turns some +0.0 outside the box into -0.0.
+        state._zeros = 0
+    zeros = state._zeros
+    if not bits & ~zeros:
+        growth = 1
     if exact:
         state._make_room(growth)
     scale = 1 if exact else gate._scale
     plane = state._plane
-    runs = _runs(gate._signs, m, qubits)
+    others = zeros & ~bits
+    box = 1 << others.bit_count() >= _BOX
+    runs = None if box else _runs(gate._signs, m, qubits)
     if runs is None:
-        shape, slots, chunks, _ = _layout(m, qubits, plane.itemsize)
+        shape, slots, chunks, _ = _layout(m, qubits, plane.itemsize, zeros=others if box else 0)
         extra = []
     else:
         axes, period, steps, temps, periods = runs
@@ -197,6 +225,7 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
         extra = [np.empty(dims, plane.dtype) for _ in range(temps)]
         extra += [_pattern(p, dims[-1], plane.dtype) for p in periods]
     view = plane.reshape(shape)
+    finite = True
     for chunk in chunks:
         region = view[chunk] if chunk else view
         if scale != 1:
@@ -206,20 +235,24 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
         arrays += extra
         for ufunc, x, y, y_is_slot, out in steps:
             ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+        if box and not exact:
+            finite = finite and bool(np.isfinite(region).all())
+    state._zeros = zeros & ~bits
     if exact:
         state._e += gate._e
         state._bound *= growth
-    elif not np.isfinite(plane).all():
+    elif not (finite and (box or np.isfinite(plane).all())):
         raise ArithmeticError("non-finite amplitude in float backend")
     return state
 
 
 @functools.lru_cache(maxsize=1024)
-def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
+def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> int:
     """Raise ValueError unless ``qubits`` are distinct qubits of 1..m and
     a dim x dim gate acts on that many: dim = 2^len(qubits).  The one
     check of a gate's qubits, for the kernel and for circuits; cached, as
-    they repeat a few placements many times."""
+    they repeat a few placements many times.  Returns the qubits' mask,
+    bit m - q for qubit q, as a state's ``_zeros`` marks qubits."""
     for q in qubits:
         if not 1 <= q <= m:
             raise ValueError(f"qubit {q} out of range 1..{m}")
@@ -227,57 +260,81 @@ def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> None:
         raise ValueError(f"gate qubits {qubits} are not distinct")
     if dim != 1 << len(qubits):
         raise ValueError(f"a {dim}x{dim} gate cannot act on {len(qubits)} qubit(s)")
+    return sum(1 << (m - q) for q in qubits)
 
 
 # Bytes per slot that one chunk of a gate covers, so that every step of
 # the chunk runs in cache; the post-axis length, in amplitudes, below
-# which a gate qubit is taken inside contiguous runs; and the bytes that
-# one coefficient vector of a run covers.
+# which a gate qubit is taken inside contiguous runs; the bytes that one
+# coefficient vector of a run covers; and the share of the plane, as
+# 1/_BOX, that the box of amplitudes not known to be 0 may hold at most
+# for a gate to walk that box alone, as its strided views cost more per
+# amplitude than the full walk.
 _CHUNK = 1 << 17
 _SHORT = 256
 _PATTERN = 1 << 12
+_BOX = 8
 
 
 @functools.lru_cache(maxsize=1024)
-def _layout(m: int, qubits: tuple[int, ...], itemsize: int, period: int = 1) -> tuple:
+def _layout(
+    m: int, qubits: tuple[int, ...], itemsize: int, period: int = 1, zeros: int = 0
+) -> tuple:
     """How the kernel walks a plane of ``itemsize``-byte amplitudes around
     the axis ``qubits``: ``(shape, slots, chunks, dims)``.
 
     ``shape`` views a plane as (pre, 2, [mid, 2,] post) around the sorted
     qubits, or as (2^m,) around none; ``slots`` holds, per slot, the
-    index of that slot's amplitudes in the view or in a chunk of it, the
-    bit of qubits[t] at position len(qubits) - 1 - t.  ``chunks`` index
-    the view, each keeping the qubit axes whole and covering about
+    index of that slot's amplitudes in a chunk of the view, the bit of
+    qubits[t] at position len(qubits) - 1 - t.  ``chunks`` index the
+    view, each keeping the qubit axes whole and covering about
     ``_CHUNK`` bytes, and at least ``period`` amplitudes, per slot: whole
     outer indices while the rest is larger, then a slice of the next
     axis.  All chunks are alike, and ``dims`` is the shape of one of a
     chunk's slots.
+
+    ``zeros`` marks qubits other than ``qubits`` (bit m - q for qubit q)
+    whose amplitudes where they read 1 are left out: pre, mid and post
+    split into one axis per run of marked and of unmarked qubits, and
+    every chunk takes index 0 of each marked run, so that the chunks
+    cover only the box where the marked qubits read 0.
     """
     order = sorted(qubits)
-    shape = []
-    for prev, q in zip([0] + order, order):
-        shape += [1 << (q - prev - 1), 2]
-    shape.append(1 << (m - (order[-1] if order else 0)))
+    # Per axis its length, and whether it is a qubit axis (None) or a
+    # run of marked (True) or unmarked (False) qubits.
+    shape, kinds = [], []
+    for prev, q in zip([0] + order, order + [m + 1]):
+        gap = [bool(zeros >> (m - p) & 1) for p in range(prev + 1, q)]
+        for marked, run in [(b, len(list(g))) for b, g in itertools.groupby(gap)] or [(False, 0)]:
+            shape.append(1 << run)
+            kinds.append(marked)
+        if q <= m:
+            shape.append(2)
+            kinds.append(None)
     k = len(qubits)
+    axes = [a for a, kind in enumerate(kinds) if kind is None]
     slots = []
     for r in range(1 << k):
-        index = [slice(None)]
-        for q in order:
-            index += [(r >> (k - 1 - qubits.index(q))) & 1, slice(None)]
+        index = [slice(None)] * len(shape)
+        for q, axis in zip(order, axes):
+            index[axis] = (r >> (k - 1 - qubits.index(q))) & 1
         slots.append(tuple(index))
     size = max(_CHUNK // itemsize, period)
-    chunks = [()]
-    dims = shape[::2]
-    inner = 1 << (m - k)
-    for axis in range(0, len(shape), 2):
+    cuts = {a: [slice(0, 1)] for a, kind in enumerate(kinds) if kind}
+    inner = 1 << (m - k - zeros.bit_count())
+    for axis, kind in enumerate(kinds):
+        if kind is not False:
+            continue
         if inner <= size:
             break
         inner //= shape[axis]
         step = max(1, size // inner)
-        dims[axis // 2] = step
-        gap = (slice(None),) if axis else ()
-        cuts = [slice(i, i + step) for i in range(0, shape[axis], step)]
-        chunks = [c + gap + (cut,) for c in chunks for cut in cuts]
+        cuts[axis] = [slice(i, i + step) for i in range(0, shape[axis], step)]
+    chunks = [()]
+    for axis in range(max(cuts, default=-1) + 1):
+        chunks = [c + (cut,) for c in chunks for cut in cuts.get(axis, [slice(None)])]
+    dims = [cuts[a][0].stop if a in cuts else n
+            for a, n in enumerate(shape) if kinds[a] is not None]
     return tuple(shape), tuple(slots), tuple(chunks), tuple(dims)
 
 
@@ -454,7 +511,9 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     R and 2^n must be powers of two, or ValueError is raised before any
     write.  Row r is the part of the state whose trailing log2 R qubits
     read r, and the window is qubits reg_start .. reg_start + n - 1 of
-    the leading qubits, so R = 1 is one oracle on the whole state.
+    the leading qubits, so R = 1 is one oracle on the whole state.  A
+    sign -1 turns a float +0.0 into -0.0, so a float state's qubits are
+    then no longer known to read +0.0; an exact state's still read 0.
     """
     rows, size = signs.shape
     if rows < 1 or size < 1 or rows & (rows - 1) or size & (size - 1):
@@ -465,4 +524,6 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     view = state._plane.reshape(pre, size, post, rows)
     # In the plane's own dtype, numpy runs no cast of every amplitude.
     view *= signs.T.astype(view.dtype)[None, :, None, :]
+    if state.backend != EXACT:
+        state._zeros = 0
     return state

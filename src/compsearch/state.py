@@ -34,6 +34,19 @@ states and probability tables alike, ``_value`` reads one entry and
 ``_as_float`` converts a plane to float; nothing else does either.  Both
 take one plane and its exponent e in powers of 1/sqrt(2); a table at h
 (entries over 2^h) passes 2h.
+
+Each state also holds ``_zeros``, a bitmask of the qubits known to read
+0 on every nonzero amplitude (bit m - q for qubit q, so ``x & _zeros ==
+0`` wherever the plane is nonzero).  ``StateVector(m)`` marks every
+qubit; ``_from_plane``, and so ``from_amplitudes`` and the closed forms,
+marks none; ``copy()`` keeps the mask.  A gate unmarks its own qubits,
+and walks only the box where the other marked qubits read 0 when that
+box is small (see :mod:`compsearch.gates`).  On a float plane the
+amplitudes where a marked qubit reads 1 are +0.0, not -0.0, so that
+skipping them leaves every sign of zero as the full walk would: a phase
+oracle, which turns +0.0 into -0.0, and a gate with a row of only
+negative entries clear the whole mask there.  Exact phase oracles, reductions of e and
+widening leave it alone.
 """
 
 from __future__ import annotations
@@ -211,7 +224,7 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_plane", "_e", "_bound")
+    __slots__ = ("num_qubits", "backend", "_plane", "_e", "_bound", "_zeros")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
@@ -224,6 +237,7 @@ class StateVector:
         self._plane[0] = 1
         self._e = 0
         self._bound = 1
+        self._zeros = (1 << num_qubits) - 1
 
     @property
     def num_states(self) -> int:
@@ -269,14 +283,16 @@ class StateVector:
         cls, num_qubits: int, backend: str, plane, e: int = 0, bound: int | None = None
     ) -> StateVector:
         """A state that takes ownership of ``plane`` (see the module
-        docstring); exact states are reduced to their minimal e, and
-        scanned for their bound unless ``bound`` gives it."""
+        docstring), with no qubit known to read 0; exact states are
+        reduced to their minimal e, and scanned for their bound unless
+        ``bound`` gives it."""
         s = cls.__new__(cls)
         s.num_qubits = num_qubits
         s.backend = backend
         s._plane = plane
         s._e = e
         s._bound = 1
+        s._zeros = 0
         if backend == EXACT:
             s._bound = _abs_max(plane) if bound is None else bound
             s._canonical_reduce()
@@ -284,10 +300,13 @@ class StateVector:
 
     def copy(self) -> StateVector:
         """An independent state of the same value, at minimal e; the
-        tracked bound carries over instead of being rescanned."""
-        return StateVector._from_plane(
+        tracked bound and the qubits known to read 0 carry over instead
+        of being rescanned."""
+        s = StateVector._from_plane(
             self.num_qubits, self.backend, self._plane.copy(), self._e, self._bound
         )
+        s._zeros = self._zeros
+        return s
 
     def amplitude(self, x: int) -> DyadicReal | float:
         if not 0 <= x < self.num_states:

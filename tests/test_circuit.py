@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import compsearch as cs
-from compsearch import BooleanOracle, DyadicReal, StateVector
+from compsearch import BooleanOracle, DyadicReal, StateVector, circuit
 from compsearch.circuit import Checkpoint, Circuit, GatePlacement, PhaseOraclePlacement
 from conftest import basis_state, constant_oracle, grover_success_dense
 
@@ -216,3 +216,47 @@ class TestCircuitValidation:
             Circuit(2, (PhaseOraclePlacement(2, constant_oracle(2, 0)),))
         with pytest.raises(ValueError):
             Circuit(2, (PhaseOraclePlacement(0, constant_oracle(1, 0)),))
+
+
+class TestKnownZeros:
+    """``_zeros`` marks the qubits known to read 0 on every nonzero
+    amplitude: every qubit of |0...0>, none of a state built from a plane."""
+
+    F = BooleanOracle(2, 0b0110)
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    def test_states_from_planes_mark_no_qubit(self, backend):
+        n = 2
+        built = [
+            StateVector.from_amplitudes([1, 0, 0, 0], backend),
+            StateVector._from_plane(2, backend, StateVector(2, backend)._plane.copy()),
+            cs.psi1(n, backend),
+            cs.psi2(n, self.F, backend),
+            cs.psi2a(n, self.F, backend),
+            cs.psi3(n, self.F, backend),
+            cs.target_output(n, self.F, backend),
+            circuit._simulate_rows(cs.build_comparison_search(n, self.F),
+                                   np.ones((4, 1 << n), np.int64), backend),
+        ]
+        assert [s._zeros for s in built] == [0] * len(built)
+        # |0...0> itself, psi0 among its forms, marks every qubit.
+        assert (StateVector(3, backend)._zeros, cs.psi0(n, backend)._zeros) == (0b111, 0b1111)
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    def test_copies_and_checkpoints_keep_the_mask(self, backend):
+        s = cs.apply_gate1(StateVector(4, backend), 2, cs.hadamard())
+        assert s._zeros == s.copy()._zeros == 0b1011
+        trace = cs.run_with_trace(cs.build_comparison_search(2, self.F), StateVector(4, backend))
+        masks = {label: trace[label]._zeros for label in trace.checkpoints}
+        assert masks == {"psi0": 0b1111, "psi1": 0, "psi2": 0, "psi2a": 0, "psi3": 0}
+
+    def test_hadamard_layer_neither_reduces_nor_rescans(self):
+        # Every Hadamard of the layer acts on qubits known to read 0, so no
+        # integer grows: the plane stays int8 with bound 1.
+        c = cs.build_comparison_search(6, BooleanOracle(6, 0x5A))
+        s = StateVector(c.width)
+        for op in c.ops[1:c.ops.index(Checkpoint("psi1"))]:
+            cs.apply_gate1(s, *op.qubits, op.gate)
+        assert s._plane.dtype == np.int8
+        assert (s._bound, s._e, s._zeros) == (1, 12, 0)
+        assert s == cs.psi1(6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
-from compsearch import BooleanOracle, DyadicReal, StateVector, gates
+from compsearch import BooleanOracle, DyadicReal, StateVector, gates, state
 from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
@@ -783,3 +783,175 @@ VALUE_TRAILS = {
 def test_kernel_value_trail_pinned():
     for (m, backend), digest in VALUE_TRAILS.items():
         assert value_trail(m, backend, seed=70 + m) == digest, (m, backend)
+
+
+# Known zeros: StateVector(m) marks every qubit as reading 0, and a
+# batch start (rows on the trailing qubits) marks the circuit's qubits;
+# a gate then walks only the box where the other marked qubits read 0,
+# when that box holds at most 1/gates._BOX of the plane.
+
+
+def batch_start(width: int, lanes: int, backend: str) -> StateVector:
+    """|0...0> of ``width`` circuit qubits once per row of 2^lanes rows on
+    the trailing qubits, as ``circuit._simulate_rows`` seeds it."""
+    s = StateVector(width + lanes, backend)
+    s._plane[: 1 << lanes] = 1
+    s._zeros = ((1 << width) - 1) << lanes
+    return s
+
+
+def assert_known_zeros(s: StateVector) -> None:
+    """Every marked qubit reads 0 on every nonzero amplitude; on a float
+    plane the amplitudes where one reads 1 are +0.0, not -0.0."""
+    outside = s._plane[(np.arange(s.num_states) & s._zeros) != 0]
+    assert not outside.any()
+    assert not np.signbit(outside).any()
+
+
+def row_signs(signs: np.ndarray, reg_start: int, m: int) -> np.ndarray:
+    """Per basis index x of an m-qubit state whose trailing log2 R qubits
+    read the row r, signs[r, k] for the window k at ``reg_start``."""
+    rows, size = signs.shape
+    n = size.bit_length() - 1
+    x = np.arange(1 << m)
+    window = (x >> (m - (reg_start + n - 1))) & (size - 1)
+    return signs[x & (rows - 1), window]
+
+
+@st.composite
+def masked_words(draw):
+    """A width of circuit qubits, a lane count (0 for ``StateVector(m)``,
+    else rows on that many trailing qubits) and a word of H and Z on any
+    circuit qubit, C on any ordered pair of them and phase oracles on any
+    window of them, one sign row per row.  Z has a row of only negative
+    entries, so on a float plane it turns +0.0 into -0.0."""
+    width = draw(st.integers(1, 7))
+    lanes = draw(st.integers(0, 2))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from("HZCO" if width > 1 else "HZO"))
+        if kind == "C":
+            ops.append(("C", tuple(draw(st.permutations(range(1, width + 1)))[:2])))
+        elif kind in "HZ":
+            ops.append((kind, (draw(st.integers(1, width)),)))
+        else:
+            n = draw(st.integers(1, width))
+            start = draw(st.integers(1, width - n + 1))
+            tables = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1),
+                                   min_size=1 << lanes, max_size=1 << lanes))
+            oracles = [BooleanOracle(n, t) for t in tables]
+            ops.append(("O", (start, oracles)))
+    return width, lanes, ops
+
+
+def run_masked_word(word, backend: str) -> list[int]:
+    """Run ``word`` (see :func:`masked_words`) from its start and check
+    the state after every op: exact values against ``exact_apply``,
+    float planes bit for bit and sign of zero for sign of zero against
+    :func:`float_reference`, and the known zeros.  Returns, per gate, the
+    number of marked qubits other than its own before it."""
+    width, lanes, ops = word
+    m = width + lanes
+    s = StateVector(m, backend) if not lanes else batch_start(width, lanes, backend)
+    exact = backend == cs.EXACT
+    if exact:
+        ref = [DyadicReal.from_int(int(c)) for c in s._plane]
+    else:
+        ref = s._plane.copy()
+    others = []
+    for kind, args in ops:
+        if kind == "O":
+            start, oracles = args
+            signs = state._sign_table(oracles[0].n, oracles)
+            if lanes:
+                gates._apply_signs(s, signs, start)
+            else:
+                cs.apply_phase_oracle(s, oracles[0], start)
+            flips = row_signs(signs, start, m)
+            ref = [-a if f < 0 else a for a, f in zip(ref, flips)] if exact else ref * flips
+        else:
+            own = sum(1 << (m - q) for q in args)
+            others.append((s._zeros & ~own).bit_count())
+            gate = LIBRARY[kind]
+            gates._apply(s, args, gate)
+            if exact:
+                ref = exact_apply(ref, EXACT_MATRICES[kind], args, m)
+            else:
+                G = np.array([[e.to_float() for e in row] for row in gate.matrix])
+                ref = float_reference(ref, G, args)
+        if exact:
+            assert s.amplitudes() == ref, (kind, args)
+        else:
+            assert np.array_equal(s._plane, ref), (kind, args)
+            assert np.array_equal(np.signbit(s._plane), np.signbit(ref)), (kind, args)
+        assert_known_zeros(s)
+    return others
+
+
+class TestKnownZeros:
+    @settings(max_examples=80, deadline=None)
+    @given(masked_words())
+    def test_words_match_references(self, word):
+        for backend in cs.BACKENDS:
+            run_masked_word(word, backend)
+
+    # A word that runs gates with every qubit but their own marked (one
+    # amplitude per slot at m = 5), then with 3, 2, 1 and 0 other marked
+    # qubits, on both sides of the 1/8 cut-off.
+    WORD = (5, 0, [
+        ("H", (1,)), ("H", (2,)), ("H", (3,)), ("C", (4, 1)),
+        ("O", (2, [BooleanOracle(3, 0xA5)])), ("H", (5,)),
+    ])
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    @pytest.mark.parametrize("lanes", [0, 2])
+    def test_box_walk_on_both_sides_of_the_cut_off(self, backend, lanes):
+        width, _, ops = self.WORD
+        if lanes:
+            # One oracle per row.
+            ops = [(k, (a[0], [BooleanOracle(3, 0xA5 ^ r) for r in range(4)])) if k == "O"
+                   else (k, a) for k, a in ops]
+        with mock.patch.object(gates, "_layout", wraps=gates._layout) as layout:
+            others = run_masked_word((width, lanes, ops), backend)
+        assert others == [4, 3, 2, 1, 0]
+        # Exactly the gates with three or more other marked qubits walk
+        # their box alone.
+        boxes = [c.kwargs["zeros"] for c in layout.call_args_list if c.kwargs.get("zeros")]
+        assert [z.bit_count() for z in boxes] == [4, 3]
+
+    @pytest.mark.parametrize("lanes", [0, 2])
+    def test_float_oracle_clears_the_mask(self, lanes):
+        # The oracle turns every +0.0 into -0.0; H on qubit 1 then turns
+        # some of those back into +0.0, where the qubits it would leave
+        # out as marked read 1.
+        width = 5
+        word = (width, lanes, [("O", (1, [constant_oracle(width, 1)] * (1 << lanes))),
+                               ("H", (1,))])
+        assert run_masked_word(word, cs.FLOAT) == [0]
+        s = batch_start(width, lanes, cs.FLOAT)
+        gates._apply_signs(s, -np.ones((1 << lanes, 1 << width), np.int64), 1)
+        assert s._zeros == 0
+
+    def test_check_fails_when_a_gate_leaves_its_qubits_marked(self):
+        apply = gates._apply
+
+        def stale(s, qubits, gate):
+            zeros = s._zeros
+            apply(s, qubits, gate)
+            s._zeros = zeros
+            return s
+
+        for backend in cs.BACKENDS:
+            with mock.patch.object(gates, "_apply", stale), pytest.raises(AssertionError):
+                run_masked_word(self.WORD, backend)
+
+    def test_float_gate_with_a_negative_row_clears_the_mask(self):
+        # Z writes -x to the slot where its qubit reads 1, so the full walk
+        # turns +0.0 elsewhere into -0.0: no amplitude may be skipped.
+        s = StateVector(5, cs.FLOAT)
+        gates._apply(s, (1,), cs.hadamard())
+        want = float_reference(s._plane.copy(), np.diag([1.0, -1.0]), (2,))
+        gates._apply(s, (2,), pauli_z())
+        assert s._zeros == 0
+        assert np.array_equal(np.signbit(s._plane), np.signbit(want))
+        assert np.signbit(s._plane).any()
