@@ -467,13 +467,15 @@ def float_reference(amps: np.ndarray, G: np.ndarray, qubits: tuple[int, ...]) ->
     left to right, over nonzero G[i, j] of fl(G[i, j] * x_j), where slot
     j has the bit of qubits[t] at position k - 1 - t.  A row of two terms
     adds its own slot first, though that sum does not depend on the
-    order; a longer row adds in column order."""
+    order; a longer row adds in column order.  An all-zero row writes
+    fl(0 * x_0), from slot 0's input, so its zeros take that input's
+    signs."""
     m, k = len(amps).bit_length() - 1, len(qubits)
     axes = [q - 1 for q in qubits]
     x = np.moveaxis(amps.reshape((2,) * m), axes, range(k)).reshape(1 << k, -1)
     out = np.empty_like(x)
     for i in range(1 << k):
-        cols = [j for j in range(1 << k) if G[i, j] != 0]
+        cols = [j for j in range(1 << k) if G[i, j] != 0] or [0]
         if len(cols) <= 2:
             cols.sort(key=lambda j: j != i)
         out[i] = G[i, cols[0]] * x[cols[0]]
@@ -493,8 +495,12 @@ def signed_zero_state(m: int, rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-# The rows of H and C sum two terms, and those of H (x) H four.
-BITWISE_GATES = {1: (cs.hadamard(),), 2: (cs.comparison_gate(), LIBRARY["HH"])}
+# A projector with an all-zero row.
+P0 = cs.Gate("P0", ((1, 0), (0, 0)))
+# The rows of H and C sum two terms, and those of H (x) H four; X and Z
+# have rows of one term, and P0 an all-zero row.
+BITWISE_GATES = {1: (cs.hadamard(), pauli_x(), pauli_z(), P0),
+                 2: (cs.comparison_gate(), LIBRARY["HH"])}
 
 
 def assert_float_kernel_bitwise(amps: np.ndarray, qubits: tuple[int, ...], kernels=None) -> None:
@@ -525,6 +531,14 @@ class TestFloatKernelBitwise:
             for q in range(1, m + 1):
                 if p != q:
                     assert_float_kernel_bitwise(amps, (p, q))
+
+    def test_zero_row_reads_slot_zero(self):
+        # P0's second row writes 0 * x_0, so its zeros take the signs of
+        # slot 0's inputs, -1 and 3, rather than those of its own, 2 and -4.
+        s = StateVector.from_amplitudes([-1.0, 2.0, 3.0, -4.0], cs.FLOAT)
+        got = gates._apply(s, (2,), P0)._plane
+        assert got.tolist() == [-1.0, 0.0, 3.0, 0.0]
+        assert np.signbit(got).tolist() == [True, True, False, False]
 
     def test_chunked_and_run_walks(self):
         # 2^17 amplitudes: gates on low, middle and high qubits walk the
