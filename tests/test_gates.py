@@ -660,6 +660,59 @@ class TestRunWalk:
             assert peak < 1 << 20, (qubits, peak)
 
 
+def plan_of(gate: cs.Gate, m: int, qubits: tuple[int, ...], box: bool = False) -> tuple:
+    """How the kernel applies ``gate`` to ``qubits`` of an m-qubit plane,
+    on its box walk if ``box``: ``(axes, period, buffers, names)``, the
+    walk's axis qubits and period (1 on the slot walk), the number of
+    slot-sized buffers that each chunk fills, and the names of the steps
+    in order, "copy" for a copy of a slot into a buffer."""
+    runs = None if box else gates._runs(gate._signs, m, qubits)
+    if runs is None:
+        steps, saves, _ = gate._steps
+        names = ("copy",) * len(saves) + tuple(step[0].__name__ for step in steps)
+        return qubits, 1, len(saves), names
+    axes, period, steps, temps, _ = runs
+    first = 1 << len(axes)
+    names = tuple("copy" if (f, y, y_is_slot) == (np.multiply, 1, False) and out >= first
+                  else f.__name__ for f, _, y, y_is_slot, out in steps)
+    return axes, period, temps, names
+
+
+# The plans of H and C, as (buffers, names) (see :func:`plan_of`).
+SLOT_H = (1, ("copy", "add", "subtract"))
+SLOT_C = (2, ("copy", "copy", "add", "subtract", "subtract", "add"))
+RUN_H = (1, ("_partner", "_times", "add"))
+RUN_C = (2, ("_times", "_times", "add", "subtract"))
+# Per H or C placement that the benchmark workloads run: (m, qubits,
+# axes, period, plan).
+WORKLOAD_PLANS = [
+    # compare_grover at n = 12: the comparison circuit on 24 qubits...
+    *[(24, (q,), (q,), 1, SLOT_H) for q in range(1, 17)],
+    *[(24, (q,), (), 2 << (24 - q), RUN_H) for q in range(17, 25)],
+    *[(24, (i, i + 12), (i, i + 12), 1, SLOT_C) for i in range(1, 5)],
+    *[(24, (i, i + 12), (i,), 2 << (12 - i), RUN_C) for i in range(5, 13)],
+    # ...and Grover's Hadamards on 12.
+    *[(12, (q,), (q,), 1, SLOT_H) for q in range(1, 5)],
+    *[(12, (q,), (), 2 << (12 - q), RUN_H) for q in range(5, 13)],
+    # One sweep batch at n = 4: 8 circuit qubits and 512 rows.
+    *[(17, (q,), (q,), 1, SLOT_H) for q in range(1, 9)],
+    *[(17, (i, i + 4), (i, i + 4), 1, SLOT_C) for i in range(1, 5)],
+]
+
+
+def test_workload_plans_pinned():
+    # Each plan fixes the passes that a gate makes over the plane, so a
+    # change to the step compiler that adds one shows here.
+    assert len(WORKLOAD_PLANS) == 60
+    for m, qubits, axes, period, (buffers, names) in WORKLOAD_PLANS:
+        gate = cs.hadamard() if len(qubits) == 1 else cs.comparison_gate()
+        assert plan_of(gate, m, qubits) == (axes, period, buffers, names), (m, qubits)
+        # Where other qubits known to read 0 leave a small box, the gate
+        # walks that box on the slot walk.
+        slot = SLOT_H if len(qubits) == 1 else SLOT_C
+        assert plan_of(gate, m, qubits, box=True) == (qubits, 1, *slot), (m, qubits)
+
+
 def _run_word(word, backend: str = cs.EXACT, check=None, narrow: bool = False) -> StateVector:
     """Run ``word`` (see :func:`gate_words`) on the library kernels and
     return the state; on the exact backend, also require zero-tolerance
