@@ -514,6 +514,9 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     the leading qubits, so R = 1 is one oracle on the whole state.  A
     sign -1 turns a float +0.0 into -0.0, so a float state's qubits are
     then no longer known to read +0.0; an exact state's still read 0.
+    Exact integers are checked against the state's tracked bound, as a
+    gate's are, so an int64 plane at that bound raises OverflowError
+    before any write rather than wrap -2^63 back to itself.
     """
     rows, size = signs.shape
     if rows < 1 or size < 1 or rows & (rows - 1) or size & (size - 1):
@@ -521,6 +524,8 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     n = size.bit_length() - 1
     m = state.num_qubits - (rows.bit_length() - 1)
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
+    if state.backend == EXACT:
+        state._make_room(1)
     view = state._plane.reshape(pre, size, post, rows)
     # In the plane's own dtype, numpy runs no cast of every amplitude.
     view *= signs.T.astype(view.dtype)[None, :, None, :]

@@ -331,6 +331,14 @@ class TestPlaneWidths:
         gates._apply(s, qubits, gate)
         assert s._plane.dtype == np.int64 and s.amplitudes() == ref
 
+    def test_int64_sign_flip_past_the_bound_raises_and_keeps_the_state(self):
+        # -(-2^63) is 2^63, which int64 would wrap back to -2^63.
+        s = StateVector.from_amplitudes([-(1 << 63), 0])
+        before = s._plane.copy()
+        with pytest.raises(OverflowError):
+            cs.apply_phase_oracle(s, BooleanOracle(1, 1), 1)
+        assert s._plane.dtype == np.int64 and np.array_equal(s._plane, before)
+
     def test_circuit_state_equals_closed_form_across_widths(self):
         # After H on every qubit, the oracle and the first comparison
         # gate, the kernel leaves {0, +-2} in int8 at e = 2n + 1; the
