@@ -16,17 +16,18 @@ check too, :func:`compsearch.state._qubit_range`, which the kernel and
 circuits share with the probability tables.
 
 Every gate is (1/sqrt(2))^e times a matrix S of 0 and +-1, for one
-e >= 0, and compiles once, when it is built, into in-place ufunc steps
-that apply S to one plane (see :mod:`compsearch.state`); a row of two
-terms is one add or subtract.  One kernel runs those steps on the plane
-of either backend, for both arities, slot by slot: each slot is a
-strided view of the plane, walked chunk by chunk.  Where the lowest
+e >= 0.  One compiler, :func:`_plan`, turns S, once per placement, into
+in-place ufunc steps over one plane (see :mod:`compsearch.state`), and
+one kernel runs them on the plane of either backend, for both arities,
+chunk by chunk.  On the slot walk each slot is a strided view of the
+plane, and a row of two terms is one add or subtract.  Where the lowest
 qubit of a placement has a short post axis, such views would loop over
-a few amplitudes at a time; there the gate compiles, once per
-placement, into steps over contiguous runs instead (see :func:`_runs`):
-each output is a +-1 coefficient vector times a run, plus at most one
-more such term, which may read the run's partner, its amplitudes with
-one short qubit's bit flipped.  A float chunk is first scaled by
+a few amplitudes at a time; there the steps walk contiguous runs
+instead: each output is a +-1 coefficient vector times a run, plus at
+most one more such term, which may read the run's partner, its
+amplitudes with one short qubit's bit flipped.  Either walk fills a few
+slot-sized buffers from a chunk's inputs before it writes any output in
+place.  A float chunk is first scaled by
 s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
 fl(a - b), signed zeros included, each amplitude is, on either walk,
 bit for bit the sum of fl(G[i, j] x_j) that unscaled steps would give.
@@ -57,54 +58,6 @@ from .dyadic import DyadicReal
 from .state import EXACT, BooleanOracle, StateVector, _qubit_range
 
 
-def _compile(signs) -> tuple:
-    """The steps that apply the 0/+-1 matrix ``signs`` to one plane:
-    ``(steps, saves, growth)``.
-
-    The kernel lists the plane's slot arrays (gate slot j at j), then
-    copies of the ``saves`` slots, which some row reads after an earlier
-    row overwrote them.  Each step ``(ufunc, x, y, y_is_slot, out)`` is
-    one call ``ufunc(arrays[x], arrays[y] if y_is_slot else y,
-    out=arrays[out])``.  No integer grows by more than the factor
-    ``growth``, the most nonzero entries of a row.
-    """
-    dim = len(signs)
-    written, saves, steps = set(), [], []
-
-    def slot(j: int) -> int:
-        if j not in written:
-            return j
-        if j not in saves:
-            saves.append(j)
-        return dim + saves.index(j)
-
-    for i, row in enumerate(signs):
-        # An all-zero row keeps one zero term, so that it writes zeros.
-        terms = [(c, j) for j, c in enumerate(row) if c] or [(0, 0)]
-        if len(terms) <= 2:
-            # Reading the output's own slot first saves copying it; a sum
-            # of two terms is unchanged by the order, signed zeros included.
-            terms.sort(key=lambda t: t[1] != i)
-        units = [c for c, _ in terms[:2]]
-        if len(units) == 2 and units != [-1, -1]:
-            # c0 x0 + c1 x1 with unit coefficients is one add or subtract.
-            x0, x1 = (slot(j) for _, j in terms[:2])
-            if units[0] == -1:
-                x0, x1 = x1, x0
-            steps.append((np.add if units[0] == units[1] else np.subtract, x0, x1, True, i))
-            rest = terms[2:]
-        else:
-            (c, j), *rest = terms
-            x = slot(j)
-            if not (x == i and c == 1):
-                steps.append((np.multiply, x, c, False, i))
-        written.add(i)
-        for c, j in rest:
-            steps.append((np.add if c == 1 else np.subtract, i, slot(j), True, i))
-    growth = max(sum(map(abs, row)) for row in signs)
-    return tuple(steps), tuple(saves), growth
-
-
 class Gate:
     """A named 2x2 or 4x4 matrix over the dyadic sqrt(2) ring: a gate on
     one qubit (basis |0>, |1>) or on an ordered pair (p, q) (basis
@@ -113,7 +66,7 @@ class Gate:
     matrix of 0 and +-1.  Any other shape or matrix raises ValueError,
     and a non-integer entry TypeError."""
 
-    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_signs", "_steps", "_keeps_zero")
+    __slots__ = ("name", "matrix", "dim", "_e", "_scale", "_signs", "_growth", "_keeps_zero")
 
     def __init__(self, name: str, rows) -> None:
         self.name = name
@@ -134,7 +87,8 @@ class Gate:
             )
         self._scale = unit.to_float()
         self._signs = tuple(tuple(e.sign() for e in row) for row in self.matrix)
-        self._steps = _compile(self._signs)
+        # No integer grows by more than the most nonzero entries of a row.
+        self._growth = max(sum(map(abs, row)) for row in self._signs)
         # A float sum of signed zeros is -0.0 only when every term is, so
         # the gate leaves +0.0 amplitudes +0.0 unless a row has nonzero
         # entries and none of them is positive.
@@ -183,14 +137,14 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     Gate slot r has the bit of qubits[t] at position len(qubits) - 1 - t
     (first qubit most significant).  The state's plane is viewed as
     (pre, 2, [mid, 2,] post) around its axis qubits and walked chunk by
-    chunk (see :func:`_layout`).  The axis qubits are the gate's qubits,
-    unless :func:`_runs` takes the gate's short-post qubits inside
-    contiguous runs; then they are the rest.  Where the state's other
-    qubits known to read 0 leave a box of at most 1/``_BOX`` of the
-    plane, the slot walk covers that box alone, as the amplitudes
-    outside it are 0 and stay so.  A float chunk is first scaled by
-    (1/sqrt(2))^e.  On the slot walk the slots that a row reads after an
-    earlier row overwrote them are then copied; either walk's steps write
+    chunk (see :func:`_layout`), by the one plan that :func:`_plan`
+    makes for the placement.  The axis qubits are the gate's qubits,
+    unless the plan takes the gate's short-post qubits inside contiguous
+    runs; then they are the rest.  Where the state's other qubits known
+    to read 0 leave a box of at most 1/``_BOX`` of the plane, the slot
+    walk covers that box alone, as the amplitudes outside it are 0 and
+    stay so.  A float chunk is first scaled by (1/sqrt(2))^e.  The steps
+    then fill the plan's buffers, allocated once per call, and write
     each output in place by ufuncs with ``out=``.  An exact state's
     exponent then grows by e.  Exact integers are checked against the
     state's tracked bound, so a gate raises OverflowError before any
@@ -200,39 +154,31 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     """
     m = state.num_qubits
     bits = _check_placement(m, qubits, gate.dim)
-    steps, saves, growth = gate._steps
     exact = state.backend == EXACT
     if not (exact or gate._keeps_zero):
         # The full walk turns some +0.0 outside the box into -0.0.
         state._zeros = 0
     zeros = state._zeros
-    if not bits & ~zeros:
-        growth = 1
+    growth = gate._growth if bits & ~zeros else 1
     if exact:
         state._make_room(growth)
     scale = 1 if exact else gate._scale
     plane = state._plane
     others = zeros & ~bits
     box = 1 << others.bit_count() >= _BOX
-    runs = None if box else _runs(gate._signs, m, qubits)
-    if runs is None:
-        shape, slots, chunks, _ = _layout(m, qubits, plane.itemsize, zeros=others if box else 0)
-        extra = []
-    else:
-        axes, period, steps, temps, periods = runs
-        saves = ()
-        shape, slots, chunks, dims = _layout(m, axes, plane.itemsize, period)
-        extra = [np.empty(dims, plane.dtype) for _ in range(temps)]
-        extra += [_pattern(p, dims[-1], plane.dtype) for p in periods]
+    axes, period, steps, temps, periods = _plan(gate._signs, m, qubits, box)
+    shape, slots, chunks, dims = _layout(
+        m, axes, plane.itemsize, period, zeros=others if box else 0
+    )
+    extra = [_pattern(p, dims[-1], plane.dtype) for p in periods]
+    extra += [np.empty(dims, plane.dtype) for _ in range(temps)]
     view = plane.reshape(shape)
     finite = True
     for chunk in chunks:
         region = view[chunk] if chunk else view
         if scale != 1:
             np.multiply(region, scale, out=region)
-        arrays = [region[i] for i in slots]
-        arrays += [arrays[j].copy() for j in saves]
-        arrays += extra
+        arrays = [region[i] for i in slots] + extra
         for ufunc, x, y, y_is_slot, out in steps:
             ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
         if box and not exact:
@@ -339,108 +285,126 @@ def _layout(
 
 
 @functools.lru_cache(maxsize=1024)
-def _runs(signs: tuple, m: int, qubits: tuple[int, ...]) -> tuple | None:
+def _plan(signs: tuple, m: int, qubits: tuple[int, ...], box: bool) -> tuple:
     """How the kernel applies the 0/+-1 matrix ``signs`` to ``qubits`` of
-    an m-qubit plane over contiguous runs: ``(axes, period, steps, temps,
-    periods)``, or None for the slot walk.
+    an m-qubit plane: ``(axes, period, steps, temps, periods)``.
 
     A gate qubit whose post axis is shorter than ``_SHORT`` amplitudes is
-    short; the rest, ``axes``, keep their slot views, whose post axis
-    then holds every short bit, so that the amplitudes of one axis slot
-    form runs along it.  Inside a run an output slot is a sum of at most
-    two terms, each a +-1 coefficient vector, periodic in ``period``
-    amplitudes, times an axis slot or its partner c[x ^ 2^b] across some
-    short bits b.  A float term is then exactly +-x, and every output
-    is the same two rounded products, summed, as on the slot walk.  A
-    gate with no short qubit, a term whose coefficients include 0, or an
-    output of no term or of more than two takes the slot walk.
+    short.  Unless ``box``, the run walk takes the short qubits inside
+    contiguous runs: the rest, ``axes``, keep their slot views, whose
+    post axis then holds every short bit, so that the amplitudes of one
+    axis slot form runs along it.  Inside a run an output slot is a sum
+    of one or two terms, each a +-1 coefficient vector, periodic in
+    ``period`` amplitudes, times an axis slot or its partner c[x ^ 2^b]
+    across some short bits b.  A float term is then exactly +-x, and
+    every output is the same rounded products, summed, as on the slot
+    walk.  The slot walk, of period 1 over every gate qubit, takes the
+    rest: a box walk, a gate with no short qubit, a term whose
+    coefficients include 0, or an output of no term or of more than two.
+    There a row of at most two terms puts its own slot first, a longer
+    row adds in column order, and an all-zero row writes 0 times slot
+    0's input.
 
-    ``steps`` are the kernel's ``(ufunc, x, y, y_is_slot, out)`` over the
-    arrays: the axis slots of a chunk, ``temps`` buffers of a slot's
-    shape, then one coefficient vector per entry of ``periods``, which
-    holds one period of each (see :func:`_pattern`).  Every term but an
-    output's own slot is first built in its buffer; then each output is
+    ``steps`` are the kernel's ``(ufunc, x, y, y_is_slot, out)``, each
+    one call ``ufunc(arrays[x], arrays[y] if y_is_slot else y,
+    out=arrays[out])``, over the arrays: the axis slots of a chunk, one
+    coefficient vector per entry of ``periods``, which holds one period
+    of each (see :func:`_pattern`), then ``temps`` buffers of a slot's
+    shape.  The steps first fill the buffers from the inputs: on the run
+    walk, with every term but an output's own slot; on the slot walk,
+    with each slot that a row reads after an earlier row overwrote it,
+    while the other slots are read in place.  Then each output is
     written in place.
     """
     k = len(qubits)
-    short = [t for t in range(k) if 1 << (m - qubits[t]) < _SHORT]
-    if not short:
-        return None
-    ties = [t for t in range(k) if t not in short]
-    bits = [m - qubits[t] for t in short]
 
-    def row(a: int, s: int) -> int:
-        """The gate index of axis slot a where short bit j reads s >> j & 1."""
-        i = 0
-        for u, t in enumerate(ties):
-            i |= (a >> (len(ties) - 1 - u) & 1) << (k - 1 - t)
-        for j, t in enumerate(short):
-            i |= (s >> j & 1) << (k - 1 - t)
-        return i
+    def outputs(short: list) -> list | None:
+        """Per axis slot, its terms (source slot, flipped short bits,
+        sign, coefficient vector over the sign), or None where the run
+        walk cannot take the gate."""
+        ties = [t for t in range(k) if t not in short]
 
-    # Per output slot, its terms (source slot, flipped short bits, the
-    # coefficient at each reading of the short bits), its own slot first.
-    nslots, nshort = 1 << len(ties), 1 << len(short)
-    outputs = []
-    for a in range(nslots):
-        terms = []
-        for src in range(nslots):
-            for flip in range(nshort):
-                coef = tuple(signs[row(a, s)][row(src, s ^ flip)] for s in range(nshort))
-                if not all(coef):
-                    if any(coef):
+        def row(a: int, s: int) -> int:
+            """The gate index of axis slot a where short bit j reads s >> j & 1."""
+            i = 0
+            for u, t in enumerate(ties):
+                i |= (a >> (len(ties) - 1 - u) & 1) << (k - 1 - t)
+            for j, t in enumerate(short):
+                i |= (s >> j & 1) << (k - 1 - t)
+            return i
+
+        found = []
+        for a in range(1 << len(ties)):
+            terms = []
+            for src in range(1 << len(ties)):
+                for flip in range(1 << len(short)):
+                    coef = [signs[row(a, s)][row(src, s ^ flip)] for s in range(1 << len(short))]
+                    if all(coef):
+                        terms.append((src, flip, coef[0], tuple(coef[0] * c for c in coef)))
+                    elif any(coef):
                         return None
-                elif (src, flip) == (a, 0):
-                    terms.insert(0, (src, flip, coef))
-                else:
-                    terms.append((src, flip, coef))
-        if not 1 <= len(terms) <= 2:
-            return None
-        outputs.append(terms)
+            if short and not 1 <= len(terms) <= 2:
+                return None
+            if len(terms) <= 2:
+                # Reading the output's own slot first saves a buffer; a sum
+                # of two terms is unchanged by the order, signed zeros included.
+                terms.sort(key=lambda t: t[:2] != (a, 0))
+            # An all-zero row keeps one zero term, so that it writes zeros.
+            found.append(terms or [(0, 0, 0, (1,))])
+        return found
 
-    temps = sum(len(terms) - (terms[0][:2] == (a, 0)) for a, terms in enumerate(outputs))
-    patterns = []
+    short = [] if box else [t for t in range(k) if 1 << (m - qubits[t]) < _SHORT]
+    terms_of = short and outputs(short)
+    if not terms_of:
+        short, terms_of = [], outputs([])
+    bits = [m - qubits[t] for t in short]
+    nslots = len(terms_of)
+    patterns = list(dict.fromkeys(n for terms in terms_of for *_, n in terms if len(set(n)) > 1))
+    buffers, built, writes, written = {}, [], [], set()
 
-    def signed(x: int, coef: tuple, out: int) -> list:
-        """Steps that write coef * arrays[x] to arrays[out]."""
-        if all(c == 1 for c in coef):
-            return [] if x == out else [(np.multiply, x, 1, False, out)]
-        if all(c == -1 for c in coef):
-            return [(np.multiply, x, -1, False, out)]
-        if coef not in patterns:
-            patterns.append(coef)
-        return [(_times, x, nslots + temps + patterns.index(coef), True, out)]
-
-    built, writes, buffer = [], [], nslots
-    for a, terms in enumerate(outputs):
-        acc = None
-        for n, (src, flip, coef) in enumerate(terms):
-            sign = 1
-            if n:
-                # A second term is +-pattern * x: one add or subtract.
-                sign, coef = coef[0], tuple(coef[0] * c for c in coef)
-            if n == 0 and (src, flip) == (a, 0):
-                writes += signed(a, coef, a)
-                acc = a
-                continue
+    def operand(a: int, src: int, flip: int, n: tuple) -> int:
+        """The array that holds n times the term's source, as output a
+        reads it."""
+        vector = nslots + patterns.index(n) if len(set(n)) > 1 else None
+        if not flip and src not in written and (src == a or not short):
+            if vector is not None:
+                writes.append((_times, a, vector, True, a))
+            return src
+        key = src, flip, n
+        if key not in buffers:
+            buffers[key] = out = nslots + len(patterns) + len(buffers)
             for j, b in enumerate(bits):
                 if flip >> j & 1:
-                    built.append((_partner, src, 1 << b, False, buffer))
-                    src = buffer
-            built += signed(src, coef, buffer)
-            if acc is None:
-                acc = buffer
-            else:
-                writes.append((np.add if sign == 1 else np.subtract, acc, buffer, True, a))
-            buffer += 1
-        if len(terms) == 1 and acc != a:
-            writes.append((np.multiply, acc, 1, False, a))
-    period = 2 << max(bits)
+                    built.append((_partner, src, 1 << b, False, out))
+                    src = out
+            if vector is not None:
+                built.append((_times, src, vector, True, out))
+            elif src != out:
+                built.append((_copy, src, None, False, out))
+        return buffers[key]
+
+    for a, terms in enumerate(terms_of):
+        # Two terms of unit signs, not both -1, are one add or subtract.
+        pair = len(terms) > 1 and (terms[0][2], terms[1][2]) != (-1, -1)
+        (x, sx), *second = [(operand(a, src, flip, n), sign)
+                            for src, flip, sign, n in terms[: 1 + pair]]
+        if pair:
+            [(y, sy)] = second
+            if sx == -1:
+                x, y = y, x
+            writes.append((np.add if sx == sy else np.subtract, x, y, True, a))
+        elif not (x == a and sx == 1):
+            writes.append((np.multiply, x, sx, False, a))
+        written.add(a)
+        for src, flip, sign, n in terms[1 + pair:]:
+            y = operand(a, src, flip, n)
+            writes.append((np.add if sign == 1 else np.subtract, a, y, True, a))
+    period = 2 << max(bits) if bits else 1
     pos = np.arange(period)
     reading = sum((pos >> b & 1) << j for j, b in enumerate(bits))
-    periods = tuple(np.array(coef, np.int8)[reading] for coef in patterns)
-    axes = tuple(qubits[t] for t in ties)
-    return axes, period, tuple(built + writes), temps, periods
+    periods = tuple(np.array(n, np.int8)[reading] for n in patterns)
+    axes = tuple(q for t, q in enumerate(qubits) if t not in short)
+    return axes, period, tuple(built + writes), len(buffers), periods
 
 
 def _pattern(period: np.ndarray, run: int, dtype: np.dtype) -> np.ndarray:
@@ -456,6 +420,12 @@ def _times(x: np.ndarray, pattern: np.ndarray, out: np.ndarray, order: str = "C"
     long."""
     shape = x.shape[:-1] + (-1, len(pattern))
     np.multiply(x.reshape(shape), pattern, out=out.reshape(shape), order=order)
+
+
+def _copy(x: np.ndarray, _, out: np.ndarray, order: str = "C") -> None:
+    """out = x, called as the kernel calls a ufunc; a strided copy is
+    about twice as fast as a multiply by 1."""
+    np.copyto(out, x)
 
 
 def _partner(x: np.ndarray, block: int, out: np.ndarray, order: str = "C") -> None:

@@ -549,8 +549,8 @@ class TestFloatKernelBitwise:
                       (16, 17), (17, 16), (1, 17), (17, 1)]
         layouts = [gates._layout(m, qubits, 8) for qubits in placements]
         assert any(len(chunks) > 1 for _, _, chunks, _ in layouts)
-        runs = {q: gates._runs(BITWISE_GATES[len(q)][0]._signs, m, q) for q in placements}
-        assert {q for q, plan in runs.items() if plan} == {
+        plans = {q: gates._plan(BITWISE_GATES[len(q)][0]._signs, m, q, False) for q in placements}
+        assert {q for q, plan in plans.items() if plan[1] > 1} == {
             (17,), (8, 10), (16, 17), (17, 16), (1, 17), (17, 1)}
         amps = signed_zero_state(m, np.random.Generator(np.random.PCG64(57)))
         for qubits in placements:
@@ -571,9 +571,8 @@ def run_width(itemsize: int) -> int:
 
 def assert_run_walk(gate: cs.Gate, m: int, qubits: tuple[int, ...], itemsize: int) -> None:
     """``gate`` on ``qubits`` of m takes the run walk, in several chunks."""
-    plan = gates._runs(gate._signs, m, qubits)
-    assert plan is not None, qubits
-    axes, period = plan[:2]
+    axes, period = gates._plan(gate._signs, m, qubits, False)[:2]
+    assert period > 1, qubits
     assert len(gates._layout(m, axes, itemsize, period)[2]) > 1, qubits
 
 
@@ -603,7 +602,7 @@ def sparse_exact_state(m: int, dtype, bound: int, rng: np.random.Generator) -> S
 
 class TestRunWalk:
     """Gates whose lowest qubit has a short post axis walk contiguous runs
-    (``gates._runs``); on planes that span several chunks, they must
+    (``gates._plan``); on planes that span several chunks, they must
     match the references on every such placement."""
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
@@ -666,15 +665,8 @@ def plan_of(gate: cs.Gate, m: int, qubits: tuple[int, ...], box: bool = False) -
     walk's axis qubits and period (1 on the slot walk), the number of
     slot-sized buffers that each chunk fills, and the names of the steps
     in order, "copy" for a copy of a slot into a buffer."""
-    runs = None if box else gates._runs(gate._signs, m, qubits)
-    if runs is None:
-        steps, saves, _ = gate._steps
-        names = ("copy",) * len(saves) + tuple(step[0].__name__ for step in steps)
-        return qubits, 1, len(saves), names
-    axes, period, steps, temps, _ = runs
-    first = 1 << len(axes)
-    names = tuple("copy" if (f, y, y_is_slot) == (np.multiply, 1, False) and out >= first
-                  else f.__name__ for f, _, y, y_is_slot, out in steps)
+    axes, period, steps, temps, _ = gates._plan(gate._signs, m, qubits, box)
+    names = tuple("copy" if step[0] is gates._copy else step[0].__name__ for step in steps)
     return axes, period, temps, names
 
 
@@ -779,13 +771,13 @@ class TestExactKernelDifferential:
         for short in (gates._SHORT, 1):
             with mock.patch.object(gates, "_CHUNK", 2), mock.patch.object(gates, "_SHORT", short):
                 gates._layout.cache_clear()
-                gates._runs.cache_clear()
+                gates._plan.cache_clear()
                 try:
                     _run_word(word)
                     chunked = _run_word(word, cs.FLOAT)._plane
                 finally:
                     gates._layout.cache_clear()
-                    gates._runs.cache_clear()
+                    gates._plan.cache_clear()
             assert chunked.tobytes() == flat.tobytes(), short
 
     def test_four_term_rows(self):
