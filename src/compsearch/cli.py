@@ -16,10 +16,11 @@ Exit codes: 0 success; 1 verification failure; 2 invalid arguments;
 timestamps, so identical invocations produce byte-identical bytes.
 Each command returns its exit code and its report as text pieces, and
 ``main`` alone writes them.  Reports are written as they are encoded, a
-sweep's one verdict row at a time, so no report is held whole as one
-string; they go to a temporary file that replaces ``--out`` only once
-it is complete.  ``main`` caps every command, on either backend, at
-n <= 12 (2^24 amplitudes) to bound memory, before the command runs.
+sweep's verdict rows a block at a time, formatted from the report's
+columns, so no report is held whole as one string; they go to a
+temporary file that replaces ``--out`` only once it is complete.
+``main`` caps every command, on either backend, at n <= 12 (2^24
+amplitudes) to bound memory, before the command runs.
 ``trace`` is also capped at n <= 4, as it prints whole states, and
 ``verify --all-f`` at n <= EXHAUSTIVE_SWEEP_MAX_N, as it runs all
 2^(2^n) oracles.
@@ -36,6 +37,8 @@ import tempfile
 import time
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__, analytic
 from .circuit import (
     CHECKPOINT_LABELS,
@@ -44,11 +47,13 @@ from .circuit import (
     run_with_trace,
 )
 from .dyadic import DyadicReal
-from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector, all_oracles
+from .state import EXACT, FLOAT, FLOAT_ATOL, BooleanOracle, StateVector, _tables
 from .refutation import (
     EXHAUSTIVE_SWEEP_MAX_N,
+    SweepReport,
     _check_oracles,
     _match_rows,
+    _oracle_tables,
     compare_grover,
     sweep_all_f,
 )
@@ -131,52 +136,68 @@ def _json_float(x: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-# One sweep verdict as _dump_json writes it in results.verdicts: keys
-# sorted, at depth 3.
-_VERDICT_JSON = (
-    "      {{\n"
-    '        "exact_match": {},\n'
-    '        "max_dev": {},\n'
-    '        "oracle_id": {},\n'
-    '        "table": "{:#x}",\n'
-    '        "tv_to_first": {}\n'
-    "      }}"
-)
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+
+# Sweep verdict rows per report piece: 512 rows of an n = 4 JSON report
+# are about 90 kB.
+_PIECE_ROWS = 512
 
 
-def _verdict_json(v) -> str:
-    return _VERDICT_JSON.format(
-        "true" if v.exact_match else "false",
-        _json_float(v.max_deviation),
-        v.oracle_id,
-        v.table,
-        _json_float(v.tv_to_first),
-    )
+def _float_texts(column: np.ndarray, render) -> list[str]:
+    """``render`` of each float of the float64 ``column``, called once per
+    distinct bit pattern: keyed by value, -0.0 would take the text of
+    0.0, and a NaN would find no key."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = np.array([render(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(-1)].tolist()
 
 
-def _sweep_json(doc: dict, verdicts) -> Iterator[str]:
+def _verdict_rows(report: SweepReport, render) -> Iterator[Iterable[tuple]]:
+    """``report``'s columns _PIECE_ROWS rows at a time, as the fields of
+    each row: per oracle its id, match text, deviation and TV to the first
+    table, as written by ``render``, and its table."""
+    for start in range(0, report.oracle_count, _PIECE_ROWS):
+        tables, match, dev, tv = (c[start : start + _PIECE_ROWS] for c in report.columns)
+        yield zip(
+            range(start, start + len(tables)),
+            _BOOL_TEXTS[match.view(np.uint8)].tolist(),
+            _float_texts(dev, render),
+            _float_texts(tv, render),
+            tables.tolist(),
+        )
+
+
+def _sweep_json(doc: dict, report: SweepReport) -> Iterator[str]:
     """The bytes of ``_dump_json`` for the sweep document ``doc`` with
-    ``verdicts`` in place of its empty ``results.verdicts``, one verdict
-    a piece, so the whole report is never held as one string."""
+    ``report``'s verdicts in place of its empty ``results.verdicts``,
+    _PIECE_ROWS verdicts a piece, so the whole report is never held as one
+    string."""
     # Only results has a "verdicts" key, and it sorts last there.
     head, empty, tail = _dump_json(doc).partition('"verdicts": []')
-    if not verdicts:
+    if not report.oracle_count:
         yield head + empty + tail
         return
     sep = head + '"verdicts": [\n'
-    for v in verdicts:
-        yield sep + _verdict_json(v)
+    for rows in _verdict_rows(report, _json_float):
+        # One verdict as _dump_json writes it: keys sorted, at depth 3.
+        yield sep + ",\n".join([
+            "      {\n"
+            f'        "exact_match": {match},\n'
+            f'        "max_dev": {dev},\n'
+            f'        "oracle_id": {i},\n'
+            f'        "table": "{table:#x}",\n'
+            f'        "tv_to_first": {tv}\n'
+            "      }"
+            for i, match, dev, tv, table in rows
+        ])
         sep = ",\n"
     yield "\n    ]" + tail
 
 
-def _sweep_csv(report) -> Iterator[str]:
+def _sweep_csv(report: SweepReport) -> Iterator[str]:
     yield "oracle_id,exact_match,max_dev,tv_to_first\n"
-    for v in report.verdicts:
-        yield (
-            f"{v.oracle_id},{'true' if v.exact_match else 'false'},"
-            f"{v.max_deviation!r},{v.tv_to_first!r}\n"
-        )
+    for rows in _verdict_rows(report, repr):
+        yield "".join([f"{i},{match},{dev},{tv}\n" for i, match, dev, tv, _ in rows])
 
 
 def _write_atomic(path: str, pieces: Iterable[str]) -> None:
@@ -218,8 +239,8 @@ def cmd_verify(args) -> tuple[int, list[str]]:
     if args.all_f and args.n > EXHAUSTIVE_SWEEP_MAX_N:
         raise CLIError(2, f"--all-f capped at n <= {EXHAUSTIVE_SWEEP_MAX_N} (2^(2^n) oracles)")
 
-    oracles = all_oracles(args.n) if args.all_f else [f]
-    checked, all_match, max_dev = _check_oracles(args.n, oracles, backend)
+    tables = _oracle_tables(args.n) if args.all_f else _tables(args.n, [f.table])
+    checked, all_match, max_dev = _check_oracles(args.n, tables, backend)
 
     doc = _document(
         "verify",
@@ -268,7 +289,7 @@ def cmd_trace(args) -> tuple[int, list[str]]:
     all_match = True
     for label in CHECKPOINT_LABELS:
         state = trace[label]
-        ok = _match_rows(state, reference[label], 1)[0][0]
+        ok = bool(_match_rows(state, reference[label], 1)[0][0])
         all_match = all_match and ok
         checkpoints.append(
             {
@@ -281,7 +302,7 @@ def cmd_trace(args) -> tuple[int, list[str]]:
             }
         )
         print(f"{label:>5}: {state.terms()}   analytic match: {'yes' if ok else 'NO'}")
-    target_ok = _match_rows(trace[PSI3], target, 1)[0][0]
+    target_ok = bool(_match_rows(trace[PSI3], target, 1)[0][0])
     all_match = all_match and target_ok
     print(f"final state equals diagonal target: {'yes' if target_ok else 'NO'}")
 
@@ -314,7 +335,7 @@ def cmd_sweep(args) -> tuple[int, Iterator[str]]:
         f"sweep n={args.n} backend={backend}: {report.oracle_count} oracles, "
         f"max pairwise TV {report.max_pairwise_tv:.3g} -> {status} ({args.out})"
     )
-    pieces = _sweep_json(doc, report.verdicts) if args.format == "json" else _sweep_csv(report)
+    pieces = _sweep_json(doc, report) if args.format == "json" else _sweep_csv(report)
     return (0 if report.all_match else 1), pieces
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
@@ -44,11 +43,12 @@ from .state import (
     StateVector,
     _abs_max,
     _as_float,
+    _check_register,
     _qubit_range,
-    _sign_table,
     _sum_out,
+    _table_signs,
+    _tables,
     _value,
-    all_oracles,
     random_oracle,
 )
 
@@ -133,15 +133,22 @@ class Distribution:
 
     def _check_total(self) -> None:
         """Raise ValueError unless the table, or each row of a row table,
-        sums to 1."""
-        totals = self._totals()
+        sums to 1: an exact row to 2^h, a float one within 1e-9, all rows
+        in one array comparison."""
+        sums = np.atleast_1d(self.plane.sum(axis=-1))
         if self.exact:
-            if any(t != 1 for t in totals):
+            one = 1 << self.h
+            if sums.dtype != object and one > np.iinfo(sums.dtype).max:
+                # No sum in this dtype reaches 2^h.  NumPy 1 would compare
+                # int64 with 2^63 through float64, where 2^63 - 1 rounds
+                # up to it; Python ints compare exactly.
+                sums = sums.astype(object)
+            if not (sums == one).all():
                 raise ValueError("exact probabilities do not sum to 1")
             return
-        bad = [t for t in totals if not abs(t - 1.0) <= 1e-9]  # a NaN total fails too
-        if bad:
-            raise ValueError(f"probabilities sum to {bad[0]}, not 1")
+        ok = np.abs(sums - 1.0) <= 1e-9  # a NaN total fails too
+        if not ok.all():
+            raise ValueError(f"probabilities sum to {float(sums[~ok][0])}, not 1")
 
     def _totals(self) -> list:
         """The sum of each row of a row table, or of the table as one
@@ -199,20 +206,29 @@ def _tv_rows(p: Distribution, q: Distribution) -> list:
     """:func:`tv_distance` along the last axis: one distance per row of
     a row table ``p`` to the same row of ``q``, or to ``q`` itself when
     it is one table."""
+    sums, h = _tv_sums(p, q)
+    if h is None:
+        return sums.tolist()
+    return [DyadicReal(int(t), 0, h) for t in sums]
+
+
+def _tv_sums(p: Distribution, q: Distribution) -> tuple[np.ndarray, int | None]:
+    """The distances of :func:`_tv_rows` as one array: ``(d, None)`` with
+    float64 distances d when either table is float, else ``(s, h)`` with
+    integer sums s, each distance being s / 2^h."""
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
     if not (p.exact and q.exact):
         diff = p.as_float_array() - q.as_float_array()
         sums = np.abs(diff, out=diff).sum(axis=-1)
-        return (0.5 * np.atleast_1d(sums)).tolist()
+        return 0.5 * np.atleast_1d(sums), None
     h = max(p.h, q.h)
     shifted = [(d.plane, h - d.h) for d in (p, q)]
     # Each |p - q| is below 2 * bound, so a row of them sums within int64
     # while bound * len < 2^62; larger ones use Python ints.
     small = all(_abs_max(x) << s < (1 << 62) // len(p) for x, s in shifted)
     x, y = (x.astype(np.int64 if small else object) << s for x, s in shifted)
-    sums = np.atleast_1d(np.abs(x - y).sum(axis=-1))
-    return [DyadicReal(int(t), 0, h + 1) for t in sums]
+    return np.atleast_1d(np.abs(x - y).sum(axis=-1)), h + 1
 
 
 def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.ndarray:
@@ -236,28 +252,48 @@ class OracleVerdict:
     tv_to_first: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepReport:
+    """The statistics of a sweep and its per-oracle columns.
+
+    ``columns`` is ``(tables, match, max deviation, TV to first)``, with
+    entry i of each for oracle i: truth tables as uint64, or as Python
+    ints in an object array past 64-bit tables (see
+    :func:`compsearch.state._tables`), then bool, float64 and float64
+    arrays.  Reports compare by identity, as arrays have no one truth
+    value.
+    """
+
     n: int
     backend: str
     exhaustive: bool
     seed: int | None
     rng_algorithm: str | None
-    verdicts: list[OracleVerdict] = field(default_factory=list)
     all_match: bool = True
     max_deviation: float = 0.0
     marginal_uniformity_deviation: float = 0.0
     max_pairwise_tv: float = 0.0
     max_pairwise_tv_is_exact: bool = True
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
+        default=(np.empty(0, np.uint64), np.empty(0, bool), np.empty(0), np.empty(0)),
+        repr=False,
+    )
 
     @property
     def oracle_count(self) -> int:
-        return len(self.verdicts)
+        return len(self.columns[0])
+
+    @property
+    def verdicts(self) -> tuple[OracleVerdict, ...]:
+        """One :class:`OracleVerdict` per oracle, built from the columns on
+        each read."""
+        rows = zip(*(column.tolist() for column in self.columns))
+        return tuple(OracleVerdict(i, *row) for i, row in enumerate(rows))
 
     def summary(self) -> dict:
-        """Every field of the report but the verdicts, which the CLI
-        writes one row at a time, plus the oracle count."""
-        summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verdicts"}
+        """Every field of the report but the columns, which the CLI writes
+        a block of rows at a time, plus the oracle count."""
+        summary = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"}
         return {**summary, "oracle_count": self.oracle_count}
 
 
@@ -265,53 +301,70 @@ def check_oracle(n: int, f: BooleanOracle, backend: str = EXACT) -> tuple[bool, 
     """Run the comparison circuit for ``f`` and compare against the
     diagonal target.  Returns (match, max per-amplitude deviation); the
     match is zero-tolerance in the exact backend and FLOAT_ATOL in float."""
-    _, all_match, max_dev = _check_oracles(n, [f], backend)
+    _check_register(n, f)
+    _, all_match, max_dev = _check_oracles(n, _tables(n, [f.table]), backend)
     return all_match, max_dev
 
 
-def _check_oracles(n: int, oracles, backend: str) -> tuple[int, bool, float]:
-    """:func:`check_oracle` over ``oracles``: (oracles checked, whether
-    all match, largest deviation)."""
+def _check_oracles(n: int, tables: np.ndarray, backend: str) -> tuple[int, bool, float]:
+    """:func:`check_oracle` over the truth tables of the column ``tables``
+    (see :func:`compsearch.state._tables`): (oracles checked, whether all
+    match, largest deviation)."""
     count, all_match, max_dev = 0, True, 0.0
-    for batch, _, match, dev in _verdicts(n, backend, oracles):
+    for batch, _, match, dev in _verdicts(n, backend, tables):
         count += len(batch)
-        all_match = all_match and all(match)
-        max_dev = max(max_dev, *dev)
+        all_match = all_match and bool(match.all())
+        max_dev = max(max_dev, *dev.tolist())
     return count, all_match, max_dev
 
 
-def _batches(oracles, rows: int):
-    """``oracles`` in lists of ``rows``, a power of two; a last, shorter
-    list is cut into lists of falling powers of two."""
-    it = iter(oracles)
-    while batch := list(islice(it, rows)):
-        while batch:
-            size = 1 << (len(batch).bit_length() - 1)
-            yield batch[:size]
-            batch = batch[size:]
+def _oracle_tables(n: int, seed: int = 0) -> np.ndarray:
+    """The truth tables a sweep over n bits checks, as one column (see
+    :func:`compsearch.state._tables`): all 2^(2^n) in order if n <=
+    EXHAUSTIVE_SWEEP_MAX_N, else the tables of SAMPLED_SWEEP_COUNT
+    :func:`random_oracle` draws from ``seed``."""
+    if n <= EXHAUSTIVE_SWEEP_MAX_N:
+        return np.arange(1 << (1 << n), dtype=np.uint64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _tables(n, [random_oracle(n, rng).table for _ in range(SAMPLED_SWEEP_COUNT)])
 
 
-def _verdicts(n: int, backend: str, oracles):
-    """Run the comparison circuit for ``oracles`` a batch at a time and
-    compare each output with its diagonal target.  Yields per batch
-    ``(oracles, out, match, max deviation)``: ``out`` holds oracle r's
-    output as row r (see :func:`compsearch.circuit._simulate_rows`), and
-    the last two are lists with one entry per oracle."""
-    for batch in _batches(oracles, max(1, _BATCH_AMPS >> (2 * n))):
-        signs = _sign_table(n, batch)
-        out = _simulate_rows(build_comparison_search(n, batch[0]), signs, backend)
+def _batches(n: int, tables: np.ndarray):
+    """The column ``tables`` in slices of max(1, _BATCH_AMPS >> 2n) rows,
+    a power of two; a last, shorter run is cut into slices of falling
+    powers of two.  Yields ``(slice, its sign table)``."""
+    rows = max(1, _BATCH_AMPS >> (2 * n))
+    start = 0
+    while start < len(tables):
+        size = 1 << (min(rows, len(tables) - start).bit_length() - 1)
+        batch = tables[start : start + size]
+        start += size
+        yield batch, _table_signs(n, batch)
+
+
+def _verdicts(n: int, backend: str, tables: np.ndarray):
+    """Run the comparison circuit for the truth tables of the column
+    ``tables`` a batch at a time and compare each output with its
+    diagonal target.  Yields per batch ``(tables, out, match, max
+    deviation)``: ``out`` holds oracle r's output as row r (see
+    :func:`compsearch.circuit._simulate_rows`), and the last two are
+    bool and float64 arrays with one entry per oracle."""
+    for batch, signs in _batches(n, tables):
+        first = BooleanOracle(n, int(batch[0]))
+        out = _simulate_rows(build_comparison_search(n, first), signs, backend)
         # Matched in a call of its own, so that the target is freed before
         # the yield rather than held while the caller reads the batch.
         yield (batch, out, *_match_rows(out, _target_rows(n, signs, backend), len(batch)))
 
 
-def _match_rows(out: StateVector, target: StateVector, rows: int) -> tuple[list, list]:
+def _match_rows(out: StateVector, target: StateVector, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, whether ``out`` matches ``target`` -- zero-tolerance in
-    the exact backend, FLOAT_ATOL in float -- and the largest deviation."""
-    dev = out._deviations(target, rows)
+    the exact backend, FLOAT_ATOL in float -- and the largest deviation,
+    as a bool and a float64 array."""
+    dev = np.array(out._deviations(target, rows))
     if out.backend == EXACT:
-        return out._rows_equal(target, rows), dev
-    return [d <= FLOAT_ATOL for d in dev], dev
+        return np.array(out._rows_equal(target, rows)), dev
+    return dev <= FLOAT_ATOL, dev
 
 
 def _row_table(out: StateVector, rows: int) -> Distribution:
@@ -339,25 +392,27 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
         seed=None if exhaustive else seed,
         rng_algorithm=None if exhaustive else RNG_ALGORITHM,
     )
-    if exhaustive:
-        oracles = all_oracles(n)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        oracles = (random_oracle(n, rng) for _ in range(SAMPLED_SWEEP_COUNT))
+    truth = _oracle_tables(n, seed)
     uniform = 1.0 / (1 << n)
     first: Distribution | None = None
     # Kept only when _fill_pairwise_tv may compare every pair.
-    keep_tables = ((1 << (1 << n)) if exhaustive else SAMPLED_SWEEP_COUNT) <= _ALL_PAIRS_LIMIT
+    keep_tables = len(truth) <= _ALL_PAIRS_LIMIT
     tables: list[Distribution] = []
     # Whether every table equals the first.  A float distance is 0.0 only
     # between bitwise-equal tables, bar differences that sum to 2^-1074.
     identical = True
-    for batch, out, match, dev in _verdicts(n, backend, oracles):
+    # Each column is allocated whole and filled a batch at a time: small
+    # arrays kept alive between each batch's temporaries left freed heap
+    # that glibc did not return, about 4 MB after an n = 4 sweep and 2 MB
+    # after n = 9's 1000 one-oracle batches.
+    match_col, dev_col, tv_col = (np.empty(len(truth), dtype) for dtype in (bool, float, float))
+    done = 0
+    for batch, out, match, dev in _verdicts(n, backend, truth):
         table = _row_table(out, len(batch))
         if first is None:
             first = table._row(0)
-        tv = _tv_rows(table, first)
-        identical = identical and all(t == 0 for t in tv)
+        tv, h = _tv_sums(table, first)
+        identical = identical and not tv.any()
         if keep_tables:
             tables.append(table)
         marg = marginal(table, n + 1, 2 * n)
@@ -367,10 +422,13 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
         report.marginal_uniformity_deviation = max(
             report.marginal_uniformity_deviation, marg_dev
         )
-        for f, ok, d, t in zip(batch, match, dev, tv):
-            report.verdicts.append(OracleVerdict(len(report.verdicts), f.table, ok, d, float(t)))
-        report.all_match = report.all_match and all(match)
-        report.max_deviation = max(report.max_deviation, *dev)
+        rows = slice(done, done + len(batch))
+        done += len(batch)
+        match_col[rows], dev_col[rows] = match, dev
+        tv_col[rows] = tv if h is None else _as_float(tv, 2 * h)
+        report.all_match = report.all_match and bool(match.all())
+        report.max_deviation = max(report.max_deviation, *dev.tolist())
+    report.columns = (truth, match_col, dev_col, tv_col)
     _fill_pairwise_tv(report, tables, identical)
     return report
 
@@ -397,8 +455,7 @@ def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution], identical
         report.max_pairwise_tv = worst
         report.max_pairwise_tv_is_exact = True
         return
-    to_first = [v.tv_to_first for v in report.verdicts]
-    top = sorted(to_first)[-2:]
+    top = np.sort(report.columns[3])[-2:].tolist()
     report.max_pairwise_tv = float(sum(top))
     report.max_pairwise_tv_is_exact = False
 

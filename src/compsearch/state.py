@@ -195,11 +195,29 @@ def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
     case."""
     if any(f.n != n for f in oracles):
         raise ValueError(f"oracle arity does not match n={n}")
+    return _table_signs(n, _tables(n, [f.table for f in oracles]))
+
+
+def _tables(n: int, tables) -> np.ndarray:
+    """Truth-table integers on n bits as one column: uint64 while a table
+    has at most 64 bits (n <= 6), Python ints in an object array past
+    that."""
+    return np.array(tables, dtype=np.uint64 if n <= 6 else object)
+
+
+def _table_signs(n: int, tables: np.ndarray) -> np.ndarray:
+    """(-1)^f(k) for each truth table of the column ``tables`` (rows, see
+    :func:`_tables`) and each k (columns) as int64: a uint64 column is
+    read as little-endian bytes in place, and Python ints are written out
+    as bytes first."""
     size = 1 << n
-    nbytes = (size + 7) // 8
-    buf = b"".join(f.table.to_bytes(nbytes, "little") for f in oracles)
-    rows = np.frombuffer(buf, np.uint8).reshape(len(oracles), nbytes)
-    truth = np.unpackbits(rows, axis=1, bitorder="little")[:, :size]
+    if tables.dtype == object:
+        nbytes = (size + 7) // 8
+        buf = b"".join(t.to_bytes(nbytes, "little") for t in tables.tolist())
+        raw = np.frombuffer(buf, np.uint8).reshape(len(tables), nbytes)
+    else:
+        raw = tables.astype("<u8", copy=False).view(np.uint8).reshape(len(tables), 8)
+    truth = np.unpackbits(raw, axis=1, count=size, bitorder="little")
     return 1 - 2 * truth.astype(np.int64)
 
 

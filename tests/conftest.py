@@ -14,7 +14,8 @@ constant oracles and float copies of states are built on the public
 API too: the library itself needs none of them.  ``delta_identity`` sums
 the parity identity that psi3 collapses by, literally.  ``report_dict``
 renders a sweep report as one dict, the reference that the streamed
-report is checked against.
+report is checked against, and ``sweep_report`` builds a report from
+given columns.
 """
 
 from __future__ import annotations
@@ -295,3 +296,17 @@ def report_dict(report: cs.SweepReport) -> dict:
             for v in report.verdicts
         ],
     }
+
+
+def sweep_report(rows, **fields) -> cs.SweepReport:
+    """A sweep report whose columns hold ``rows``, a list of ``(table,
+    exact_match, max_deviation, tv_to_first)``: tables as uint64, or as
+    Python ints where one of them passes 64 bits."""
+    tables, match, dev, tv = zip(*rows) if rows else ((), (), (), ())
+    wide = any(t >> 64 for t in tables)
+    return cs.SweepReport(**fields, columns=(
+        np.array(tables, dtype=object if wide else np.uint64),
+        np.array(match, dtype=bool),
+        np.array(dev, dtype=np.float64),
+        np.array(tv, dtype=np.float64),
+    ))

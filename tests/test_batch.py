@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -49,12 +50,15 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
     batch_rows(monkeypatch, n, 4)
     rng = np.random.Generator(np.random.PCG64(10 + n))
     oracles = [cs.random_oracle(n, rng) for _ in range(7)]
+    tables = state._tables(n, [f.table for f in oracles])
     sizes, seen = [], []
-    for batch, out, match, dev in refutation._verdicts(n, backend, oracles):
+    for batch, out, match, dev in refutation._verdicts(n, backend, tables):
         rows = len(batch)
         sizes.append(rows)
         assert out.num_qubits == (rows.bit_length() - 1) + 2 * n
-        for r, f in enumerate(batch):
+        assert match.dtype == bool and dev.dtype == np.float64
+        for r, table in enumerate(batch.tolist()):
+            f = cs.BooleanOracle(n, table)
             want = cs.simulate(cs.build_comparison_search(n, f), backend)
             got = row_state(out, rows, r)
             if backend == cs.EXACT:
@@ -62,10 +66,61 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
             else:
                 assert np.array_equal(got._plane, want._plane)
             target = cs.target_output(n, f, backend)
-            assert match[r] is True
+            assert match[r]
             assert dev[r] == want.max_abs_diff(target)
             seen.append(f)
     assert sizes == [4, 2, 1] and seen == oracles
+
+
+def oracle_batches(oracles, rows: int):
+    """The batching of oracle objects that the table batches replaced:
+    lists of ``rows``, a last, shorter list cut into lists of falling
+    powers of two."""
+    it = iter(oracles)
+    while batch := list(islice(it, rows)):
+        while batch:
+            size = 1 << (len(batch).bit_length() - 1)
+            yield batch[:size]
+            batch = batch[size:]
+
+
+def literal_signs(n: int, tables) -> list:
+    """(-1)^f(k) of each truth table, bit by bit."""
+    return [[1 - 2 * ((t >> k) & 1) for k in range(1 << n)] for t in tables]
+
+
+def assert_batches_match(n: int, tables: np.ndarray, oracles: list) -> None:
+    """The table batches of ``tables`` are the oracle batches of
+    ``oracles``: the same sizes, and row for row the same sign tables,
+    both as ``_sign_table`` and as the literal bits give them."""
+    rows = max(1, refutation._BATCH_AMPS >> (2 * n))
+    want = list(oracle_batches(oracles, rows))
+    got = list(refutation._batches(n, tables))
+    assert [len(b) for b, _ in got] == [len(b) for b in want]
+    for (batch, signs), fs in zip(got, want):
+        assert batch.tolist() == [f.table for f in fs]
+        assert signs.dtype == np.int64
+        assert np.array_equal(signs, state._sign_table(n, fs))
+        assert signs.tolist() == literal_signs(n, batch.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exhaustive_table_batches_are_all_oracles(n):
+    tables = refutation._oracle_tables(n)
+    assert tables.dtype == np.uint64
+    assert_batches_match(n, tables, list(cs.all_oracles(n)))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sampled_table_batches_are_the_random_oracle_draws(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    oracles = [cs.random_oracle(n, rng) for _ in range(refutation.SAMPLED_SWEEP_COUNT)]
+    tables = refutation._oracle_tables(n, seed)
+    # Tables of up to 64 bits are uint64, wider ones Python ints.
+    assert tables.dtype == (np.uint64 if n <= 6 else object)
+    assert tables.tolist() == [f.table for f in oracles]
+    assert_batches_match(n, tables, oracles)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)

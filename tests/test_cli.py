@@ -1,15 +1,15 @@
-import dataclasses
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compsearch import __version__, cli
 from compsearch.cli import main
-from compsearch.refutation import OracleVerdict, SweepReport, sweep_all_f
-from conftest import report_dict
+from compsearch.refutation import SweepReport, sweep_all_f
+from conftest import report_dict, sweep_report
 
 
 def run_cli(*argv):
@@ -184,29 +184,51 @@ class TestSweep:
         assert list((tmp_path / "out").iterdir()) == []
 
 
-def _report(verdicts, *, seed=None, **summary):
+def _report(rows=(), *, seed=None, **summary):
+    """A report of ``(table, match, deviation, TV)`` rows."""
     fields = dict(n=3, backend="float", exhaustive=seed is None, seed=seed,
                   rng_algorithm=None if seed is None else "numpy-pcg64")
-    return SweepReport(**fields, verdicts=list(verdicts), **summary)
+    return sweep_report(list(rows), **fields, **summary)
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
 
 CRAFTED_REPORTS = {
     "special floats": _report(
-        [OracleVerdict(i, i, i % 2 == 0, x, y)
+        [(i, i % 2 == 0, x, y)
          for i, (x, y) in enumerate(zip(SPECIAL_FLOATS, SPECIAL_FLOATS[::-1]))],
         max_deviation=math.nan, marginal_uniformity_deviation=math.inf,
         max_pairwise_tv=-0.0, max_pairwise_tv_is_exact=False,
     ),
     "4096-bit tables": _report(
-        [OracleVerdict(0, (1 << 4096) - 1, True, 0.0, 0.0),
-         OracleVerdict(1, 1 << 4095, False, 2.5, 1e-17)],
+        [((1 << 4096) - 1, True, 0.0, 0.0),
+         (1 << 4095, False, 2.5, 1e-17)],
         all_match=False,
     ),
-    "no verdicts": _report([]),
-    "sampled header": _report([OracleVerdict(0, 0x5A, True, 1e-16, 0.0)], seed=7),
+    "no verdicts": _report(),
+    # Each float column holds 0.0 beside -0.0 and two NaNs of different
+    # bits, and the object tables run from 0 past 2^64 in one piece.
+    "signed zeros, NaNs and wide tables": _report(
+        [(0, True, 0.0, -0.0), ((1 << 64) - 1, False, -0.0, 0.0), (5, True, 0.0, 0.0),
+         (1 << 64, True, math.nan, 0.0), ((1 << 64) + 1, False, -math.nan, -0.0),
+         ((1 << 65) + 3, True, -0.0, math.nan), (1 << 64, True, 0.0, -math.nan)],
+        all_match=False, max_deviation=math.nan,
+    ),
+    "uint64 tables": _report(
+        [((1 << 64) - 1, True, 0.0, -0.0), (1 << 63, False, -0.0, 0.0), (0, True, 1.0, 0.5)],
+        all_match=False,
+    ),
+    "sampled header": _report([(0x5A, True, 1e-16, 0.0)], seed=7),
 }
+
+
+def test_float_texts_are_keyed_by_bit_pattern():
+    column = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, -0.0, math.nan])
+    assert len(set(column.view(np.uint64).tolist())) == 4
+    calls = []
+    texts = cli._float_texts(column, lambda x: calls.append(x) or cli._json_float(x))
+    assert texts == ["0.0", "-0.0", "NaN", "NaN", "0.0", "-0.0", "NaN"]
+    assert len(calls) == 4
 
 
 def _old_sweep_csv(report):
@@ -248,9 +270,33 @@ def _sweep_texts(mp, report):
     return written, expected
 
 
+def fail_at_row_9(mp, error):
+    """Make the report writers take 4 rows a piece, and raise ``error`` at
+    the third piece, which holds oracle 9, after two have been written."""
+    mp.setattr(cli, "_PIECE_ROWS", 4)
+    rows = cli._verdict_rows
+
+    def failing(report, render):
+        start = 0
+        for batch in rows(report, render):
+            batch = list(batch)
+            if start <= 9 < start + len(batch):
+                raise error("row failed")
+            start += len(batch)
+            yield batch
+
+    mp.setattr(cli, "_verdict_rows", failing)
+
+
 class TestStreamedReport:
     @pytest.mark.parametrize("name", sorted(CRAFTED_REPORTS))
     def test_pieces_join_to_the_whole_document(self, monkeypatch, name):
+        written, expected = _sweep_texts(monkeypatch, CRAFTED_REPORTS[name])
+        assert written == expected
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_REPORTS))
+    def test_pieces_of_two_rows_join_to_the_whole_document(self, monkeypatch, name):
+        monkeypatch.setattr(cli, "_PIECE_ROWS", 2)
         written, expected = _sweep_texts(monkeypatch, CRAFTED_REPORTS[name])
         assert written == expected
 
@@ -260,22 +306,20 @@ class TestStreamedReport:
         assert written == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.builds(
-        OracleVerdict,
-        st.integers(0, 1 << 20),
+    @given(st.lists(st.tuples(
         st.integers(0, (1 << 4096) - 1),
         st.booleans(),
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(allow_nan=False, allow_infinity=False),
     ), max_size=6))
-    def test_finite_floats_join_to_the_whole_document(self, verdicts):
+    def test_finite_floats_join_to_the_whole_document(self, rows):
         with pytest.MonkeyPatch.context() as mp:
-            written, expected = _sweep_texts(mp, _report(verdicts))
+            written, expected = _sweep_texts(mp, _report(rows))
         assert written == expected
 
     def test_no_verdict_dicts_are_built(self, tmp_path, monkeypatch):
         # The one document the sweep dumps holds no rows: each is rendered
-        # from its OracleVerdict as it is written.
+        # from the report's columns as it is written.
         dumped = []
         dump = cli._dump_json
         monkeypatch.setattr(cli, "_dump_json", lambda doc: dumped.append(doc) or dump(doc))
@@ -293,14 +337,7 @@ class TestStreamedReport:
         path = tmp_path / "sweep.json"
         if existing:
             path.write_bytes(b'{"old": "report"}\n')
-        render = cli._verdict_json
-
-        def failing(v):
-            if v.oracle_id == 9:
-                raise error("row failed")
-            return render(v)
-
-        monkeypatch.setattr(cli, "_verdict_json", failing)
+        fail_at_row_9(monkeypatch, error)
         argv = ("sweep", "--n", "2", "--out", str(path))
         if code is None:
             with pytest.raises(error, match="row failed"):
@@ -314,13 +351,7 @@ class TestStreamedReport:
             assert list(tmp_path.iterdir()) == []
 
     def test_failure_mid_csv_keeps_the_old_report(self, tmp_path, monkeypatch):
-        class Unprintable(float):
-            def __repr__(self):
-                raise RuntimeError("row failed")
-
-        report = sweep_all_f(2, "float")
-        report.verdicts[9] = dataclasses.replace(report.verdicts[9], tv_to_first=Unprintable(0.0))
-        monkeypatch.setattr(cli, "sweep_all_f", lambda n, backend, *, seed: report)
+        fail_at_row_9(monkeypatch, RuntimeError)
         path = tmp_path / "sweep.csv"
         path.write_bytes(b"old,report\n")
         with pytest.raises(RuntimeError, match="row failed"):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_float_state,
     report_dict,
     sample,
+    sweep_report,
     to_float,
 )
 
@@ -167,6 +169,61 @@ class TestDistribution:
             d = Distribution(plane, 63)
             assert d[0] == d[1] == DyadicReal(1, 0, 1)
             assert all(type(x) is int for x in d.plane)
+
+
+def quarter_rows(rows: int = 512, dtype=np.float64) -> np.ndarray:
+    """A row table of ``rows`` rows, each of four entries 1/4 as floats
+    or 1 (at h = 2) as integers."""
+    return np.full((rows, 4), 0.25 if dtype == np.float64 else 1, dtype)
+
+
+class TestCheckTotal:
+    """Every row of a 512-row table is checked in one array comparison,
+    and the error names the first bad row's total."""
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e-6])
+    def test_first_bad_float_row_is_named(self, bad):
+        plane = quarter_rows()
+        plane[300, 1] += bad
+        plane[400, 2] += 0.5
+        total = float(plane[300].sum())
+        assert not abs(total - 1.0) <= 1e-9
+        with pytest.raises(ValueError, match=re.escape(f"probabilities sum to {total}, not 1")):
+            Distribution._of(plane)._check_total()
+        # Within 1e-9 every row passes.
+        plane = quarter_rows()
+        plane[300, 1] += 1e-10
+        Distribution._of(plane)._check_total()
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_exact_row_off_by_one_unit(self, dtype):
+        plane = quarter_rows(dtype=np.int64).astype(dtype)
+        Distribution._of(plane, 2)._check_total()
+        plane[300, 0] += 1
+        with pytest.raises(ValueError, match="^exact probabilities do not sum to 1$"):
+            Distribution._of(plane, 2)._check_total()
+
+    def test_exact_tables_past_63_bits(self):
+        # Rows of four 2^61 sum to 2^63 in uint64 and in Python ints: one
+        # at h = 63.  No warning may rise, as warnings are errors here.
+        for dtype in (np.uint64, object):
+            plane = (quarter_rows(dtype=np.int64) << 61).astype(dtype)
+            Distribution._of(plane, 63)._check_total()
+            with pytest.raises(ValueError, match="do not sum to 1"):
+                Distribution._of(plane, 64)._check_total()
+        # No int64 sum reaches 2^63 (a row of 2^61s sums to 2^63 only
+        # past int64, so int64 tables hold 2^60s here): one half at h = 63.
+        plane = quarter_rows(dtype=np.int64) << 60
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            Distribution._of(plane, 63)._check_total()
+        Distribution._of(plane, 62)._check_total()
+        # 2^63 - 1 is 2^63 in float64, and still no total of 1.
+        plane[:, :2] = [1 << 62, (1 << 62) - 1]
+        plane[:, 2:] = 0
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            Distribution._of(plane, 63)._check_total()
+        big = [1 << 199] * 2
+        Distribution(big, 200)._check_total()
 
 
 class TestMarginal:
@@ -387,19 +444,20 @@ class TestSweep:
 
     def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
         # Every float table at n = 3 is bitwise the first one, so no pair
-        # is compared: _tv_rows runs once, for the one batch's distances
-        # to the first table, and the all-pairs loop never calls it.
+        # is compared: _tv_sums runs once, for the one batch's distances
+        # to the first table, and the all-pairs loop, whose _tv_rows calls
+        # it too, never runs.
         calls = []
-        tv = refutation._tv_rows
-        monkeypatch.setattr(refutation, "_tv_rows", lambda p, q: calls.append(1) or tv(p, q))
+        tv = refutation._tv_sums
+        monkeypatch.setattr(refutation, "_tv_sums", lambda p, q: calls.append(1) or tv(p, q))
         rep = cs.sweep_all_f(3, cs.FLOAT)
         assert rep.oracle_count == 256 and calls == [1]
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
 
     def test_all_pairs_when_tables_differ(self):
         table = Distribution._of(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
-        rep = refutation.SweepReport(1, cs.FLOAT, False, 0, cs.RNG_ALGORITHM)
-        rep.verdicts = [refutation.OracleVerdict(i, 0, True, 0.0, 0.0) for i in range(3)]
+        rep = sweep_report([(0, True, 0.0, 0.0)] * 3, n=1, backend=cs.FLOAT, exhaustive=False,
+                           seed=0, rng_algorithm=cs.RNG_ALGORITHM)
         refutation._fill_pairwise_tv(rep, [table], identical=False)
         assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
 
