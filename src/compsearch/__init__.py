@@ -58,7 +58,6 @@ from .analytic import (
 from .refutation import (
     Distribution,
     GroverComparison,
-    OracleVerdict,
     RNG_ALGORITHM,
     SweepReport,
     check_oracle,

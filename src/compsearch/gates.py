@@ -32,6 +32,10 @@ s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
 fl(a - b), signed zeros included, each amplitude is, on either walk,
 bit for bit the sum of fl(G[i, j] x_j) that unscaled steps would give.
 An exact plane takes S as it is, and the state's exponent grows by e.
+On both backends the state's tracked bound is checked before any write
+(see :meth:`~compsearch.state.StateVector._make_room`), so a gate or
+oracle raises OverflowError rather than wrap an integer or leave a
+float amplitude non-finite, and no plane is scanned after a gate.
 A state marks the qubits known to read 0 on every nonzero amplitude
 (see :mod:`compsearch.state`), as all of |0...0> does.  A gate on
 marked qubits alone meets only gate slot 0, so no integer grows, and
@@ -146,22 +150,20 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     stay so.  A float chunk is first scaled by (1/sqrt(2))^e.  The steps
     then fill the plan's buffers, allocated once per call, and write
     each output in place by ufuncs with ``out=``.  An exact state's
-    exponent then grows by e.  Exact integers are checked against the
-    state's tracked bound, so a gate raises OverflowError before any
-    write; when every gate qubit is known to read 0, only gate slot 0
-    holds nonzero integers, and none grows.  The gate's qubits are then
-    no longer known to read 0.
+    exponent then grows by e.  On either backend the state's tracked
+    bound is checked first, so a gate raises OverflowError before any
+    write, and then grows by the gate's growth times (1/sqrt(2))^e on a
+    float plane; when every gate qubit is known to read 0, only gate
+    slot 0 holds nonzero amplitudes, and none grows.  The gate's qubits
+    are then no longer known to read 0.
     """
     m = state.num_qubits
     bits = _check_placement(m, qubits, gate.dim)
     exact = state.backend == EXACT
-    if not (exact or gate._keeps_zero):
-        # The full walk turns some +0.0 outside the box into -0.0.
-        state._zeros = 0
-    zeros = state._zeros
+    # The full walk turns some +0.0 outside the box into -0.0.
+    zeros = state._zeros if exact or gate._keeps_zero else 0
     growth = gate._growth if bits & ~zeros else 1
-    if exact:
-        state._make_room(growth)
+    state._make_room(growth)
     scale = 1 if exact else gate._scale
     plane = state._plane
     others = zeros & ~bits
@@ -173,7 +175,6 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     extra = [_pattern(p, dims[-1], plane.dtype) for p in periods]
     extra += [np.empty(dims, plane.dtype) for _ in range(temps)]
     view = plane.reshape(shape)
-    finite = True
     for chunk in chunks:
         region = view[chunk] if chunk else view
         if scale != 1:
@@ -181,14 +182,10 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
         arrays = [region[i] for i in slots] + extra
         for ufunc, x, y, y_is_slot, out in steps:
             ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
-        if box and not exact:
-            finite = finite and bool(np.isfinite(region).all())
     state._zeros = zeros & ~bits
+    state._bound *= growth * scale
     if exact:
         state._e += gate._e
-        state._bound *= growth
-    elif not (finite and (box or np.isfinite(plane).all())):
-        raise ArithmeticError("non-finite amplitude in float backend")
     return state
 
 
@@ -393,8 +390,10 @@ def _plan(signs: tuple, m: int, qubits: tuple[int, ...], box: bool) -> tuple:
             if sx == -1:
                 x, y = y, x
             writes.append((np.add if sx == sy else np.subtract, x, y, True, a))
-        elif not (x == a and sx == 1):
+        elif sx != 1:
             writes.append((np.multiply, x, sx, False, a))
+        elif x != a:
+            writes.append((_copy, x, None, False, a))
         written.add(a)
         for src, flip, sign, n in terms[1 + pair:]:
             y = operand(a, src, flip, n)
@@ -484,9 +483,10 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     the leading qubits, so R = 1 is one oracle on the whole state.  A
     sign -1 turns a float +0.0 into -0.0, so a float state's qubits are
     then no longer known to read +0.0; an exact state's still read 0.
-    Exact integers are checked against the state's tracked bound, as a
-    gate's are, so an int64 plane at that bound raises OverflowError
-    before any write rather than wrap -2^63 back to itself.
+    The state's tracked bound is checked, as a gate's is, on either
+    backend, so an int64 plane at that bound raises OverflowError before
+    any write rather than wrap -2^63 back to itself, and so does a float
+    plane past 2^1022.
     """
     rows, size = signs.shape
     if rows < 1 or size < 1 or rows & (rows - 1) or size & (size - 1):
@@ -494,8 +494,7 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     n = size.bit_length() - 1
     m = state.num_qubits - (rows.bit_length() - 1)
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
-    if state.backend == EXACT:
-        state._make_room(1)
+    state._make_room(1)
     view = state._plane.reshape(pre, size, post, rows)
     # In the plane's own dtype, numpy runs no cast of every amplitude.
     view *= signs.T.astype(view.dtype)[None, :, None, :]

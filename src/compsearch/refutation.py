@@ -133,17 +133,12 @@ class Distribution:
 
     def _check_total(self) -> None:
         """Raise ValueError unless the table, or each row of a row table,
-        sums to 1: an exact row to 2^h, a float one within 1e-9, all rows
-        in one array comparison."""
+        sums to 1: an exact row to 2^h, compared as Python ints, and a
+        float one within 1e-9, all rows in one array comparison."""
         sums = np.atleast_1d(self.plane.sum(axis=-1))
         if self.exact:
-            one = 1 << self.h
-            if sums.dtype != object and one > np.iinfo(sums.dtype).max:
-                # No sum in this dtype reaches 2^h.  NumPy 1 would compare
-                # int64 with 2^63 through float64, where 2^63 - 1 rounds
-                # up to it; Python ints compare exactly.
-                sums = sums.astype(object)
-            if not (sums == one).all():
+            # As Python ints, every total compares with 2^h exactly.
+            if any(total != 1 << self.h for total in sums.tolist()):
                 raise ValueError("exact probabilities do not sum to 1")
             return
         ok = np.abs(sums - 1.0) <= 1e-9  # a NaN total fails too
@@ -243,15 +238,6 @@ def sample_distribution(dist: Distribution, count: int, seed: int = 0) -> np.nda
     return np.bincount(idx, minlength=len(probs)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    oracle_id: int
-    table: int
-    exact_match: bool
-    max_deviation: float
-    tv_to_first: float
-
-
 @dataclass(eq=False)
 class SweepReport:
     """The statistics of a sweep and its per-oracle columns.
@@ -282,13 +268,6 @@ class SweepReport:
     @property
     def oracle_count(self) -> int:
         return len(self.columns[0])
-
-    @property
-    def verdicts(self) -> tuple[OracleVerdict, ...]:
-        """One :class:`OracleVerdict` per oracle, built from the columns on
-        each read."""
-        rows = zip(*(column.tolist() for column in self.columns))
-        return tuple(OracleVerdict(i, *row) for i, row in enumerate(rows))
 
     def summary(self) -> dict:
         """Every field of the report but the columns, which the CLI writes

@@ -16,10 +16,9 @@ plane:
   minimal (e < 2, or some integer odd) after construction, ``copy()``
   and ``circuit.run``; gate kernels may leave it larger.  ``==``
   compares values at the larger e of the two states and changes
-  neither.  Each exact state tracks ``_bound``, an upper bound on its
-  integer magnitudes.  ``StateVector(m)`` starts c as int8, and a gate
-  that might push an integer to 2^(bits - 2) of c's dtype first reduces
-  e and rescans, then widens c to int16, int32 and int64 as needed, and
+  neither.  ``StateVector(m)`` starts c as int8, and a gate that might
+  push an integer to 2^(bits - 2) of c's dtype first reduces e and
+  rescans, then widens c to int16, int32 and int64 as needed, and
   raises OverflowError, before any write, only where int64 has no room
   (2^62).  Integers never wrap.  The closed forms and
   ``from_amplitudes`` build int64 planes; the width is internal, and no
@@ -27,6 +26,13 @@ plane:
 * ``"float"`` -- one float64 plane holding the amplitudes; e = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.
+  A gate that might push an amplitude to 2^1022 first rescans, and
+  raises OverflowError, before any write, where the plane still has no
+  room, so no amplitude turns non-finite.
+
+Each state of either backend tracks ``_bound``, an upper bound on the
+magnitudes in its plane (an int, or a float for a float plane), and
+:meth:`StateVector._make_room` is the one overflow guard of both.
 
 Gate kernels (:mod:`compsearch.gates`) act on the plane alike for both
 backends.  Exact states compare with ``==`` at zero tolerance.  For
@@ -75,15 +81,19 @@ _INT64_SAFE = 1 << 62
 _COMPARE_CHUNK = 1 << 16
 
 
-def _abs_max(plane: np.ndarray) -> int:
-    """max |plane| as a Python int, without a temporary plane."""
-    return max(int(plane.max()), -int(plane.min()))
+def _abs_max(plane: np.ndarray) -> int | float:
+    """max |plane|, without a temporary plane: a Python int for an
+    integer or object plane, a float for a float plane."""
+    cast = float if plane.dtype.kind == "f" else int
+    return max(cast(plane.max()), -cast(plane.min()))
 
 
-def _safe(plane: np.ndarray) -> int:
-    """The bound that integer magnitudes in ``plane`` must stay below
-    after a gate: 2^(bits - 2) for its dtype, 2^62 for int64."""
-    return 1 << (8 * plane.itemsize - 2)
+def _safe(plane: np.ndarray) -> int | float:
+    """The bound that magnitudes in ``plane`` must stay below after a
+    gate: 2^(bits - 2) for an integer dtype, 2^62 for int64, and 2^1022
+    for float64, which leaves room below the float maximum for a growth
+    of 4 and for rounding."""
+    return 2.0**1022 if plane.dtype.kind == "f" else 1 << (8 * plane.itemsize - 2)
 
 
 def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
@@ -298,22 +308,20 @@ class StateVector:
 
     @classmethod
     def _from_plane(
-        cls, num_qubits: int, backend: str, plane, e: int = 0, bound: int | None = None
+        cls, num_qubits: int, backend: str, plane, e: int = 0, bound: int | float | None = None
     ) -> StateVector:
         """A state that takes ownership of ``plane`` (see the module
-        docstring), with no qubit known to read 0; exact states are
-        reduced to their minimal e, and scanned for their bound unless
-        ``bound`` gives it."""
+        docstring), with no qubit known to read 0, scanned for its bound
+        unless ``bound`` gives it; exact states are reduced to their
+        minimal e."""
         s = cls.__new__(cls)
         s.num_qubits = num_qubits
         s.backend = backend
         s._plane = plane
         s._e = e
-        s._bound = 1
+        s._bound = _abs_max(plane) if bound is None else bound
         s._zeros = 0
-        if backend == EXACT:
-            s._bound = _abs_max(plane) if bound is None else bound
-            s._canonical_reduce()
+        s._canonical_reduce()
         return s
 
     def copy(self) -> StateVector:
@@ -463,22 +471,22 @@ class StateVector:
             self._bound >>= t
 
     def _make_room(self, growth: int) -> None:
-        """Make sure a gate that grows integers by at most ``growth`` stays
-        below the plane's :func:`_safe` bound: when the tracked bound
-        allows no such gate, reduce e and rescan, then widen the plane
-        one integer width at a time until it has room; raise
-        OverflowError if an int64 plane still has none.  The state's
-        value never changes here."""
+        """Make sure a gate that grows magnitudes by at most ``growth``
+        stays below the plane's :func:`_safe` bound: when the tracked
+        bound allows no such gate, reduce e and rescan, then widen an
+        integer plane one width at a time until it has room; raise
+        OverflowError if an int64 or float64 plane still has none.  The
+        one overflow guard of both backends, called before any write;
+        the state's value never changes here."""
         if self._bound * growth < _safe(self._plane):
             return
         self._canonical_reduce()
         self._bound = _abs_max(self._plane)
         while self._bound * growth >= _safe(self._plane):
-            if self._plane.itemsize >= 8:
-                raise OverflowError(
-                    "exact amplitude integers would exceed int64; "
-                    "state has grown beyond this backend's checked range"
-                )
+            if self._plane.dtype.kind == "f" or self._plane.itemsize >= 8:
+                what = ("float amplitudes could turn non-finite" if self._plane.dtype.kind == "f"
+                        else "exact amplitude integers would exceed int64")
+                raise OverflowError(f"{what}; state has grown beyond this backend's checked range")
             self._plane = self._plane.astype(f"i{2 * self._plane.itemsize}")
 
     def terms(self) -> str:

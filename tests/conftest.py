@@ -281,19 +281,20 @@ def delta_identity(n: int, k: int, l: int) -> int:
 
 
 def report_dict(report: cs.SweepReport) -> dict:
-    """The sweep report's summary plus one dict per verdict, keyed as the
-    JSON report's ``results`` is."""
+    """The sweep report's summary plus one dict per oracle, read from its
+    columns and keyed as the JSON report's ``results`` is."""
+    rows = zip(*(column.tolist() for column in report.columns))
     return {
         **report.summary(),
         "verdicts": [
             {
-                "oracle_id": v.oracle_id,
-                "table": format(v.table, "#x"),
-                "exact_match": v.exact_match,
-                "max_dev": v.max_deviation,
-                "tv_to_first": v.tv_to_first,
+                "oracle_id": i,
+                "table": format(table, "#x"),
+                "exact_match": match,
+                "max_dev": dev,
+                "tv_to_first": tv,
             }
-            for v in report.verdicts
+            for i, (table, match, dev, tv) in enumerate(rows)
         ],
     }
 

@@ -234,11 +234,9 @@ def test_float_texts_are_keyed_by_bit_pattern():
 def _old_sweep_csv(report):
     """The CSV report as it was built before rows were streamed: joined."""
     lines = ["oracle_id,exact_match,max_dev,tv_to_first"]
-    for v in report.verdicts:
-        lines.append(
-            f"{v.oracle_id},{'true' if v.exact_match else 'false'},"
-            f"{v.max_deviation!r},{v.tv_to_first!r}"
-        )
+    _, match, dev, tv = (column.tolist() for column in report.columns)
+    for i, (m, d, t) in enumerate(zip(match, dev, tv)):
+        lines.append(f"{i},{'true' if m else 'false'},{d!r},{t!r}")
     return "\n".join(lines) + "\n"
 
 

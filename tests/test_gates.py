@@ -378,14 +378,48 @@ class TestNormPreservation:
             assert abs(s.norm_squared() - 1.0) <= 1e-12
 
     def test_float_kernels_reject_nonfinite(self):
-        # Finite amplitudes whose sum overflows to inf inside the kernel.
+        # Finite amplitudes whose sum would overflow to inf inside the
+        # kernel: the gate is refused before any write, so no overflow
+        # warning is raised and the plane keeps its values.
         big = 1.7e308
-        s = StateVector.from_amplitudes([big, big], cs.FLOAT)
-        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+        for amps, apply in [
+            ([big, big], lambda s: cs.apply_gate1(s, 1, cs.hadamard())),
+            ([big, 0.0, big, 0.0], lambda s: cs.apply_gate2(s, 1, 2, cs.comparison_gate())),
+        ]:
+            s = StateVector.from_amplitudes(amps, cs.FLOAT)
+            with pytest.raises(OverflowError, match="non-finite"):
+                apply(s)
+            assert s._plane.tolist() == amps
+
+    def test_float_gates_take_amplitudes_up_to_2_1000(self):
+        # A gate grows amplitudes at most fourfold, so amplitudes of at most
+        # 2^1000 are never refused, however far the tracked bound has grown
+        # since its last scan.  Scaling by 2^1000 is exact, so each gate's
+        # result is bitwise 2^1000 times its result on the unscaled state.
+        rng = np.random.Generator(np.random.PCG64(21))
+        amps = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.0, 8)
+        small = StateVector.from_amplitudes(amps, cs.FLOAT)
+        big = StateVector.from_amplitudes(np.ldexp(amps, 1000), cs.FLOAT)
+        placements = [(q,) for q in range(1, 4)]
+        placements += [(p, q) for p in range(1, 4) for q in range(1, 4) if p != q]
+        for _ in range(10):
+            for qubits in placements:
+                gate = cs.hadamard() if len(qubits) == 1 else cs.comparison_gate()
+                for s in (small, big):
+                    gates._apply(s, qubits, gate)
+                assert np.array_equal(np.ldexp(small._plane, 1000), big._plane), qubits
+                _check_bound(big)
+
+    def test_float_bound_rescans_on_long_words(self):
+        # Each H grows the tracked bound by sqrt(2) while H H leaves the
+        # amplitudes as they were, so 3000 of them take the bound past
+        # 2^1022 many times over: the state rescans rather than refusing.
+        s = StateVector(1, cs.FLOAT)
+        for _ in range(3000):
             cs.apply_gate1(s, 1, cs.hadamard())
-        s = StateVector.from_amplitudes([big, 0.0, big, 0.0], cs.FLOAT)
-        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
-            cs.apply_gate2(s, 1, 2, cs.comparison_gate())
+            _check_bound(s)
+            assert s._bound < 2.0**1022
+        assert s.max_abs_diff(StateVector(1, cs.FLOAT)) <= 1e-12
 
 
 R = 1 / np.sqrt(2)
@@ -740,8 +774,8 @@ def _run_word(word, backend: str = cs.EXACT, check=None, narrow: bool = False) -
 
 
 def _check_bound(s: StateVector) -> None:
-    """The exact plane's tracked bound covers its integers."""
-    assert s._bound >= int(np.abs(s._plane).max())
+    """The plane's tracked bound covers its magnitudes, integers or floats."""
+    assert s._bound >= max(map(abs, s._plane.tolist()))
 
 
 class TestExactKernelDifferential:
@@ -749,15 +783,18 @@ class TestExactKernelDifferential:
     @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), starts=STARTS))
     def test_words_match_exact_reference(self, word):
         _run_word(word, check=_check_bound)
+        _run_word(word, cs.FLOAT, check=_check_bound)
 
     @settings(max_examples=25, deadline=None)
     @given(gate_words(kinds=("H", "C", "HH"), min_size=40, max_size=64, starts=STARTS))
     def test_long_words_match_exact_reference(self, word):
         # Each of these gates may grow an integer fourfold, so 40 of them
         # leave int64's checked range unless the kernel reduces on the way,
-        # and leave int8's unless it also widens.
+        # and leave int8's unless it also widens.  A float state's bound
+        # grows by the same factors times (1/sqrt(2))^e.
         _run_word(word, check=_check_bound)
         _run_word(word, check=_check_bound, narrow=True)
+        _run_word(word, cs.FLOAT, check=_check_bound)
 
     @settings(max_examples=60, deadline=None)
     @given(gate_words(kinds=("H", "X", "Z", "C", "HH", "O"), max_size=20, starts=STARTS))

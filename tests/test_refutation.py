@@ -420,7 +420,8 @@ class TestSweep:
         assert rep.max_deviation == 0.0
         assert rep.max_pairwise_tv == 0.0 and rep.max_pairwise_tv_is_exact
         assert rep.marginal_uniformity_deviation == 0.0
-        assert all(v.exact_match and v.tv_to_first == 0.0 for v in rep.verdicts)
+        _, match, _, tv = rep.columns
+        assert match.all() and (tv == 0.0).all()
 
     def test_sampled_float_sweep(self, sampled_float_sweep):
         rep = sampled_float_sweep
@@ -439,7 +440,7 @@ class TestSweep:
         big = sampled_float_sweep
         assert big.oracle_count > refutation._ALL_PAIRS_LIMIT
         assert not big.max_pairwise_tv_is_exact
-        top = sorted(v.tv_to_first for v in big.verdicts)[-2:]
+        top = sorted(big.columns[3].tolist())[-2:]
         assert big.max_pairwise_tv == sum(top)
 
     def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
@@ -480,8 +481,8 @@ class TestSweep:
         dists = [cs.distribution(cs.simulate(broken(n, f), backend)) for f in cs.all_oracles(n)]
         assert rep.oracle_count == len(dists) <= refutation._ALL_PAIRS_LIMIT
         assert not rep.all_match
-        for v, d in zip(rep.verdicts, dists):
-            assert v.tv_to_first == float(cs.tv_distance(d, dists[0]))
+        for tv, d in zip(rep.columns[3].tolist(), dists):
+            assert tv == float(cs.tv_distance(d, dists[0]))
         worst = max(
             float(cs.tv_distance(dists[i], dists[j]))
             for i in range(len(dists))
