@@ -15,7 +15,10 @@ run twice:
   cost O(2^(3n)).
 * target_output: the diagonal state with amplitude (-1)^f(k)/sqrt(2^n)
   on |k>|k> and zero elsewhere -- what psi3 collapses to via the parity
-  identity sum_j (-1)^(j.d) = 2^n [d = 0].
+  identity sum_j (-1)^(j.d) = 2^n [d = 0].  It is one dense state, for
+  one oracle; the sweeps judge a batch of outputs against the same
+  diagonal read off the sign table in place, with no target state (see
+  :func:`compsearch.refutation._match_diagonal`).
 
 Bit i of an n-bit integer is counted from the most significant side,
 matching the register convention in :mod:`compsearch.state`.
@@ -111,16 +114,7 @@ def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
 def target_output(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
     """The diagonal state: (-1)^f(k)/sqrt(2^n) on |k>|k>, zero elsewhere."""
     _check_args(n, f, backend)
-    return _target_rows(n, f.sign_array()[None], backend)
-
-
-def _target_rows(n: int, signs: np.ndarray, backend: str) -> StateVector:
-    """The diagonal state of every row of an (R, 2^n) sign table,
-    signs[r, k]/sqrt(2^n) on |k>|k> and zero elsewhere, with R a power of
-    two: row r is where the leading log2 R qubits read r, laid out like
-    :func:`compsearch.circuit._simulate_rows`' result."""
-    rows, size = signs.shape
-    coeff = np.zeros((rows, size * size), dtype=np.int8)
-    coeff[:, :: size + 1] = signs
-    num_qubits = (rows.bit_length() - 1) + 2 * n
-    return _from_units(num_qubits, coeff.reshape(-1), n, backend)
+    size = 1 << n
+    coeff = np.zeros(size * size, dtype=np.int8)
+    coeff[:: size + 1] = f.sign_array()
+    return _from_units(2 * n, coeff, n, backend)

@@ -52,7 +52,7 @@ from .refutation import (
     EXHAUSTIVE_SWEEP_MAX_N,
     SweepReport,
     _check_oracles,
-    _match_rows,
+    _match_diagonal,
     _oracle_tables,
     compare_grover,
     sweep_all_f,
@@ -283,13 +283,15 @@ def cmd_trace(args) -> tuple[int, list[str]]:
         "psi2a": analytic.psi2a(args.n, f, backend),
         "psi3": analytic.psi3(args.n, f, backend),
     }
-    target = analytic.target_output(args.n, f, backend)
 
     checkpoints = []
     all_match = True
     for label in CHECKPOINT_LABELS:
         state = trace[label]
-        ok = bool(_match_rows(state, reference[label], 1)[0][0])
+        if backend == EXACT:
+            ok = state == reference[label]
+        else:
+            ok = state.max_abs_diff(reference[label]) <= FLOAT_ATOL
         all_match = all_match and ok
         checkpoints.append(
             {
@@ -302,7 +304,7 @@ def cmd_trace(args) -> tuple[int, list[str]]:
             }
         )
         print(f"{label:>5}: {state.terms()}   analytic match: {'yes' if ok else 'NO'}")
-    target_ok = bool(_match_rows(trace[PSI3], target, 1)[0][0])
+    target_ok = bool(_match_diagonal(trace[PSI3], f.sign_array()[None])[0][0])
     all_match = all_match and target_ok
     print(f"final state equals diagonal target: {'yes' if target_ok else 'NO'}")
 

@@ -13,6 +13,8 @@ output against the diagonal target state.  Oracles run a batch at a
 time: R oracles are one state whose trailing log2 R qubits pick the
 oracle while the circuit runs; the result is transposed so that its
 leading log2 R qubits do, and the statistics are taken per row of it.
+Each row is judged against its oracle's sign table in place, on the
+diagonal and off it, so no target state is built.
 ``compare_grover`` runs the contrast case: the same marked element
 handed to Grover search is found with probability near 1, while the
 comparison circuit leaves it at exactly 2^-n.
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analytic import _target_rows
 from .circuit import (
     _simulate_rows,
     build_comparison_search,
@@ -331,19 +332,39 @@ def _verdicts(n: int, backend: str, tables: np.ndarray):
     for batch, signs in _batches(n, tables):
         first = BooleanOracle(n, int(batch[0]))
         out = _simulate_rows(build_comparison_search(n, first), signs, backend)
-        # Matched in a call of its own, so that the target is freed before
-        # the yield rather than held while the caller reads the batch.
-        yield (batch, out, *_match_rows(out, _target_rows(n, signs, backend), len(batch)))
+        yield (batch, out, *_match_diagonal(out, signs))
 
 
-def _match_rows(out: StateVector, target: StateVector, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, whether ``out`` matches ``target`` -- zero-tolerance in
-    the exact backend, FLOAT_ATOL in float -- and the largest deviation,
-    as a bool and a float64 array."""
-    dev = np.array(out._deviations(target, rows))
-    if out.backend == EXACT:
-        return np.array(out._rows_equal(target, rows)), dev
-    return dev <= FLOAT_ATOL, dev
+def _match_diagonal(out: StateVector, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r of ``out`` (see :func:`_verdicts`), whether it equals the
+    diagonal target signs[r, k]/sqrt(2^n) on |k>|k>, zero elsewhere --
+    zero-tolerance in the exact backend, FLOAT_ATOL in float -- and the
+    largest deviation from it, as a bool and a float64 array.
+
+    It reads the sign table and two strided views of the plane, the
+    diagonal and the rest, and builds no target.  The deviation is
+    :meth:`StateVector.max_abs_diff`'s against the target: off the
+    diagonal the largest |c| of a row, taken as a float once, which is
+    exact as :func:`_as_float` is odd and monotone.  Exact values match
+    as ``==`` rules against a +-1 target at e = n: only at e = n + 2t,
+    with the diagonal signs * 2^t and every other integer 0."""
+    rows, size = signs.shape
+    n = size.bit_length() - 1
+    plane = out._plane.reshape(rows, size * size)
+    diag = plane[:, :: size + 1]
+    off = plane[:, 1:].reshape(rows, size - 1, size + 1)[:, :, :size]
+    hi, lo = off.max(axis=(1, 2)), off.min(axis=(1, 2))
+    diff = _as_float(diag, out._e) - _as_float(signs, n)
+    # abs: np.maximum returns its second operand on a tie, which would
+    # make a row of float zeros deviate by -0.0.
+    dev = np.abs(np.maximum(_as_float(hi, out._e), -_as_float(lo, out._e)))
+    dev = np.maximum(np.abs(diff, out=diff).max(axis=1), dev)
+    if out.backend == FLOAT:
+        return dev <= FLOAT_ATOL, dev
+    t, odd = divmod(out._e - n, 2)
+    if odd or not 0 <= t < 62:
+        return np.zeros(rows, bool), dev
+    return (diag == signs << t).all(axis=1) & (hi == 0) & (lo == 0), dev
 
 
 def _row_table(out: StateVector, rows: int) -> Distribution:

@@ -175,7 +175,7 @@ class BooleanOracle:
 
     def sign_array(self) -> np.ndarray:
         """(-1)^f(k) for all k, as int64."""
-        return _sign_table(self.n, [self])[0]
+        return _table_signs(self.n, _tables(self.n, [self.table]))[0]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BooleanOracle):
@@ -197,15 +197,6 @@ def _check_register(n: int, f: BooleanOracle | None = None) -> None:
         raise ValueError(f"register size must be >= 1, got {n}")
     if f is not None and f.n != n:
         raise ValueError(f"oracle arity {f.n} does not match n={n}")
-
-
-def _sign_table(n: int, oracles: Sequence[BooleanOracle]) -> np.ndarray:
-    """(-1)^f(k) for each of ``oracles`` (rows, all on n bits) and each k
-    (columns) as int64; :meth:`BooleanOracle.sign_array` is its one-row
-    case."""
-    if any(f.n != n for f in oracles):
-        raise ValueError(f"oracle arity does not match n={n}")
-    return _table_signs(n, _tables(n, [f.table for f in oracles]))
 
 
 def _tables(n: int, tables) -> np.ndarray:
@@ -390,68 +381,53 @@ class StateVector:
         return abs(self.norm_squared() - 1.0) <= FLOAT_ATOL
 
     def max_abs_diff(self, other: StateVector) -> float:
-        """Largest per-amplitude deviation, comparing via floats.
+        """Largest per-amplitude deviation, both planes taken as floats as
+        by :meth:`to_float_array`, a slice of _COMPARE_CHUNK amplitudes at
+        a time; a max is exact in any order.
 
         Works across backends; for two exact states prefer ``==``.
         """
-        return self._deviations(other, 1)[0]
+        if self.num_qubits != other.num_qubits:
+            raise ValueError("qubit counts differ")
+        dev = 0.0
+        for start in range(0, self.num_states, _COMPARE_CHUNK):
+            cols = slice(start, start + _COMPARE_CHUNK)
+            x, y = self._plane[cols], other._plane[cols]
+            diff = _as_float(x, self._e) - _as_float(y, other._e)
+            dev = max(dev, float(np.abs(diff, out=diff).max()))
+        return dev
 
     def __eq__(self, other: object) -> bool:
+        """Whether two states of one backend hold equal values, changing
+        neither, a slice of _COMPARE_CHUNK amplitudes at a time up to the
+        first unequal one: float planes by ``==``, and exact planes at the
+        larger e of the two.  An integer x at e - 2s equals y at e exactly
+        when y is a multiple of 2^s and y >> s == x, which needs no shift
+        that could overflow; x at e - 2s - 1 equals y only when both are
+        0, as sqrt(2) is irrational."""
         if not isinstance(other, StateVector):
             return NotImplemented
         if self.num_qubits != other.num_qubits or self.backend != other.backend:
             return False
-        return self._rows_equal(other, 1)[0]
-
-    def _column_chunks(self, other: StateVector, rows: int) -> Iterator[tuple]:
-        """Both states' planes viewed as ``rows`` rows, in column slices
-        of about _COMPARE_CHUNK amplitudes: ``(self's, other's)`` per
-        slice.  Row r is the part of a state whose leading log2(rows)
-        qubits read r."""
-        if self.num_qubits != other.num_qubits:
-            raise ValueError("qubit counts differ")
-        x, y = self._plane.reshape(rows, -1), other._plane.reshape(rows, -1)
-        step = max(1, _COMPARE_CHUNK // rows)
-        for start in range(0, x.shape[1], step):
-            cols = slice(start, start + step)
-            yield x[:, cols], y[:, cols]
-
-    def _deviations(self, other: StateVector, rows: int) -> list[float]:
-        """Per row (see :meth:`_column_chunks`), the largest deviation of
-        an amplitude from ``other``'s, both taken as floats as by
-        :meth:`to_float_array`; a slice at a time, and a max is exact in
-        any order."""
-        dev = np.zeros(rows)
-        for x, y in self._column_chunks(other, rows):
-            diff = _as_float(x, self._e) - _as_float(y, other._e)
-            np.maximum(dev, np.abs(diff, out=diff).max(axis=1), out=dev)
-        return dev.tolist()
-
-    def _rows_equal(self, other: StateVector, rows: int) -> list[bool]:
-        """Per row (see :meth:`_column_chunks`), whether the two states of
-        one backend hold equal values, changing neither: float planes by
-        ``==``, and exact planes at the larger e of the two.  An integer
-        x at e - 2s equals y at e exactly when y is a multiple of 2^s and
-        y >> s == x, which needs no shift that could overflow; x at
-        e - 2s - 1 equals y only when both are 0, as sqrt(2) is
-        irrational."""
         if self._e > other._e:
-            return other._rows_equal(self, rows)
+            return other == self
         shift, odd = divmod(other._e - self._e, 2)
         # Past 63 bits only y = 0 is a multiple of 2^shift in int64.
         low = (1 << shift) - 1 if shift < 64 else -1
-        equal = np.ones(rows, dtype=bool)
-        for x, y in self._column_chunks(other, rows):
+        for start in range(0, self.num_states, _COMPARE_CHUNK):
+            cols = slice(start, start + _COMPARE_CHUNK)
+            x, y = self._plane[cols], other._plane[cols]
             if odd:
-                equal &= ~x.any(axis=1) & ~y.any(axis=1)
-                continue
-            if shift:
+                equal = not (x.any() or y.any())
+            elif shift:
                 # NumPy 2 refuses a Python-int low outside y's dtype.
                 y = y.astype(np.int64)
-                equal &= ~(y & low).any(axis=1)
-                y = y >> min(shift, 63)
-            equal &= (x == y).all(axis=1)
-        return equal.tolist()
+                equal = not (y & low).any() and (x == y >> min(shift, 63)).all()
+            else:
+                equal = (x == y).all()
+            if not equal:
+                return False
+        return True
 
     def _canonical_reduce(self) -> None:
         """Divide out common factors of 2, lowering e by 2 for each, while

@@ -92,7 +92,8 @@ def literal_signs(n: int, tables) -> list:
 def assert_batches_match(n: int, tables: np.ndarray, oracles: list) -> None:
     """The table batches of ``tables`` are the oracle batches of
     ``oracles``: the same sizes, and row for row the same sign tables,
-    both as ``_sign_table`` and as the literal bits give them."""
+    both as the oracles' ``sign_array`` and as the literal bits give
+    them."""
     rows = max(1, refutation._BATCH_AMPS >> (2 * n))
     want = list(oracle_batches(oracles, rows))
     got = list(refutation._batches(n, tables))
@@ -100,7 +101,7 @@ def assert_batches_match(n: int, tables: np.ndarray, oracles: list) -> None:
     for (batch, signs), fs in zip(got, want):
         assert batch.tolist() == [f.table for f in fs]
         assert signs.dtype == np.int64
-        assert np.array_equal(signs, state._sign_table(n, fs))
+        assert np.array_equal(signs, np.stack([f.sign_array() for f in fs]))
         assert signs.tolist() == literal_signs(n, batch.tolist())
 
 
@@ -135,12 +136,11 @@ def test_sign_table_rows_are_the_truth_tables():
     rng = np.random.Generator(np.random.PCG64(3))
     for n in range(1, 8):
         oracles = [cs.random_oracle(n, rng) for _ in range(5)]
-        table = state._sign_table(n, oracles)
+        table = state._table_signs(n, state._tables(n, [f.table for f in oracles]))
         assert table.dtype == np.int64
         want = [[1 - 2 * ((f.table >> k) & 1) for k in range(1 << n)] for f in oracles]
         assert table.tolist() == want
-    with pytest.raises(ValueError):
-        state._sign_table(2, [cs.BooleanOracle(2, 1), cs.BooleanOracle(3, 1)])
+        assert [f.sign_array().tolist() for f in oracles] == want
     with pytest.raises(ValueError):
         gates._apply_signs(StateVector(4), np.ones((3, 4), np.int64), 1)
 
@@ -164,7 +164,7 @@ def test_one_row_costs_no_copy(backend):
     n = 8
     f = cs.random_oracle(n, np.random.Generator(np.random.PCG64(9)))
     build = cs.build_comparison_search(n, f)
-    signs = state._sign_table(n, [f])
+    signs = f.sign_array()[None]
     plane = 8 << (2 * n)
     tracemalloc.start()
     try:
@@ -231,75 +231,143 @@ def test_row_statistics_equal_one_table_at_a_time(m):
                     assert marg.plane[r].tobytes() == literal.tobytes()
 
 
+def diagonal_cases(rng, n: int):
+    """Batched outputs of four rows on 2n qubits, each with the sign table
+    and the oracles that the diagonal check judges it against.
+
+    Row 0 is its target times 2^t, row 1 that plus an off-diagonal
+    integer, row 2 that with one diagonal sign flipped and row 3 zero.
+    Exact planes are int8, int16 or int64 at e = n + 2t, at odd e, below
+    n and at n + 140, the last with random integers in row 1.  Float
+    planes hold the target, off-diagonal -0.0 in row 1, and noise just
+    inside and past FLOAT_ATOL in rows 2 and 3."""
+    size, rows = 1 << n, 4
+    oracles = [cs.random_oracle(n, rng) for _ in range(rows)]
+    signs = np.stack([f.sign_array() for f in oracles])
+    target = np.zeros((rows, size * size), np.int64)
+    target[:, :: size + 1] = signs
+    flipped = int(rng.integers(size)) * (size + 1)
+    for dtype, t, e in [
+        (np.int8, 0, n), (np.int8, 2, n + 4), (np.int16, 12, n + 24), (np.int64, 40, n + 80),
+        (np.int8, 0, n + 1), (np.int16, 3, n + 7), (np.int8, 0, n - 2), (np.int8, 0, n + 140),
+    ]:
+        if e < 0:
+            continue
+        plane = target << t
+        plane[1, int(rng.integers(1, size))] += 1
+        plane[2, flipped] *= -1
+        plane[3] = 0
+        if e == n + 140:
+            plane[1] = rng.integers(-3, 4, size * size)
+        out = StateVector._from_plane(2 + 2 * n, cs.EXACT, plane.astype(dtype).reshape(-1))
+        out._e = e  # undo the reduction to minimal e
+        yield out, signs, oracles
+    scale = cs.DyadicReal.inv_sqrt2_pow(n).to_float()
+    plane = target * scale
+    plane[1, plane[1] == 0] = -0.0
+    plane[2, flipped] += 1e-13
+    plane[3, flipped] -= 1e-11
+    yield StateVector._from_plane(2 + 2 * n, cs.FLOAT, plane.reshape(-1)), signs, oracles
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_check_equals_the_dense_target(n):
+    # Row by row, the match and the deviation bytes of the check against
+    # the dense target state: ``==`` on exact, FLOAT_ATOL on float, and
+    # max_abs_diff; alone as one row, the same again.
+    rng = np.random.Generator(np.random.PCG64(20 + n))
+    for out, signs, oracles in diagonal_cases(rng, n):
+        match, dev = refutation._match_diagonal(out, signs)
+        assert match.dtype == bool and dev.dtype == np.float64
+        for r, f in enumerate(oracles):
+            row = row_state(out, 4, r)
+            target = cs.target_output(n, f, out.backend)
+            want = row.max_abs_diff(target)
+            if out.backend == cs.EXACT:
+                assert match[r] == (row == target)
+            else:
+                assert match[r] == (want <= cs.FLOAT_ATOL)
+            assert dev[r : r + 1].tobytes() == np.float64(want).tobytes()
+            one = refutation._match_diagonal(row, signs[r : r + 1])
+            assert one[0].tolist() == [match[r]] and one[1].tobytes() == dev[r : r + 1].tobytes()
+        if out.backend == cs.FLOAT:
+            assert match.tolist() == [True, True, True, False]
+        elif out._e - n in (0, 4, 24, 80):
+            assert match.tolist() == [True, False, False, False]
+        else:
+            assert not match.any()
+
+
 @pytest.mark.parametrize("chunk", [4, 1 << 16])
 def test_row_deviations_equal_one_state_at_a_time(monkeypatch, chunk):
     monkeypatch.setattr(state, "_COMPARE_CHUNK", chunk)
     rng = np.random.Generator(np.random.PCG64(chunk))
-    rows, m = 4, 6
+    rows, n = 4, 3
     pairs = [
-        (random_float_state(m + 2, rng), random_float_state(m + 2, rng)),
-        (random_exact_state(m + 2, rng, depth=30), random_float_state(m + 2, rng)),
-        (random_exact_state(m + 2, rng, depth=30), random_exact_state(m + 2, rng, depth=30)),
+        (random_float_state(2 * n + 2, rng), random_float_state(2 * n + 2, rng)),
+        (random_exact_state(2 * n + 2, rng, depth=30), random_float_state(2 * n + 2, rng)),
+        (random_exact_state(2 * n + 2, rng, depth=30), random_exact_state(2 * n + 2, rng, depth=30)),
     ]
+    oracles = [cs.random_oracle(n, rng) for _ in range(rows)]
+    signs = np.stack([f.sign_array() for f in oracles])
     for x, y in pairs:
-        dev = x._deviations(y, rows)
-        whole = x.to_float_array().reshape(rows, -1) - y.to_float_array().reshape(rows, -1)
-        for r in range(rows):
-            # The unchunked formula of max_abs_diff before it took slices.
-            want = float(np.max(np.abs(whole[r])))
+        # The unchunked formula of max_abs_diff before it took slices.
+        whole = x.to_float_array() - y.to_float_array()
+        assert x.max_abs_diff(y) == y.max_abs_diff(x) == float(np.max(np.abs(whole))) > 0
+        _, dev = refutation._match_diagonal(x, signs)
+        for r, f in enumerate(oracles):
+            target = cs.target_output(n, f, x.backend).to_float_array()
+            want = float(np.max(np.abs(row_state(x, rows, r).to_float_array() - target)))
             assert dev[r] == want > 0
-            assert row_state(x, rows, r).max_abs_diff(row_state(y, rows, r)) == want
-        assert x.max_abs_diff(y) == float(np.max(np.abs(whole)))
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        pairs[0][0].max_abs_diff(StateVector(3, cs.FLOAT))
 
 
 def test_row_equality_compares_values_across_h(monkeypatch):
     monkeypatch.setattr(state, "_COMPARE_CHUNK", 4)
     rng = np.random.Generator(np.random.PCG64(8))
-    rows = 4
     x = random_exact_state(5, rng, depth=20)
-    assert x._plane.reshape(rows, -1).any(axis=1).all()
+    assert x._plane.any()
 
-    def same_rows(x, y):
-        return [
-            row_state(x, rows, r).amplitudes() == row_state(y, rows, r).amplitudes()
-            for r in range(rows)
-        ]
+    def at(plane, e):
+        s = StateVector._from_plane(5, cs.EXACT, plane)
+        s._e = e  # undo the reduction to minimal e
+        return s
+
+    def same(x, y):
+        return x.amplitudes() == y.amplitudes()
 
     for shift in (1, 3):
-        plane = x._plane << shift
-        plane[1] += 1  # row 0: not a multiple of 2^shift
-        plane[9] += 1 << shift  # row 1: a multiple, another value
-        y = StateVector._from_plane(5, cs.EXACT, plane, x._e + 2 * shift)
-        y._e = x._e + 2 * shift  # undo the reduction to minimal e
-        want = same_rows(x, y)
-        assert want == [False, False, True, True]
-        assert x._rows_equal(y, rows) == y._rows_equal(x, rows) == want
-    # Past 63 bits only a zero row can equal a row at the larger e.
-    zero = StateVector._from_plane(5, cs.EXACT, np.zeros(32, np.int64))
-    zero._e = x._e + 140
-    cleared = x.copy()
-    cleared._plane[8:16] = 0
-    assert cleared._rows_equal(zero, rows) == [False, True, False, False]
-    # At e of the other parity only two zero rows are equal: the values
+        y = at(x._plane << shift, x._e + 2 * shift)
+        assert same(x, y) and x == y and y == x
+        for where, step in ((1, 1), (30, 1 << shift)):
+            # Not a multiple of 2^shift, or a multiple of another value,
+            # in the first slice or in the last.
+            z = at(y._plane.copy(), y._e)
+            z._plane[where] += step
+            assert not same(x, z) and x != z and z != x
+    # Past 63 bits only a zero state can equal one at the larger e.
+    zero = at(np.zeros(32, np.int64), x._e + 140)
+    assert x != zero and zero != x
+    assert at(np.zeros(32, np.int8), x._e) == zero
+    # At e of the other parity only two zero states are equal: the values
     # differ by a factor sqrt(2)^odd, which is irrational.
     for odd in (1, 3):
-        y = StateVector._from_plane(5, cs.EXACT, x._plane.copy(), x._e + odd)
-        y._plane[8:24] = 0  # rows 1 and 2
-        want = same_rows(cleared, y)
-        assert want == [False, True, False, False]
-        assert cleared._rows_equal(y, rows) == y._rows_equal(cleared, rows) == want
+        y = at(x._plane.copy(), x._e + odd)
+        assert not same(x, y) and x != y and y != x
+        assert at(np.zeros(32, np.int8), x._e) == at(np.zeros(32, np.int64), x._e + odd)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
 def test_one_corrupted_target_row_fails_only_its_oracle(monkeypatch, backend, tmp_path):
-    build = refutation._target_rows
+    check = refutation._match_diagonal
 
-    def corrupted(n, signs, backend):
+    def corrupted(out, signs):
         signs = signs.copy()
         signs[5, 2] *= -1
-        return build(n, signs, backend)
+        return check(out, signs)
 
-    monkeypatch.setattr(refutation, "_target_rows", corrupted)
+    monkeypatch.setattr(refutation, "_match_diagonal", corrupted)
     rep = cs.sweep_all_f(2, backend)
     _, match, dev, _ = rep.columns
     assert np.flatnonzero(~match).tolist() == [5]
@@ -315,6 +383,8 @@ def test_one_corrupted_target_row_fails_only_its_oracle(monkeypatch, backend, tm
 def test_target_runs_no_gate_or_circuit_code(backend):
     rng = np.random.Generator(np.random.PCG64(4))
     oracles = [cs.random_oracle(3, rng) for _ in range(4)]
+    signs = np.stack([f.sign_array() for f in oracles])
+    out = circuit._simulate_rows(cs.build_comparison_search(3, oracles[0]), signs, backend)
     files = set()
 
     def record(frame, event, arg):
@@ -324,19 +394,51 @@ def test_target_runs_no_gate_or_circuit_code(backend):
     sys.setprofile(record)
     try:
         cs.target_output(3, oracles[0], backend)
-        analytic._target_rows(3, state._sign_table(3, oracles), backend)
+        match, _ = refutation._match_diagonal(out, signs)
     finally:
         sys.setprofile(None)
-    assert analytic.__file__ in files
+    assert match.all()
+    assert analytic.__file__ in files and refutation.__file__ in files
     assert gates.__file__ not in files and cs.circuit.__file__ not in files
 
 
 def test_target_rows_are_target_outputs():
+    # The check takes target_output's own planes, stacked as rows, as
+    # exact matches, and target_output is the literal diagonal.
     rng = np.random.Generator(np.random.PCG64(6))
-    oracles = [cs.random_oracle(2, rng) for _ in range(4)]
+    n, size = 2, 4
+    oracles = [cs.random_oracle(n, rng) for _ in range(4)]
+    signs = np.stack([f.sign_array() for f in oracles])
+    unit = DyadicReal.inv_sqrt2_pow(n)
     for backend in cs.BACKENDS:
-        rows = analytic._target_rows(2, state._sign_table(2, oracles), backend)
-        for r, f in enumerate(oracles):
-            assert row_state(rows, 4, r) == cs.target_output(2, f, backend)
-    unit = DyadicReal.inv_sqrt2_pow(2)
+        targets = [cs.target_output(n, f, backend) for f in oracles]
+        plane = np.concatenate([t._plane for t in targets])
+        rows = StateVector._from_plane(2 + 2 * n, backend, plane, targets[0]._e)
+        match, dev = refutation._match_diagonal(rows, signs)
+        assert match.all() and not dev.any()
+        for t, f in zip(targets, oracles):
+            diagonal = {k * (size + 1): f(k) for k in range(size)}
+            for x, amp in enumerate(t.amplitudes()):
+                want = (-unit if diagonal[x] else unit) if x in diagonal else DyadicReal(0, 0)
+                assert amp == (want if backend == cs.EXACT else want.to_float())
     assert cs.target_output(2, oracles[0]).amplitude(0) in (unit, -unit)
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_one_oracle_check_makes_no_target_plane(backend):
+    # The output plane is the one plane-sized array: the check builds no
+    # dense target and copies no view of the output.
+    n = 8
+    tables = state._tables(n, [cs.random_oracle(n, np.random.Generator(np.random.PCG64(2))).table])
+    refutation._check_oracles(n, tables, backend)  # warm up
+    tracemalloc.start()
+    try:
+        count, all_match, _ = refutation._check_oracles(n, tables, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and all_match
+    if backend == cs.FLOAT:
+        assert peak < 2.5 * (8 << (2 * n))
+    else:
+        assert peak < 6 * (1 << (2 * n))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
-from compsearch import BooleanOracle, DyadicReal, StateVector, gates, state
+from compsearch import BooleanOracle, DyadicReal, StateVector, gates
 from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
@@ -958,7 +958,7 @@ def run_masked_word(word, backend: str) -> list[int]:
     for kind, args in ops:
         if kind == "O":
             start, oracles = args
-            signs = state._sign_table(oracles[0].n, oracles)
+            signs = np.stack([f.sign_array() for f in oracles])
             if lanes:
                 gates._apply_signs(s, signs, start)
             else:

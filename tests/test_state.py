@@ -362,8 +362,12 @@ class TestPlaneWidths:
         other = StateVector._from_plane(17, cs.EXACT, np.eye(1, 1 << 17, dtype=np.int64)[0])
         assert other._e == 0
         assert s != other and other != s
-        assert s._rows_equal(other, 2) == [False, True]
-        assert other._rows_equal(s, 2) == [False, True]
+        # Where qubit 1 reads 1 both are zero, and equal at a shift of 8.
+        lower = [t.copy() for t in (s, other)]
+        for t in lower:
+            t._plane[: 1 << 16] = 0
+        assert (lower[0]._e, lower[1]._e) == (16, 0)
+        assert lower[0] == lower[1] and lower[1] == lower[0]
 
     def test_squares_of_an_int8_plane_sum_past_int8(self):
         # 2^8 squares of 1 sum to 256, and a marginal sums 128 of them.
