@@ -17,7 +17,6 @@ from .state import (
     FLOAT_ATOL,
     BooleanOracle,
     StateVector,
-    all_oracles,
     random_oracle,
 )
 from .gates import (

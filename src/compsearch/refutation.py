@@ -146,12 +146,6 @@ class Distribution:
         if not ok.all():
             raise ValueError(f"probabilities sum to {float(sums[~ok][0])}, not 1")
 
-    def _totals(self) -> list:
-        """The sum of each row of a row table, or of the table as one
-        row: DyadicReal for an exact table, float for a float one."""
-        sums = np.atleast_1d(self.plane.sum(axis=-1))
-        return [_value(sums, 2 * self.h, r) for r in range(len(sums))]
-
     @property
     def probs(self) -> np.ndarray:
         """The entries one by one: DyadicReal objects for an exact table,
@@ -195,23 +189,18 @@ def tv_distance(p: Distribution, q: Distribution) -> DyadicReal | float:
 
     Exact (DyadicReal) if both inputs are exact, float otherwise.
     """
-    return _tv_rows(p, q)[0]
-
-
-def _tv_rows(p: Distribution, q: Distribution) -> list:
-    """:func:`tv_distance` along the last axis: one distance per row of
-    a row table ``p`` to the same row of ``q``, or to ``q`` itself when
-    it is one table."""
     sums, h = _tv_sums(p, q)
-    if h is None:
-        return sums.tolist()
-    return [DyadicReal(int(t), 0, h) for t in sums]
+    return float(sums[0]) if h is None else DyadicReal(int(sums[0]), 0, h)
 
 
 def _tv_sums(p: Distribution, q: Distribution) -> tuple[np.ndarray, int | None]:
-    """The distances of :func:`_tv_rows` as one array: ``(d, None)`` with
-    float64 distances d when either table is float, else ``(s, h)`` with
-    integer sums s, each distance being s / 2^h."""
+    """The one TV reduction: :func:`tv_distance` along the last axis, from
+    each row of a row table ``p`` to the same row of ``q``, or to ``q``
+    itself when it is one table, as one array.  Returns ``(d, None)``
+    with float64 distances d when either table is float, else ``(s, h)``
+    with integer sums s, each distance being s / 2^h, which
+    ``_as_float(s, 2 * h)`` converts as ``float(DyadicReal(s, 0, h))``
+    does."""
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
     if not (p.exact and q.exact):
@@ -329,9 +318,10 @@ def _verdicts(n: int, backend: str, tables: np.ndarray):
     deviation)``: ``out`` holds oracle r's output as row r (see
     :func:`compsearch.circuit._simulate_rows`), and the last two are
     bool and float64 arrays with one entry per oracle."""
+    # Each batch's sign table overrides the oracle the circuit is built with.
+    circuit = build_comparison_search(n, BooleanOracle(n, 0))
     for batch, signs in _batches(n, tables):
-        first = BooleanOracle(n, int(batch[0]))
-        out = _simulate_rows(build_comparison_search(n, first), signs, backend)
+        out = _simulate_rows(circuit, signs, backend)
         yield (batch, out, *_match_diagonal(out, signs))
 
 
@@ -398,9 +388,6 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
     # Kept only when _fill_pairwise_tv may compare every pair.
     keep_tables = len(truth) <= _ALL_PAIRS_LIMIT
     tables: list[Distribution] = []
-    # Whether every table equals the first.  A float distance is 0.0 only
-    # between bitwise-equal tables, bar differences that sum to 2^-1074.
-    identical = True
     # Each column is allocated whole and filled a batch at a time: small
     # arrays kept alive between each batch's temporaries left freed heap
     # that glibc did not return, about 4 MB after an n = 4 sweep and 2 MB
@@ -412,7 +399,6 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
         if first is None:
             first = table._row(0)
         tv, h = _tv_sums(table, first)
-        identical = identical and not tv.any()
         if keep_tables:
             tables.append(table)
         marg = marginal(table, n + 1, 2 * n)
@@ -426,10 +412,9 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
         done += len(batch)
         match_col[rows], dev_col[rows] = match, dev
         tv_col[rows] = tv if h is None else _as_float(tv, 2 * h)
-        report.all_match = report.all_match and bool(match.all())
-        report.max_deviation = max(report.max_deviation, *dev.tolist())
+    report.all_match, report.max_deviation = bool(match_col.all()), float(dev_col.max())
     report.columns = (truth, match_col, dev_col, tv_col)
-    _fill_pairwise_tv(report, tables, identical)
+    _fill_pairwise_tv(report, tables)
     return report
 
 
@@ -439,11 +424,14 @@ def sweep_all_f(n: int, backend: str = EXACT, *, seed: int = 0) -> SweepReport:
 _ALL_PAIRS_LIMIT = 512
 
 
-def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution], identical: bool) -> None:
+def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution]) -> None:
     """Set the largest TV distance between any two rows of the row
-    ``tables``; ``identical`` says every row equals the first one, which
-    makes it exactly 0.  A float sweep past the limit still reports the
-    bound, flagged inexact."""
+    ``tables``.  It is exactly 0 when the report's TV column, each row's
+    distance to the first, is all zero: a float distance is 0.0 only
+    between bitwise-equal tables, bar differences that sum to 2^-1074,
+    and an exact nonzero sum stays nonzero as a float.  A float sweep
+    past the limit still reports the bound, flagged inexact."""
+    identical = not report.columns[3].any()
     if report.oracle_count <= _ALL_PAIRS_LIMIT or (identical and report.backend == EXACT):
         worst = 0.0
         if not identical:
@@ -451,7 +439,9 @@ def _fill_pairwise_tv(report: SweepReport, tables: list[Distribution], identical
             rows = [t._row(r) for t in tables for r in range(len(t.plane))]
             for table in tables:
                 for row in rows:
-                    worst = max(worst, *(float(d) for d in _tv_rows(table, row)))
+                    sums, h = _tv_sums(table, row)
+                    tv = sums if h is None else _as_float(sums, 2 * h)
+                    worst = max(worst, float(tv.max()))
         report.max_pairwise_tv = worst
         report.max_pairwise_tv_is_exact = True
         return

@@ -14,9 +14,10 @@ plane:
   1/sqrt(2) times a matrix of 0 and +-1 (see :mod:`compsearch.gates`),
   and every state the circuits pass through has this form.  e is
   minimal (e < 2, or some integer odd) after construction, ``copy()``
-  and ``circuit.run``; gate kernels may leave it larger.  ``==``
-  compares values at the larger e of the two states and changes
-  neither.  ``StateVector(m)`` starts c as int8, and a gate that might
+  and ``circuit.run``; gate kernels may leave it larger.  This
+  *canonical form* is unique for a nonzero value, as sqrt(2) is
+  irrational, so ``==`` reduces both states to it and compares e and
+  planes.  ``StateVector(m)`` starts c as int8, and a gate that might
   push an integer to 2^(bits - 2) of c's dtype first reduces e and
   rescans, then widens c to int16, int32 and int64 as needed, and
   raises OverflowError, before any write, only where int64 has no room
@@ -58,7 +59,7 @@ widening leave it alone.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -220,12 +221,6 @@ def _table_signs(n: int, tables: np.ndarray) -> np.ndarray:
         raw = tables.astype("<u8", copy=False).view(np.uint8).reshape(len(tables), 8)
     truth = np.unpackbits(raw, axis=1, count=size, bitorder="little")
     return 1 - 2 * truth.astype(np.int64)
-
-
-def all_oracles(n: int) -> Iterator[BooleanOracle]:
-    """All 2^(2^n) oracles on n bits, in truth-table order."""
-    for table in range(1 << (1 << n)):
-        yield BooleanOracle(n, table)
 
 
 def random_oracle(n: int, rng: np.random.Generator) -> BooleanOracle:
@@ -398,36 +393,23 @@ class StateVector:
         return dev
 
     def __eq__(self, other: object) -> bool:
-        """Whether two states of one backend hold equal values, changing
-        neither, a slice of _COMPARE_CHUNK amplitudes at a time up to the
-        first unequal one: float planes by ``==``, and exact planes at the
-        larger e of the two.  An integer x at e - 2s equals y at e exactly
-        when y is a multiple of 2^s and y >> s == x, which needs no shift
-        that could overflow; x at e - 2s - 1 equals y only when both are
-        0, as sqrt(2) is irrational."""
+        """Whether two states of one backend hold equal values.  Exact
+        states are first reduced to their canonical form, which leaves
+        their values alone: at different e they are equal only when both
+        planes are zero (a zero plane below e = 2 keeps its e), and at
+        one e when the planes are.  Planes compare a slice of
+        _COMPARE_CHUNK amplitudes at a time, up to the first unequal one."""
         if not isinstance(other, StateVector):
             return NotImplemented
         if self.num_qubits != other.num_qubits or self.backend != other.backend:
             return False
-        if self._e > other._e:
-            return other == self
-        shift, odd = divmod(other._e - self._e, 2)
-        # Past 63 bits only y = 0 is a multiple of 2^shift in int64.
-        low = (1 << shift) - 1 if shift < 64 else -1
-        for start in range(0, self.num_states, _COMPARE_CHUNK):
-            cols = slice(start, start + _COMPARE_CHUNK)
-            x, y = self._plane[cols], other._plane[cols]
-            if odd:
-                equal = not (x.any() or y.any())
-            elif shift:
-                # NumPy 2 refuses a Python-int low outside y's dtype.
-                y = y.astype(np.int64)
-                equal = not (y & low).any() and (x == y >> min(shift, 63)).all()
-            else:
-                equal = (x == y).all()
-            if not equal:
-                return False
-        return True
+        self._canonical_reduce()
+        other._canonical_reduce()
+        x, y = self._plane, other._plane
+        if self._e != other._e:
+            return not (x.any() or y.any())
+        step = _COMPARE_CHUNK
+        return all((x[s : s + step] == y[s : s + step]).all() for s in range(0, len(x), step))
 
     def _canonical_reduce(self) -> None:
         """Divide out common factors of 2, lowering e by 2 for each, while

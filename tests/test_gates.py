@@ -343,7 +343,7 @@ class TestKickbackEquivalence:
         for q in range(1, n + 1):
             cs.apply_gate1(uniform, q, cs.hadamard())
         states.append(uniform)
-        for f in cs.all_oracles(n):
+        for f in (cs.BooleanOracle(n, t) for t in range(1 << (1 << n))):
             for s in states:
                 with_ancilla = apply_ancilla_oracle(tensor(s, minus_state()), f)
                 reduced = discard_minus_ancilla(with_ancilla)

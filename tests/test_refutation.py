@@ -32,6 +32,11 @@ def output_for(n: int, f: BooleanOracle) -> StateVector:
     return cs.simulate(cs.build_comparison_search(n, f))
 
 
+def total(d: Distribution) -> DyadicReal | float:
+    """The sum of a table's entries, read as one entry is."""
+    return state._value(d.plane.sum(axis=-1, keepdims=True), 2 * d.h, 0)
+
+
 def wide_exact_state() -> StateVector:
     """The normalized 3-qubit state c_x / sqrt(2)^61, for eight odd
     integers c_x whose squares sum to 2^61.  Some pass 2^29.5, so that
@@ -47,7 +52,7 @@ class TestDistribution:
         d = cs.distribution(basis_state(2, 0))
         assert d[0] == 1
         assert all(d[x] == 0 for x in range(1, 4))
-        assert d._totals()[0] == 1
+        assert total(d) == 1
 
     def test_bell_state(self):
         d = cs.distribution(bell_plus())
@@ -65,7 +70,7 @@ class TestDistribution:
         # 2^n outcomes |k>|k>, each at exactly 2^-n; zero everywhere else.
         for n in (1, 2):
             weight = DyadicReal(1, 0, n)
-            for f in cs.all_oracles(n):
+            for f in (cs.BooleanOracle(n, t) for t in range(1 << (1 << n))):
                 d = cs.distribution(output_for(n, f))
                 for j in range(1 << n):
                     for k in range(1 << n):
@@ -83,11 +88,11 @@ class TestDistribution:
         rng = np.random.Generator(np.random.PCG64(5))
         for m in (1, 3, 6):
             s = random_exact_state(m, rng, depth=20)
-            assert s.norm_squared() == cs.distribution(s)._totals()[0] == 1
+            assert s.norm_squared() == total(cs.distribution(s)) == 1
             f = random_float_state(m, rng)
-            assert f.norm_squared() == cs.distribution(f)._totals()[0]
+            assert f.norm_squared() == total(cs.distribution(f))
         wide = wide_exact_state()
-        assert wide.norm_squared() == cs.distribution(wide)._totals()[0] == 1
+        assert wide.norm_squared() == total(cs.distribution(wide)) == 1
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
@@ -229,7 +234,7 @@ class TestCheckTotal:
 class TestMarginal:
     def test_second_register_uniform_for_every_oracle(self):
         quarter = DyadicReal(1, 0, 2)
-        for f in cs.all_oracles(2):
+        for f in (cs.BooleanOracle(2, t) for t in range(1 << (1 << 2))):
             d = cs.distribution(output_for(2, f))
             marg = cs.marginal(d, 3, 4)
             assert all(p == quarter for p in marg.probs)
@@ -343,9 +348,9 @@ class TestTvDistanceDifferential:
         q = Distribution._of(np.array([0, big, 0, big], dtype=dtype) >> 1, 61)
         # Row 0 differs by 2^61 in each entry: the sum is 2^63, and the
         # TV is 2^63 / 2^(62 + 1).
-        assert refutation._tv_rows(p, q) == [1, HALF]
-        shifted = Distribution._of(np.array([0, 1, 0, 1], dtype=dtype), 1)
-        assert refutation._tv_rows(p, shifted) == [1, HALF]
+        for other in (q, Distribution._of(np.array([0, 1, 0, 1], dtype=dtype), 1)):
+            sums, h = refutation._tv_sums(p, other)
+            assert [DyadicReal(s, 0, h) for s in sums.tolist()] == [1, HALF]
 
 
 class TestTvDistance:
@@ -446,8 +451,8 @@ class TestSweep:
     def test_identical_float_tables_skip_all_pairs(self, monkeypatch):
         # Every float table at n = 3 is bitwise the first one, so no pair
         # is compared: _tv_sums runs once, for the one batch's distances
-        # to the first table, and the all-pairs loop, whose _tv_rows calls
-        # it too, never runs.
+        # to the first table, and the all-pairs loop, which calls it too,
+        # never runs.
         calls = []
         tv = refutation._tv_sums
         monkeypatch.setattr(refutation, "_tv_sums", lambda p, q: calls.append(1) or tv(p, q))
@@ -457,9 +462,10 @@ class TestSweep:
 
     def test_all_pairs_when_tables_differ(self):
         table = Distribution._of(np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
-        rep = sweep_report([(0, True, 0.0, 0.0)] * 3, n=1, backend=cs.FLOAT, exhaustive=False,
-                           seed=0, rng_algorithm=cs.RNG_ALGORITHM)
-        refutation._fill_pairwise_tv(rep, [table], identical=False)
+        rows = [(0, True, 0.0, tv) for tv in (0.0, 0.5, 1.0)]
+        rep = sweep_report(rows, n=1, backend=cs.FLOAT, exhaustive=False, seed=0,
+                           rng_algorithm=cs.RNG_ALGORITHM)
+        refutation._fill_pairwise_tv(rep, [table])
         assert rep.max_pairwise_tv == 1.0 and rep.max_pairwise_tv_is_exact
 
     @pytest.mark.parametrize("backend", cs.BACKENDS)
@@ -478,7 +484,8 @@ class TestSweep:
 
         monkeypatch.setattr(refutation, "build_comparison_search", broken)
         rep = cs.sweep_all_f(n, backend)
-        dists = [cs.distribution(cs.simulate(broken(n, f), backend)) for f in cs.all_oracles(n)]
+        oracles = [cs.BooleanOracle(n, t) for t in range(1 << (1 << n))]
+        dists = [cs.distribution(cs.simulate(broken(n, f), backend)) for f in oracles]
         assert rep.oracle_count == len(dists) <= refutation._ALL_PAIRS_LIMIT
         assert not rep.all_match
         for tv, d in zip(rep.columns[3].tolist(), dists):
@@ -545,6 +552,6 @@ class TestCheckOracle:
 
     def test_float_backend_exhaustive_small_n(self):
         for n in (1, 2):
-            for f in cs.all_oracles(n):
+            for f in (cs.BooleanOracle(n, t) for t in range(1 << (1 << n))):
                 ok, dev = cs.check_oracle(n, f, cs.FLOAT)
                 assert ok and dev <= 1e-12

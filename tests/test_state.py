@@ -59,10 +59,6 @@ class TestBooleanOracle:
         assert type(f.n) is type(f.table) is int
         assert repr(f) == "BooleanOracle(n=2, table=0x6)"
 
-    def test_all_oracles_counts(self):
-        assert sum(1 for _ in cs.all_oracles(1)) == 4
-        assert sum(1 for _ in cs.all_oracles(2)) == 16
-
     def test_random_oracle_seeded(self):
         a = cs.random_oracle(5, np.random.Generator(np.random.PCG64(9)))
         b = cs.random_oracle(5, np.random.Generator(np.random.PCG64(9)))
@@ -159,6 +155,36 @@ class TestStateVector:
         assert twice._e > 0
         assert twice == StateVector(1) and StateVector(1) == twice
         assert twice != StateVector.from_amplitudes([0, 1])
+
+    def test_zero_states_are_equal_at_any_e(self):
+        # A gate at e = 1 whose second row is zero clears |0> - |1>; a
+        # zero plane below e = 2 keeps its e, while from_amplitudes puts
+        # zeros at e = 0.
+        gate = cs.Gate("sum", ((INV, INV), (0, 0)))
+        zeroed = cs.apply_gate1(StateVector.from_amplitudes([1, -1]), 1, gate)
+        zeros = StateVector.from_amplitudes([0, 0])
+        assert (zeroed._e, zeros._e) == (1, 0) and not zeroed._plane.any()
+        assert zeroed == zeros and zeros == zeroed
+        assert zeroed != StateVector.from_amplitudes([0, 1])
+
+    def test_equality_leaves_both_operands_canonical(self):
+        # H H on one qubit, and on two, leave |00> at e = 2 and e = 4;
+        # == reduces both to e = 0 and changes no amplitude.
+        def hh(*qubits):
+            s = StateVector(2)
+            for q in qubits:
+                for _ in range(2):
+                    cs.apply_gate1(s, q, cs.hadamard())
+            return s
+
+        for a, b in ((hh(1), hh(1, 2)), (hh(1, 2), hh(2))):
+            values = a.amplitudes(), b.amplitudes()
+            assert (a._e, b._e) != (0, 0)
+            assert a == b and b == a
+            assert (a._e, b._e) == (0, 0)
+            assert (a.amplitudes(), b.amplitudes()) == values
+            for s in (a, b):
+                assert s._bound >= int(np.abs(s._plane).max())
 
     def test_copy_is_independent(self):
         s = StateVector(2)
@@ -481,7 +507,8 @@ class TestOneReader:
         assert d.as_float_array().tobytes() == literal_float(p, 2 * h)
         for x in range(len(d)):
             assert same(d[x], DyadicReal(p[x], 0, h))
-        assert all(same(t, DyadicReal(1, 0)) for t in d._totals())
+        total = state._value(d.plane.sum(axis=-1, keepdims=True), 2 * d.h, 0)
+        assert same(total, DyadicReal(1, 0))
 
     def test_int64_row_table(self):
         # Entries below 2^58, so that a row of 8 sums within int64.
@@ -490,13 +517,14 @@ class TestOneReader:
         h = 70
         table = Distribution._of(plane, h)
         assert table.as_float_array().tobytes() == literal_float(plane, 2 * h)
-        totals = table._totals()
+        totals = table.plane.sum(axis=-1)
         assert len(totals) == 4
         for r in range(4):
             row = table._row(r)
             for x in range(8):
                 assert same(row[x], DyadicReal(int(plane[r, x]), 0, h))
-            assert same(totals[r], DyadicReal(sum(int(v) for v in plane[r]), 0, h))
+            total = state._value(totals, 2 * table.h, r)
+            assert same(total, DyadicReal(sum(int(v) for v in plane[r]), 0, h))
 
     def test_float_table(self):
         plane = np.array([0.1, 0.2, 0.3, 0.4])
@@ -504,7 +532,8 @@ class TestOneReader:
         assert d.as_float_array() is plane
         assert [d[x] for x in range(4)] == plane.tolist()
         assert all(type(d[x]) is float for x in range(4))
-        assert same(d._totals()[0], float(plane.sum()))
+        total = state._value(d.plane.sum(axis=-1, keepdims=True), 2 * d.h, 0)
+        assert same(total, float(plane.sum()))
 
     @pytest.mark.parametrize("big", [False, True])
     def test_exact_state(self, big):
