@@ -498,6 +498,19 @@ REPORT_DIGESTS = {
         "9050a958fa93a6f25dd46346a66cd28fea490af448f1645737116e2f81d3fdb3",
     "trace --n 4 --backend float --truth-table 0x6a5c":
         "e9cf2ffe2c76e9fa81f5ae81d4194c341735588e2bc55745d356ca9eb8746ee0",
+    # psi3 has e = 3n, odd at n = 1 and 3, so these two reach the odd-e
+    # float closed forms.
+    "trace --n 1 --backend float --truth-table 0x1":
+        "19cea1c71c13775b7ce69ccb62864bb2dd7002cd2d61c8d6495cd8502d42e56b",
+    "trace --n 3 --backend float --truth-table 0x96":
+        "888610231b58a181ba20a7d8e911ddc6db77df546a307a79302db1a86769d811",
+    # The README's command-line examples that no other pin covers.
+    "verify --n 8 --backend float --marked 37":
+        "105d4d344c663abad8a2bedc56ffdc5054265b708bc6adbf94514d0ccd43212e",
+    "trace --n 1 --truth-table 0x0":
+        "d58a9fe03ac2cccdb0ce3f850157a6a15f7c4fdaa73ec0a3ea4a28a20f9e64cd",
+    "grover-compare --n 3 --marked 5":
+        "31d73212fec7caa8cf04194b0c141a6d6062b6eeb5574c37380ce1ee6f480bcb",
 }
 
 
