@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import DyadicReal
-from .state import EXACT, BACKENDS, BooleanOracle, StateVector, _check_register
+from .state import EXACT, BACKENDS, BooleanOracle, StateVector, _as_float, _check_register
 
 
 def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
@@ -38,14 +37,14 @@ def _check_args(n: int, f: BooleanOracle | None, backend: str) -> None:
         raise ValueError(f"unknown backend {backend!r}")
 
 
-def _from_units(num_qubits: int, coeff: np.ndarray, e: int, backend: str) -> StateVector:
+def _from_units(coeff: np.ndarray, e: int, backend: str) -> StateVector:
     """State whose amplitude at x is coeff[x] / sqrt(2)^e, for an integer
-    ``coeff`` (int64, or int8 for the +-1 signs of the target) that an
-    exact state takes over as its plane."""
+    ``coeff`` (int64, or int8 for the +-1 signs of the target): an exact
+    state takes it over as its plane, and a float one takes the plane
+    that :func:`compsearch.state._as_float` converts it to."""
     if backend == EXACT:
-        return StateVector._from_plane(num_qubits, EXACT, coeff, e)
-    scale = DyadicReal.inv_sqrt2_pow(e).to_float()
-    return StateVector._from_plane(num_qubits, backend, coeff * scale)
+        return StateVector._from_plane(coeff, e)
+    return StateVector._from_plane(_as_float(coeff, e))
 
 
 def psi0(n: int, backend: str = EXACT) -> StateVector:
@@ -58,14 +57,14 @@ def psi1(n: int, backend: str = EXACT) -> StateVector:
     """The double uniform superposition: all 2^(2n) amplitudes 1/2^n."""
     _check_args(n, None, backend)
     coeff = np.ones(1 << (2 * n), dtype=np.int64)
-    return _from_units(2 * n, coeff, 2 * n, backend)
+    return _from_units(coeff, 2 * n, backend)
 
 
 def psi2(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
     """Amplitude of |j>|k> is (-1)^f(k) / 2^n."""
     _check_args(n, f, backend)
     coeff = np.tile(f.sign_array(), 1 << n)
-    return _from_units(2 * n, coeff, 2 * n, backend)
+    return _from_units(coeff, 2 * n, backend)
 
 
 def psi2a(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -87,7 +86,7 @@ def psi2a(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
                 idx = (((j & ~1) | t) << n) | k
                 sign = base + (1 + jn + kn) * t
                 coeff[idx] += -1 if sign & 1 else 1
-    return _from_units(2 * n, coeff, 2 * n + 1, backend)
+    return _from_units(coeff, 2 * n + 1, backend)
 
 
 def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -108,7 +107,7 @@ def psi3(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
                 e = fk + (j & k).bit_count() + lbits + (l & (j ^ k)).bit_count()
                 total += -1 if e & 1 else 1
             coeff[(l << n) | k] = total
-    return _from_units(2 * n, coeff, 3 * n, backend)
+    return _from_units(coeff, 3 * n, backend)
 
 
 def target_output(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector:
@@ -117,4 +116,4 @@ def target_output(n: int, f: BooleanOracle, backend: str = EXACT) -> StateVector
     size = 1 << n
     coeff = np.zeros(size * size, dtype=np.int8)
     coeff[:: size + 1] = f.sign_array()
-    return _from_units(2 * n, coeff, n, backend)
+    return _from_units(coeff, n, backend)

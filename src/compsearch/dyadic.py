@@ -45,15 +45,6 @@ class DyadicReal:
         """x as a ring element; TypeError unless x is an integer."""
         return cls(x, 0)
 
-    @classmethod
-    def inv_sqrt2_pow(cls, e: int) -> DyadicReal:
-        """1 / sqrt(2)^e for e >= 0."""
-        if e < 0:
-            raise ValueError(f"exponent must be >= 0, got {e}")
-        if e % 2 == 0:
-            return cls(1, 0, e // 2)
-        return cls(0, 1, (e + 1) // 2)
-
     def __add__(self, other: int | DyadicReal) -> DyadicReal:
         if isinstance(other, int):
             other = DyadicReal.from_int(other)

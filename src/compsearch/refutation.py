@@ -271,20 +271,18 @@ def check_oracle(n: int, f: BooleanOracle, backend: str = EXACT) -> tuple[bool, 
     diagonal target.  Returns (match, max per-amplitude deviation); the
     match is zero-tolerance in the exact backend and FLOAT_ATOL in float."""
     _check_register(n, f)
-    _, all_match, max_dev = _check_oracles(n, _tables(n, [f.table]), backend)
-    return all_match, max_dev
+    return _check_oracles(n, _tables(n, [f.table]), backend)
 
 
-def _check_oracles(n: int, tables: np.ndarray, backend: str) -> tuple[int, bool, float]:
+def _check_oracles(n: int, tables: np.ndarray, backend: str) -> tuple[bool, float]:
     """:func:`check_oracle` over the truth tables of the column ``tables``
-    (see :func:`compsearch.state._tables`): (oracles checked, whether all
-    match, largest deviation)."""
-    count, all_match, max_dev = 0, True, 0.0
-    for batch, _, match, dev in _verdicts(n, backend, tables):
-        count += len(batch)
+    (see :func:`compsearch.state._tables`): (whether all match, largest
+    deviation)."""
+    all_match, max_dev = True, 0.0
+    for _, _, match, dev in _verdicts(n, backend, tables):
         all_match = all_match and bool(match.all())
         max_dev = max(max_dev, *dev.tolist())
-    return count, all_match, max_dev
+    return all_match, max_dev
 
 
 def _oracle_tables(n: int, seed: int = 0) -> np.ndarray:

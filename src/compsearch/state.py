@@ -6,8 +6,8 @@ With two n-qubit registers the product state |j>|k> sits at index
 j * 2^n + k.
 
 A state is stored as one *plane*, a flat array of length 2^m, plus
-one exponent e >= 0.  The two amplitude backends differ only in the
-plane:
+one exponent e >= 0; m is read from the plane's length and the backend
+from its dtype, so the two amplitude backends differ only in the plane:
 
 * ``"exact"`` -- one integer plane c; the amplitude at x is
   c[x] / sqrt(2)^e.  Every gate in this library is a power of
@@ -21,9 +21,9 @@ plane:
   push an integer to 2^(bits - 2) of c's dtype first reduces e and
   rescans, then widens c to int16, int32 and int64 as needed, and
   raises OverflowError, before any write, only where int64 has no room
-  (2^62).  Integers never wrap.  The closed forms and
-  ``from_amplitudes`` build int64 planes; the width is internal, and no
-  value, comparison or report depends on it.
+  (2^62).  Integers never wrap.  ``from_amplitudes`` and the closed
+  forms build int64 planes (int8 for the target); the width is internal,
+  and no value, comparison or report depends on it.
 * ``"float"`` -- one float64 plane holding the amplitudes; e = 0.
   Every amplitude here is real: the ring is real, so are the gates and
   the +-1 oracles, so a real plane holds any state this library makes.
@@ -238,15 +238,13 @@ class StateVector:
     still needed.
     """
 
-    __slots__ = ("num_qubits", "backend", "_plane", "_e", "_bound", "_zeros")
+    __slots__ = ("_plane", "_e", "_bound", "_zeros")
 
     def __init__(self, num_qubits: int, backend: str = EXACT) -> None:
         if num_qubits < 1:
             raise ValueError(f"need at least one qubit, got {num_qubits}")
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
-        self.num_qubits = num_qubits
-        self.backend = backend
         self._plane = np.zeros(1 << num_qubits, np.int8 if backend == EXACT else np.float64)
         self._plane[0] = 1
         self._e = 0
@@ -254,8 +252,16 @@ class StateVector:
         self._zeros = (1 << num_qubits) - 1
 
     @property
+    def num_qubits(self) -> int:
+        return len(self._plane).bit_length() - 1
+
+    @property
+    def backend(self) -> str:
+        return FLOAT if self._plane.dtype.kind == "f" else EXACT
+
+    @property
     def num_states(self) -> int:
-        return 1 << self.num_qubits
+        return len(self._plane)
 
     @classmethod
     def from_amplitudes(cls, amps: Sequence, backend: str = EXACT) -> StateVector:
@@ -273,14 +279,13 @@ class StateVector:
         size = len(amps)
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {size}")
-        m = size.bit_length() - 1
         if backend == FLOAT:
             vals = np.array(amps, dtype=complex)
             if not np.isfinite(vals).all():
                 raise ValueError("float amplitudes must be finite")
             if vals.imag.any():
                 raise ValueError("float amplitudes are real; got a nonzero imaginary part")
-            return cls._from_plane(m, FLOAT, vals.real.copy())
+            return cls._from_plane(vals.real.copy())
         if backend != EXACT:
             raise ValueError(f"unknown backend {backend!r}")
         vals = [v if isinstance(v, DyadicReal) else DyadicReal.from_int(v) for v in amps]
@@ -290,19 +295,16 @@ class StateVector:
             raise ValueError("exact amplitudes must be integers times one power of 1/sqrt(2)")
         e = max((f for c, f in forms if c), default=0)
         plane = np.array([c << ((e - f) // 2) for c, f in forms], dtype=np.int64)
-        return cls._from_plane(m, EXACT, plane, e)
+        return cls._from_plane(plane, e)
 
     @classmethod
-    def _from_plane(
-        cls, num_qubits: int, backend: str, plane, e: int = 0, bound: int | float | None = None
-    ) -> StateVector:
-        """A state that takes ownership of ``plane`` (see the module
+    def _from_plane(cls, plane, e: int = 0, bound: int | float | None = None) -> StateVector:
+        """A state that takes ownership of ``plane``, a flat array of
+        length 2^m whose dtype gives the backend (see the module
         docstring), with no qubit known to read 0, scanned for its bound
         unless ``bound`` gives it; exact states are reduced to their
         minimal e."""
         s = cls.__new__(cls)
-        s.num_qubits = num_qubits
-        s.backend = backend
         s._plane = plane
         s._e = e
         s._bound = _abs_max(plane) if bound is None else bound
@@ -314,9 +316,7 @@ class StateVector:
         """An independent state of the same value, at minimal e; the
         tracked bound and the qubits known to read 0 carry over instead
         of being rescanned."""
-        s = StateVector._from_plane(
-            self.num_qubits, self.backend, self._plane.copy(), self._e, self._bound
-        )
+        s = StateVector._from_plane(self._plane.copy(), self._e, self._bound)
         s._zeros = self._zeros
         return s
 

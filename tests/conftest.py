@@ -12,10 +12,11 @@ X, Z and identity gates, the pair-reversed gate, basis states, the tensor
 product, the unitarity check, sampling, empirical distributions,
 constant oracles and float copies of states are built on the public
 API too: the library itself needs none of them.  ``delta_identity`` sums
-the parity identity that psi3 collapses by, literally.  ``report_dict``
-renders a sweep report as one dict, the reference that the streamed
-report is checked against, and ``sweep_report`` builds a report from
-given columns.
+the parity identity that psi3 collapses by, literally, and
+``inv_sqrt2_pow`` takes a power of 1/sqrt(2) by ring multiplication.
+``report_dict`` renders a sweep report as one dict, the reference that
+the streamed report is checked against, and ``sweep_report`` builds a
+report from given columns.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ EXACT_MATRICES = {
     # H (x) H: every row has four nonzero entries, +-1/2.
     "HH": tuple(tuple(_R * _R * (-1) ** (i & j).bit_count() for j in range(4)) for i in range(4)),
 }
+
+
+def inv_sqrt2_pow(e: int) -> cs.DyadicReal:
+    """1/sqrt(2)^e for e >= 0, as the e-th ring power of 1/sqrt(2), so it
+    shares no parity rule with the library's readers."""
+    value = _I
+    for _ in range(e):
+        value = value * _R
+    return value
 
 
 def exact_apply(amps: list, matrix, qubits: tuple[int, ...], m: int) -> list:

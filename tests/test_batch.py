@@ -28,7 +28,7 @@ from compsearch import (
     refutation,
     state,
 )
-from conftest import random_exact_state, random_float_state, report_dict
+from conftest import inv_sqrt2_pow, random_exact_state, random_float_state, report_dict
 
 
 def batch_rows(monkeypatch, n: int, rows: int) -> None:
@@ -38,9 +38,8 @@ def batch_rows(monkeypatch, n: int, rows: int) -> None:
 
 def row_state(out: StateVector, rows: int, r: int) -> StateVector:
     """Row r of a batched state as a state of its own."""
-    m = out.num_qubits - (rows.bit_length() - 1)
     plane = out._plane.reshape(rows, -1)[r].copy()
-    return StateVector._from_plane(m, out.backend, plane, out._e)
+    return StateVector._from_plane(plane, out._e)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
@@ -70,6 +69,53 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
             assert dev[r] == want.max_abs_diff(target)
             seen.append(f)
     assert sizes == [4, 2, 1] and seen == oracles
+
+
+def patch_rows(monkeypatch, edit) -> list[int]:
+    """Make the sweep loop pass each batch's output plane, one row per
+    oracle, and its sign table to ``edit`` before judging it; returns
+    the list of batch sizes run so far."""
+    real, sizes = refutation._simulate_rows, []
+
+    def run(circuit, signs, backend):
+        out = real(circuit, signs, backend)
+        edit(out._plane.reshape(len(signs), -1), signs, len(sizes))
+        sizes.append(len(signs))
+        return out
+
+    monkeypatch.setattr(refutation, "_simulate_rows", run)
+    return sizes
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+def test_check_oracles_keeps_a_first_batch_failure(monkeypatch, backend):
+    def corrupt_first(rows, signs, batch):
+        if batch == 0:
+            rows[0, 0] *= -1  # the sign of oracle 0's |0>|0> amplitude
+
+    n = 2
+    batch_rows(monkeypatch, n, 4)
+    sizes = patch_rows(monkeypatch, corrupt_first)
+    all_match, max_dev = refutation._check_oracles(n, refutation._oracle_tables(n), backend)
+    assert sizes == [4] * 4 and not all_match and max_dev == 1.0
+
+
+def test_check_oracles_keeps_a_first_batch_maximum(monkeypatch):
+    # Each row's |0>|0> amplitude moves by 1e-14 per marked element of its
+    # oracle, alike alone and in a batch; the tables run from the largest
+    # deviation down, so the largest lies in the first batch.
+    def nudge(rows, signs, batch):
+        rows[:, 0] += 1e-14 * (signs < 0).sum(axis=1)
+
+    n = 2
+    sizes = patch_rows(monkeypatch, nudge)
+    devs = {t: refutation.check_oracle(n, cs.BooleanOracle(n, t), cs.FLOAT)[1] for t in range(16)}
+    tables = state._tables(n, sorted(devs, key=devs.get, reverse=True))
+    batch_rows(monkeypatch, n, 4)
+    sizes.clear()
+    all_match, max_dev = refutation._check_oracles(n, tables, cs.FLOAT)
+    assert sizes == [4] * 4 and all_match
+    assert max_dev == max(devs.values()) > max(devs[t] for t in tables[4:].tolist())
 
 
 def oracle_batches(oracles, rows: int):
@@ -265,15 +311,15 @@ def diagonal_cases(rng, n: int):
         plane[3] = 0
         if e == n + 140:
             plane[1] = rng.integers(-3, 4, size * size)
-        out = StateVector._from_plane(2 + 2 * n, cs.EXACT, plane.astype(dtype).reshape(-1))
+        out = StateVector._from_plane(plane.astype(dtype).reshape(-1))
         out._e = e  # undo the reduction to minimal e
         yield out, signs, oracles
-    scale = cs.DyadicReal.inv_sqrt2_pow(n).to_float()
+    scale = inv_sqrt2_pow(n).to_float()
     plane = target * scale
     plane[1, plane[1] == 0] = -0.0
     plane[2, flipped] += 1e-13
     plane[3, flipped] -= 1e-11
-    yield StateVector._from_plane(2 + 2 * n, cs.FLOAT, plane.reshape(-1)), signs, oracles
+    yield StateVector._from_plane(plane.reshape(-1)), signs, oracles
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,7 +382,7 @@ def test_row_equality_compares_values_across_h(monkeypatch):
     assert x._plane.any()
 
     def at(plane, e):
-        s = StateVector._from_plane(5, cs.EXACT, plane)
+        s = StateVector._from_plane(plane)
         s._e = e  # undo the reduction to minimal e
         return s
 
@@ -415,11 +461,11 @@ def test_target_rows_are_target_outputs():
     n, size = 2, 4
     oracles = [cs.random_oracle(n, rng) for _ in range(4)]
     signs = np.stack([f.sign_array() for f in oracles])
-    unit = DyadicReal.inv_sqrt2_pow(n)
+    unit = inv_sqrt2_pow(n)
     for backend in cs.BACKENDS:
         targets = [cs.target_output(n, f, backend) for f in oracles]
         plane = np.concatenate([t._plane for t in targets])
-        rows = StateVector._from_plane(2 + 2 * n, backend, plane, targets[0]._e)
+        rows = StateVector._from_plane(plane, targets[0]._e)
         match, dev = refutation._match_diagonal(rows, signs)
         assert match.all() and not dev.any()
         for t, f in zip(targets, oracles):
@@ -439,11 +485,11 @@ def test_one_oracle_check_makes_no_target_plane(backend):
     refutation._check_oracles(n, tables, backend)  # warm up
     tracemalloc.start()
     try:
-        count, all_match, _ = refutation._check_oracles(n, tables, backend)
+        all_match, _ = refutation._check_oracles(n, tables, backend)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == 1 and all_match
+    assert all_match
     if backend == cs.FLOAT:
         assert peak < 2.5 * (8 << (2 * n))
     else:

@@ -229,7 +229,7 @@ class TestKnownZeros:
         n = 2
         built = [
             StateVector.from_amplitudes([1, 0, 0, 0], backend),
-            StateVector._from_plane(2, backend, StateVector(2, backend)._plane.copy()),
+            StateVector._from_plane(StateVector(2, backend)._plane.copy()),
             cs.psi1(n, backend),
             cs.psi2(n, self.F, backend),
             cs.psi2a(n, self.F, backend),

@@ -629,7 +629,7 @@ def sparse_exact_state(m: int, dtype, bound: int, rng: np.random.Generator) -> S
     where = rng.integers(1 << m, size=128)
     plane[where] = rng.integers(-bound, bound, size=128, endpoint=True)
     plane[where[:2]] = bound, -bound
-    s = StateVector._from_plane(m, cs.EXACT, plane, bound=bound)
+    s = StateVector._from_plane(plane, bound=bound)
     s._e = 1
     return s
 
@@ -676,6 +676,27 @@ class TestRunWalk:
             gate = LIBRARY["H" if len(qubits) == 1 else "C"]
             assert_run_walk(gate, m, qubits, 8)
             assert_float_kernel_bitwise(amps, qubits, (gate,))
+
+    def test_one_term_flipping_two_short_bits(self):
+        # Each row of the anti-diagonal XX is one term that flips both
+        # gate bits, so the run walk swaps an array's blocks into itself
+        # (gates._partner with its input as its output).
+        anti = [[int(i + j == 3) for j in range(4)] for i in range(4)]
+        gate, G = cs.Gate("XX", anti), np.array(anti, dtype=float)
+        matrix = tuple(tuple(DyadicReal(v, 0) for v in row) for row in anti)
+        m = 10
+        rng = np.random.Generator(np.random.PCG64(62))
+        amps = rng.standard_normal(1 << m)
+        ints = rng.integers(-3, 4, 1 << m).astype(np.int8)
+        for qubits in ((9, 10), (10, 9), (8, 10)):
+            assert gates._plan(gate._signs, m, qubits, False)[1] > 1, qubits
+            got = gates._apply(StateVector.from_amplitudes(amps, cs.FLOAT), qubits, gate)
+            want = (dense_two_qubit(G, *qubits, m) @ amps).real
+            assert np.array_equal(got._plane, want), qubits
+            s = gates._apply(StateVector._from_plane(ints.copy()), qubits, gate)
+            assert s._plane.dtype == np.int8, qubits
+            ref = exact_apply([DyadicReal(int(c), 0) for c in ints], matrix, qubits, m)
+            assert s.amplitudes() == ref, qubits
 
     def test_buffers_stay_about_one_chunk(self):
         # The run walk's buffers and coefficient vectors are about one

@@ -155,6 +155,7 @@ class TestDistribution:
         for plane in ([1.0, 0.0], np.array([0.5, 0.5], np.float32)):
             d = Distribution(plane)
             assert not d.exact and d.plane.dtype == np.float64
+            assert d.probs is d.plane
         # NumPy reads ints past int64 beside smaller ones as float64; the
         # table stays exact.
         assert np.asarray([2**63, 0]).dtype == np.float64
@@ -418,6 +419,10 @@ def sampled_float_sweep():
 
 
 class TestSweep:
+    def test_rejects_an_unknown_backend(self):
+        with pytest.raises(ValueError, match=r"^unknown backend 'bogus'$"):
+            cs.sweep_all_f(2, "bogus")
+
     def test_exhaustive_n2(self):
         rep = cs.sweep_all_f(2)
         assert rep.exhaustive and rep.oracle_count == 16

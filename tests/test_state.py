@@ -14,6 +14,7 @@ from conftest import (
     constant_oracle,
     exact_apply,
     exact_phase_oracle,
+    inv_sqrt2_pow,
     random_exact_state,
     tensor,
     to_float,
@@ -48,6 +49,8 @@ class TestBooleanOracle:
             BooleanOracle.from_marked(2, [4])
         with pytest.raises(ValueError):
             BooleanOracle(2, 0)(4)
+        with pytest.raises(ValueError, match=r"^oracle arity must be >= 1, got 0$"):
+            BooleanOracle(0, 0)
 
     def test_non_integer_arguments_rejected(self):
         # Refused at once: an oracle with a float table would fail later,
@@ -251,6 +254,19 @@ class TestStateVector:
             StateVector.from_amplitudes([np.inf, 0.0], cs.FLOAT)
         with pytest.raises(ValueError):
             StateVector(2).amplitude(4)
+        with pytest.raises(ValueError, match=r"^unknown backend 'bogus'$"):
+            StateVector.from_amplitudes([1, 0], "bogus")
+
+    @pytest.mark.parametrize("backend", cs.BACKENDS)
+    def test_size_and_kind_are_read_from_the_plane(self, backend):
+        s = StateVector(3, backend)
+        assert (s.num_qubits, s.num_states, s.backend) == (3, 8, backend)
+        for name in ("num_qubits", "backend"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+        # A float plane reads float, whatever state it came from.
+        t = StateVector._from_plane(s.to_float_array())
+        assert (t.num_qubits, t.backend) == (3, cs.FLOAT)
 
     def test_int64_conversion_overflow_detected(self):
         with pytest.raises(OverflowError):
@@ -300,7 +316,7 @@ def _bounded(dtype, bound: int, e: int, odd_entry: bool = False) -> StateVector:
     one entry 1 if ``odd_entry``, so that no factor of 2 divides out."""
     plane = np.array([bound, -bound, 0, bound, -bound, bound, 0, -bound], dtype)
     plane[2] = odd_entry
-    s = StateVector._from_plane(3, cs.EXACT, plane)
+    s = StateVector._from_plane(plane)
     s._e = e
     return s
 
@@ -385,7 +401,7 @@ class TestPlaneWidths:
         for q in range(2, 18):
             cs.apply_gate1(s, q, cs.hadamard())
         assert (s._plane.dtype, s._e) == (np.int8, 16)
-        other = StateVector._from_plane(17, cs.EXACT, np.eye(1, 1 << 17, dtype=np.int64)[0])
+        other = StateVector._from_plane(np.eye(1, 1 << 17, dtype=np.int64)[0])
         assert other._e == 0
         assert s != other and other != s
         # Where qubit 1 reads 1 both are zero, and equal at a shift of 8.
@@ -432,7 +448,7 @@ class TestPlaneWidths:
         circuit = build_grover(n, BooleanOracle.from_marked(n, [1]), grover_optimal_iterations(n, 1))
         s = simulate(circuit)
         assert s._plane.dtype == dtype
-        start = StateVector._from_plane(n, cs.EXACT, np.eye(1, 1 << n, dtype=np.int64)[0])
+        start = StateVector._from_plane(np.eye(1, 1 << n, dtype=np.int64)[0])
         wide = run(circuit, start)
         assert wide._plane.dtype == np.int64
         assert s == wide and s.amplitudes() == wide.amplitudes()
@@ -457,7 +473,7 @@ def literal_float(plane, e: int) -> bytes:
 
 def literal_value(c, e: int) -> DyadicReal:
     """The integer c times 1/sqrt(2)^e, by ring multiplication."""
-    return DyadicReal.from_int(int(c)) * DyadicReal.inv_sqrt2_pow(e)
+    return DyadicReal.from_int(int(c)) * inv_sqrt2_pow(e)
 
 
 def same(x, y) -> bool:
@@ -540,7 +556,7 @@ class TestOneReader:
         if big:
             # Integers past 2^53, squares past int64, at odd and even e.
             c = np.array([2**60 - 1, -(2**58) - 1, 2**57 + 3, 2**55 + 1])
-            states = [StateVector._from_plane(2, cs.EXACT, c.copy(), e) for e in (121, 122)]
+            states = [StateVector._from_plane(c.copy(), e) for e in (121, 122)]
             assert [s._e for s in states] == [121, 122]
         else:
             states = [random_exact_state(4, np.random.Generator(np.random.PCG64(9)), depth=20)]
