@@ -511,6 +511,10 @@ REPORT_DIGESTS = {
         "d58a9fe03ac2cccdb0ce3f850157a6a15f7c4fdaa73ec0a3ea4a28a20f9e64cd",
     "grover-compare --n 3 --marked 5":
         "31d73212fec7caa8cf04194b0c141a6d6062b6eeb5574c37380ce1ee6f480bcb",
+    # A float sweep of full batches of 32 oracles, whose 64-bit tables
+    # are a uint64 column.
+    "sweep --n 6 --backend float --seed 3":
+        "3271c370c08cc230be597bf16596c854e7496e1b705eb291e8820206e55fd6fb",
 }
 
 
