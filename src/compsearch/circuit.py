@@ -198,19 +198,13 @@ def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVe
     a power of two, with run r where its trailing log2 R qubits read r.
     A gate on qubit q of a run is then the same gate on qubit q of that
     state, whose long inner axis keeps the kernels fast, and the kernels
-    need no batch axis.  The result is transposed back to one run per
-    leading row, the layout that the per-row readers take: run r's final
-    state is where the result's leading log2 R qubits read r.  For R = 1
-    that transpose is a view, so one run costs no copy.  The circuit's
-    qubits start known to read 0, as in one run from |0...0>, and the
-    result has no qubit known to read 0.
+    need no batch axis.  The result keeps that layout: run r's final
+    state is column r of ``plane.reshape(-1, R)``.  The circuit's qubits
+    start known to read 0, as in one run from |0...0>.
     """
     rows = len(signs)
     lanes = rows.bit_length() - 1
     state = StateVector(lanes + circuit.width, backend)
     state._plane[:rows] = 1
     state._zeros = ((1 << circuit.width) - 1) << lanes
-    _run(circuit, state, signs=signs)
-    state._plane = np.ascontiguousarray(state._plane.reshape(-1, rows).T).reshape(-1)
-    state._zeros = 0
-    return state
+    return _run(circuit, state, signs=signs)

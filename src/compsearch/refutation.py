@@ -11,10 +11,9 @@ computed with zero tolerance.
 n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
 output against the diagonal target state.  Oracles run a batch at a
 time: R oracles are one state whose trailing log2 R qubits pick the
-oracle while the circuit runs; the result is transposed so that its
-leading log2 R qubits do, and the statistics are taken per row of it.
-Each row is judged against its oracle's sign table in place, on the
-diagonal and off it, so no target state is built.
+oracle, and the statistics are read per oracle from that state as the
+circuit leaves it.  Each output is judged against its oracle's sign
+table in place, on the diagonal and off it, so no target state is built.
 ``compare_grover`` runs the contrast case: the same marked element
 handed to Grover search is found with probability near 1, while the
 comparison circuit leaves it at exactly 2^-n.
@@ -85,7 +84,7 @@ class Distribution:
     code read the last axis.
     """
 
-    __slots__ = ("plane", "h", "num_qubits", "exact")
+    __slots__ = ("plane", "h")
 
     def __init__(self, plane, h: int = 0) -> None:
         array = np.asarray(plane)
@@ -112,21 +111,23 @@ class Distribution:
             array = array.astype(np.float64)
         if not (array >= 0).all():  # a NaN entry fails too
             raise ValueError("probabilities must be non-negative")
-        self._init(array, h)
+        self.plane, self.h = array, h
         self._check_total()
 
     @classmethod
     def _of(cls, plane: np.ndarray, h: int = 0) -> Distribution:
         """A table over ``plane`` as it is, unchecked."""
         dist = cls.__new__(cls)
-        dist._init(plane, h)
+        dist.plane, dist.h = plane, h
         return dist
 
-    def _init(self, plane: np.ndarray, h: int) -> None:
-        self.plane = plane
-        self.h = h
-        self.num_qubits = plane.shape[-1].bit_length() - 1
-        self.exact = plane.dtype.kind != "f"
+    @property
+    def num_qubits(self) -> int:
+        return self.plane.shape[-1].bit_length() - 1
+
+    @property
+    def exact(self) -> bool:
+        return self.plane.dtype.kind != "f"
 
     def _row(self, r: int) -> Distribution:
         """Row r of a row table, as a table."""
@@ -204,7 +205,9 @@ def _tv_sums(p: Distribution, q: Distribution) -> tuple[np.ndarray, int | None]:
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
     if not (p.exact and q.exact):
-        diff = p.as_float_array() - q.as_float_array()
+        # order="C": NumPy sums a row of a column-major difference (see
+        # _row_table) in another order, which moved the last bit of TVs.
+        diff = np.subtract(p.as_float_array(), q.as_float_array(), order="C")
         sums = np.abs(diff, out=diff).sum(axis=-1)
         return 0.5 * np.atleast_1d(sums), None
     h = max(p.h, q.h)
@@ -313,9 +316,9 @@ def _verdicts(n: int, backend: str, tables: np.ndarray):
     """Run the comparison circuit for the truth tables of the column
     ``tables`` a batch at a time and compare each output with its
     diagonal target.  Yields per batch ``(tables, out, match, max
-    deviation)``: ``out`` holds oracle r's output as row r (see
-    :func:`compsearch.circuit._simulate_rows`), and the last two are
-    bool and float64 arrays with one entry per oracle."""
+    deviation)``: oracle r's output is column r of ``out``'s plane viewed
+    as (2^2n, R) (see :func:`compsearch.circuit._simulate_rows`), and the
+    last two are bool and float64 arrays with one entry per oracle."""
     # Each batch's sign table overrides the oracle the circuit is built with.
     circuit = build_comparison_search(n, BooleanOracle(n, 0))
     for batch, signs in _batches(n, tables):
@@ -324,44 +327,45 @@ def _verdicts(n: int, backend: str, tables: np.ndarray):
 
 
 def _match_diagonal(out: StateVector, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row r of ``out`` (see :func:`_verdicts`), whether it equals the
-    diagonal target signs[r, k]/sqrt(2^n) on |k>|k>, zero elsewhere --
-    zero-tolerance in the exact backend, FLOAT_ATOL in float -- and the
-    largest deviation from it, as a bool and a float64 array.
+    """Per oracle r of ``out`` (see :func:`_verdicts`), whether its output
+    equals the diagonal target signs[r, k]/sqrt(2^n) on |k>|k>, zero
+    elsewhere -- zero-tolerance in the exact backend, FLOAT_ATOL in float
+    -- and the largest deviation from it, as a bool and a float64 array.
 
     It reads the sign table and two strided views of the plane, the
     diagonal and the rest, and builds no target.  The deviation is
     :meth:`StateVector.max_abs_diff`'s against the target: off the
-    diagonal the largest |c| of a row, taken as a float once, which is
-    exact as :func:`_as_float` is odd and monotone.  Exact values match
-    as ``==`` rules against a +-1 target at e = n: only at e = n + 2t,
-    with the diagonal signs * 2^t and every other integer 0."""
+    diagonal the largest |c| of an output, taken as a float once, which
+    is exact as :func:`_as_float` is odd and monotone.  Exact values
+    match as ``==`` rules against a +-1 target at e = n: only at
+    e = n + 2t, with the diagonal signs * 2^t and every other integer 0."""
     rows, size = signs.shape
     n = size.bit_length() - 1
-    plane = out._plane.reshape(rows, size * size)
-    diag = plane[:, :: size + 1]
-    off = plane[:, 1:].reshape(rows, size - 1, size + 1)[:, :, :size]
-    hi, lo = off.max(axis=(1, 2)), off.min(axis=(1, 2))
+    plane = out._plane.reshape(size * size, rows)
+    diag, signs = plane[:: size + 1], signs.T
+    off = plane[1:].reshape(size - 1, size + 1, rows)[:, :size]
+    hi, lo = off.max(axis=(0, 1)), off.min(axis=(0, 1))
     diff = _as_float(diag, out._e) - _as_float(signs, n)
     # abs: np.maximum returns its second operand on a tie, which would
-    # make a row of float zeros deviate by -0.0.
+    # make an output of float zeros deviate by -0.0.
     dev = np.abs(np.maximum(_as_float(hi, out._e), -_as_float(lo, out._e)))
-    dev = np.maximum(np.abs(diff, out=diff).max(axis=1), dev)
+    dev = np.maximum(np.abs(diff, out=diff).max(axis=0), dev)
     if out.backend == FLOAT:
         return dev <= FLOAT_ATOL, dev
     t, odd = divmod(out._e - n, 2)
     if odd or not 0 <= t < 62:
         return np.zeros(rows, bool), dev
-    return (diag == signs << t).all(axis=1) & (hi == 0) & (lo == 0), dev
+    return (diag == signs << t).all(axis=0) & (hi == 0) & (lo == 0), dev
 
 
 def _row_table(out: StateVector, rows: int) -> Distribution:
-    """The Born-rule table of each of the ``rows`` rows of ``out`` (see
-    :func:`_verdicts`) as one row table, squared by
-    :meth:`StateVector._squares`; raises ValueError unless every row sums
-    to 1."""
+    """The Born-rule tables of the ``rows`` oracles of ``out`` (see
+    :func:`_verdicts`) as one row table, a column-major view of the plane
+    squared by :meth:`StateVector._squares`; raises ValueError unless
+    every row sums to 1.  A float marginal of it is the one-table
+    marginal bit for bit only over a window that ends at the last qubit."""
     plane, h = out._squares(1, out.num_states, 1)
-    table = Distribution._of(plane.reshape(rows, -1), h)
+    table = Distribution._of(plane.reshape(-1, rows).T, h)
     table._check_total()
     return table
 

@@ -1,17 +1,18 @@
 """The batched oracle loop against one oracle at a time.
 
 A batch of R oracles runs as one state whose trailing log2 R qubits pick
-the oracle, and comes back transposed so that its leading log2 R qubits
-do.  Each row must be bit for bit the output of that oracle's own
-circuit, and each per-row statistic bit for bit what the one-table
-routine, or the literal formula it replaced, gives for that row alone.
+the oracle, and stays in that layout: oracle r's output is column r of
+the plane viewed as (2^2n, R).  Each column must be bit for bit the
+output of that oracle's own circuit, and each per-oracle statistic bit
+for bit what the one-table routine, or the literal formula it replaced,
+gives for that output alone.
 """
 
 import json
 import re
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ def batch_rows(monkeypatch, n: int, rows: int) -> None:
 
 
 def row_state(out: StateVector, rows: int, r: int) -> StateVector:
-    """Row r of a batched state as a state of its own."""
-    plane = out._plane.reshape(rows, -1)[r].copy()
+    """Oracle r's output in a batched state of ``rows`` oracles, column r
+    of its plane, as a state of its own."""
+    plane = out._plane.reshape(-1, rows)[:, r].copy()
     return StateVector._from_plane(plane, out._e)
 
 
@@ -72,14 +74,14 @@ def test_each_row_is_its_oracles_circuit(monkeypatch, n, backend):
 
 
 def patch_rows(monkeypatch, edit) -> list[int]:
-    """Make the sweep loop pass each batch's output plane, one row per
-    oracle, and its sign table to ``edit`` before judging it; returns
-    the list of batch sizes run so far."""
+    """Make the sweep loop pass a view of each batch's output plane, one
+    row per oracle, and its sign table to ``edit`` before judging it;
+    returns the list of batch sizes run so far."""
     real, sizes = refutation._simulate_rows, []
 
     def run(circuit, signs, backend):
         out = real(circuit, signs, backend)
-        edit(out._plane.reshape(len(signs), -1), signs, len(sizes))
+        edit(out._plane.reshape(-1, len(signs)).T, signs, len(sizes))
         sizes.append(len(signs))
         return out
 
@@ -203,15 +205,18 @@ def test_empty_sign_table_is_refused_before_any_write(backend, shape):
     assert s == before
 
 
+@pytest.mark.parametrize("rows", [1, 4, 16])
 @pytest.mark.parametrize("backend", cs.BACKENDS)
-def test_one_row_costs_no_copy(backend):
-    # One row needs no transpose back to the leading-row layout: the run
-    # peaks below its plane plus one plane, as one oracle on its own.
-    n = 8
-    f = cs.random_oracle(n, np.random.Generator(np.random.PCG64(9)))
-    build = cs.build_comparison_search(n, f)
-    signs = f.sign_array()[None]
-    plane = 8 << (2 * n)
+def test_batch_output_costs_no_copy(backend, rows):
+    # The batch leaves the kernels in the layout it is read in, so no
+    # copy of the output plane is made: the run peaks below its plane
+    # plus one float plane, as one oracle on its own.
+    n = 8 - (rows.bit_length() - 1) // 2
+    rng = np.random.Generator(np.random.PCG64(9))
+    oracles = [cs.random_oracle(n, rng) for _ in range(rows)]
+    build = cs.build_comparison_search(n, oracles[0])
+    signs = np.stack([f.sign_array() for f in oracles])
+    plane = 8 * rows << (2 * n)
     tracemalloc.start()
     try:
         out = circuit._simulate_rows(build, signs, backend)
@@ -219,7 +224,8 @@ def test_one_row_costs_no_copy(backend):
     finally:
         tracemalloc.stop()
     assert peak < 2 * plane
-    assert out == cs.simulate(build, backend)
+    for r, f in enumerate(oracles):
+        assert row_state(out, rows, r) == cs.simulate(cs.build_comparison_search(n, f), backend)
 
 
 @pytest.mark.parametrize("backend", cs.BACKENDS)
@@ -234,13 +240,18 @@ def test_batched_window_is_checked_per_row_before_any_write(backend):
     assert s == before
 
 
-def random_row_table(rng, rows: int, m: int, exact: bool) -> Distribution:
+def random_row_table(rng, rows: int, m: int, exact: bool, column_major: bool) -> Distribution:
     """``rows`` unequal tables over m qubits, as one row table; exact
-    ones are unnormalized, which the TV and marginal code do not read."""
+    ones are unnormalized, which the TV and marginal code do not read.
+    A column-major one is the transpose of a (2^m, rows) array, as
+    ``refutation._row_table`` views a batch."""
+    shape = (1 << m, rows) if column_major else (rows, 1 << m)
     if exact:
-        return Distribution._of(rng.integers(-50, 50, size=(rows, 1 << m)), int(rng.integers(0, 5)))
-    p = rng.random((rows, 1 << m))
-    return Distribution._of(p / p.sum(axis=1, keepdims=True))
+        p, h = rng.integers(-50, 50, size=shape), int(rng.integers(0, 5))
+    else:
+        p, h = rng.random(shape), 0
+        p /= p.sum(axis=0 if column_major else 1, keepdims=True)
+    return Distribution._of(p.T if column_major else p, h)
 
 
 def tv_rows(p, q) -> list:
@@ -254,20 +265,26 @@ def test_row_statistics_equal_one_table_at_a_time(m):
     rng = np.random.Generator(np.random.PCG64(m))
     rows = 8
     ranges = [(m // 2 + 1, m), (1, m // 2), (2, m - 1), (1, m)]
-    for exact in (False, True):
-        table = random_row_table(rng, rows, m, exact)
-        other = random_row_table(rng, rows, m, exact)
+    for column_major, exact in product((False, True), (False, True)):
+        table = random_row_table(rng, rows, m, exact, column_major)
+        other = random_row_table(rng, rows, m, exact, column_major)
+        spans = ranges
+        if column_major and not exact:
+            # A float marginal of a column-major row table is the one-table
+            # marginal bit for bit only over windows that end at qubit m.
+            spans = [(first, last) for first, last in ranges if last == m]
         to_one = tv_rows(table, other._row(3))
         row_by_row = tv_rows(table, other)
-        margs = {span: cs.marginal(table, *span) for span in ranges}
+        margs = {span: cs.marginal(table, *span) for span in spans}
         for r in range(rows):
-            one = table._row(r)
+            # Row r alone, as one contiguous table.
+            one = Distribution._of(table.plane[r].copy(), table.h)
             assert to_one[r] == cs.tv_distance(one, other._row(3)) != 0
             assert row_by_row[r] == cs.tv_distance(one, other._row(r)) != 0
             if not exact:
                 # The one-table formulas of the unbatched loop.
-                p, q = one.plane, other.plane[r]
-                assert to_one[r].hex() == (0.5 * float(np.abs(p - other.plane[3]).sum())).hex()
+                p, q, q3 = one.plane, other.plane[r].copy(), other.plane[3].copy()
+                assert to_one[r].hex() == (0.5 * float(np.abs(p - q3).sum())).hex()
                 assert row_by_row[r].hex() == (0.5 * float(np.abs(p - q).sum())).hex()
             else:
                 # Half the sum of |p(x) - q(x)|, one DyadicReal at a time.
@@ -284,20 +301,21 @@ def test_row_statistics_equal_one_table_at_a_time(m):
 
 
 def diagonal_cases(rng, n: int):
-    """Batched outputs of four rows on 2n qubits, each with the sign table
-    and the oracles that the diagonal check judges it against.
+    """Batched outputs of four oracles on 2n qubits, oracle r's in column
+    r of the plane viewed as (2^2n, 4), each with the sign table and the
+    oracles that the diagonal check judges it against.
 
-    Row 0 is its target times 2^t, row 1 that plus an off-diagonal
-    integer, row 2 that with one diagonal sign flipped and row 3 zero.
-    Exact planes are int8, int16 or int64 at e = n + 2t, at odd e, below
-    n and at n + 140, the last with random integers in row 1.  Float
-    planes hold the target, off-diagonal -0.0 in row 1, and noise just
-    inside and past FLOAT_ATOL in rows 2 and 3."""
+    Output 0 is its target times 2^t, output 1 that plus an off-diagonal
+    integer, output 2 that with one diagonal sign flipped and output 3
+    zero.  Exact planes are int8, int16 or int64 at e = n + 2t, at odd e,
+    below n and at n + 140, the last with random integers in output 1.
+    Float planes hold the target, off-diagonal -0.0 in output 1, and
+    noise just inside and past FLOAT_ATOL in outputs 2 and 3."""
     size, rows = 1 << n, 4
     oracles = [cs.random_oracle(n, rng) for _ in range(rows)]
     signs = np.stack([f.sign_array() for f in oracles])
-    target = np.zeros((rows, size * size), np.int64)
-    target[:, :: size + 1] = signs
+    target = np.zeros((size * size, rows), np.int64)
+    target[:: size + 1] = signs.T
     flipped = int(rng.integers(size)) * (size + 1)
     for dtype, t, e in [
         (np.int8, 0, n), (np.int8, 2, n + 4), (np.int16, 12, n + 24), (np.int64, 40, n + 80),
@@ -306,19 +324,19 @@ def diagonal_cases(rng, n: int):
         if e < 0:
             continue
         plane = target << t
-        plane[1, int(rng.integers(1, size))] += 1
-        plane[2, flipped] *= -1
-        plane[3] = 0
+        plane[int(rng.integers(1, size)), 1] += 1
+        plane[flipped, 2] *= -1
+        plane[:, 3] = 0
         if e == n + 140:
-            plane[1] = rng.integers(-3, 4, size * size)
+            plane[:, 1] = rng.integers(-3, 4, size * size)
         out = StateVector._from_plane(plane.astype(dtype).reshape(-1))
         out._e = e  # undo the reduction to minimal e
         yield out, signs, oracles
     scale = inv_sqrt2_pow(n).to_float()
     plane = target * scale
-    plane[1, plane[1] == 0] = -0.0
-    plane[2, flipped] += 1e-13
-    plane[3, flipped] -= 1e-11
+    plane[plane[:, 1] == 0, 1] = -0.0
+    plane[flipped, 2] += 1e-13
+    plane[flipped, 3] -= 1e-11
     yield StateVector._from_plane(plane.reshape(-1)), signs, oracles
 
 
@@ -455,8 +473,9 @@ def test_target_runs_no_gate_or_circuit_code(backend):
 
 
 def test_target_rows_are_target_outputs():
-    # The check takes target_output's own planes, stacked as rows, as
-    # exact matches, and target_output is the literal diagonal.
+    # The check takes target_output's own planes, stacked as the columns
+    # of a batch, as exact matches, and target_output is the literal
+    # diagonal.
     rng = np.random.Generator(np.random.PCG64(6))
     n, size = 2, 4
     oracles = [cs.random_oracle(n, rng) for _ in range(4)]
@@ -464,7 +483,7 @@ def test_target_rows_are_target_outputs():
     unit = inv_sqrt2_pow(n)
     for backend in cs.BACKENDS:
         targets = [cs.target_output(n, f, backend) for f in oracles]
-        plane = np.concatenate([t._plane for t in targets])
+        plane = np.stack([t._plane for t in targets], axis=1).reshape(-1)
         rows = StateVector._from_plane(plane, targets[0]._e)
         match, dev = refutation._match_diagonal(rows, signs)
         assert match.all() and not dev.any()

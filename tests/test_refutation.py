@@ -162,6 +162,18 @@ class TestDistribution:
         d = Distribution([2**63, 0, 2**62, 2**62], 64)
         assert d.exact and list(d.probs) == [HALF, 0, DyadicReal(1, 0, 2), DyadicReal(1, 0, 2)]
 
+    def test_size_and_kind_are_read_from_the_plane(self):
+        d = Distribution([0.5, 0.5])
+        assert (d.num_qubits, d.exact) == (1, False)
+        d.plane = np.full(4, 0.25)
+        assert (d.num_qubits, len(d)) == (2, 4)
+        d.plane = np.array([0, 1], dtype=object)
+        assert d.exact and d.num_qubits == 1
+        assert Distribution.__slots__ == ("plane", "h")
+        for name in ("num_qubits", "exact"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, getattr(d, name))
+
     def test_rejects_negative_entries(self):
         # Each table sums to 1.
         for plane, h in ((np.array([2.0, -1.0]), 0), ([2, -1], 0), ([-2, 6], 2)):
