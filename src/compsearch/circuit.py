@@ -144,18 +144,18 @@ def _start_state(circuit: Circuit, s0: StateVector) -> StateVector:
     return s0.copy()
 
 
-def _run(
-    circuit: Circuit,
+def _apply_ops(
+    ops: tuple[CircuitOp, ...],
     state: StateVector,
     trace: Trace | None = None,
     signs: np.ndarray | None = None,
 ) -> StateVector:
-    """Apply the circuit to ``state`` in place, snapshotting it into
-    ``trace`` at every checkpoint when one is given.  With a sign table
-    ``signs``, the state holds one row per row of the table on its
-    trailing qubits, and each gate acts on its own qubits of every row
-    (see :func:`_simulate_rows`)."""
-    for op in circuit.ops:
+    """Apply ``ops`` to ``state`` in place, snapshotting it into ``trace``
+    at every checkpoint when one is given.  With a sign table ``signs``,
+    the state holds one row per row of the table on its trailing qubits,
+    and each gate acts on its own qubits of every row (see
+    :func:`_simulate_rows`)."""
+    for op in ops:
         if isinstance(op, Checkpoint):
             if trace is not None:
                 trace.checkpoints[op.label] = state.copy()
@@ -167,6 +167,13 @@ def _run(
             gates.apply_phase_oracle(state, op.oracle, op.reg_start)
         else:
             gates._apply_signs(state, signs, op.reg_start)
+    return state
+
+
+def _run(circuit: Circuit, state: StateVector, trace: Trace | None = None) -> StateVector:
+    """Apply the circuit to ``state`` in place (see :func:`_apply_ops`)
+    and reduce it to its minimal e."""
+    _apply_ops(circuit.ops, state, trace)
     state._canonical_reduce()
     return state
 
@@ -188,7 +195,26 @@ def simulate(circuit: Circuit, backend: str = EXACT) -> StateVector:
     return _run(circuit, StateVector(circuit.width, backend))
 
 
-def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVector:
+def _head(circuit: Circuit) -> int:
+    """How many of the circuit's ops come before its first phase oracle."""
+    oracles = (i for i, op in enumerate(circuit.ops) if isinstance(op, PhaseOraclePlacement))
+    return next(oracles, len(circuit.ops))
+
+
+def _rows_start(circuit: Circuit, rows: int, backend: str) -> StateVector:
+    """The |0...0> start of ``rows`` runs of the circuit (see
+    :func:`_simulate_rows`) taken through the ops before its first phase
+    oracle, which are the same for every sign table."""
+    lanes = rows.bit_length() - 1
+    state = StateVector(lanes + circuit.width, backend)
+    state._plane[:rows] = 1
+    state._zeros = ((1 << circuit.width) - 1) << lanes
+    return _apply_ops(circuit.ops[: _head(circuit)], state)
+
+
+def _simulate_rows(
+    circuit: Circuit, signs: np.ndarray, backend: str, start: StateVector | None = None
+) -> StateVector:
     """Run the circuit from |0...0> once per row of the sign table
     ``signs``, all at once: in run r every phase oracle of the circuit
     multiplies by signs[r] (see :func:`gates._apply_signs`) in place of
@@ -201,10 +227,24 @@ def _simulate_rows(circuit: Circuit, signs: np.ndarray, backend: str) -> StateVe
     need no batch axis.  The result keeps that layout: run r's final
     state is column r of ``plane.reshape(-1, R)``.  The circuit's qubits
     start known to read 0, as in one run from |0...0>.
+
+    The ops before the first phase oracle see no sign table, so a caller
+    that runs many tables of one size can pass their result, ``start =
+    _rows_start(circuit, R, backend)``, and run them once.  The batch
+    then begins from a copy of its plane, with its exponent, bound and
+    known-zero qubits carried over and no reduction or rescan, so every
+    gate sees the values it sees from |0...0>; ``start`` is left as it
+    is.  A start of another size raises ValueError.
     """
     rows = len(signs)
-    lanes = rows.bit_length() - 1
-    state = StateVector(lanes + circuit.width, backend)
-    state._plane[:rows] = 1
-    state._zeros = ((1 << circuit.width) - 1) << lanes
-    return _run(circuit, state, signs=signs)
+    if start is None:
+        state = _rows_start(circuit, rows, backend)
+    elif start.num_qubits != circuit.width + rows.bit_length() - 1:
+        raise ValueError(f"a start of {start.num_qubits} qubits cannot run {rows} rows")
+    else:
+        state = StateVector.__new__(StateVector)
+        state._plane, state._e = start._plane.copy(), start._e
+        state._bound, state._zeros = start._bound, start._zeros
+    _apply_ops(circuit.ops[_head(circuit) :], state, signs=signs)
+    state._canonical_reduce()
+    return state

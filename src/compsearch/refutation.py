@@ -12,8 +12,11 @@ n = EXHAUSTIVE_SWEEP_MAX_N, seeded samples beyond) and compares each
 output against the diagonal target state.  Oracles run a batch at a
 time: R oracles are one state whose trailing log2 R qubits pick the
 oracle, and the statistics are read per oracle from that state as the
-circuit leaves it.  Each output is judged against its oracle's sign
-table in place, on the diagonal and off it, so no target state is built.
+circuit leaves it.  The gates before the phase oracle are the same for
+every oracle, so a sweep runs them once for its full batches and starts
+each from a copy.  Each output is judged against its oracle's sign
+table in place, on the diagonal and off it, so no target state is built,
+and a float table equal to the first one is at TV 0.0 without a sum.
 ``compare_grover`` runs the contrast case: the same marked element
 handed to Grover search is found with probability near 1, while the
 comparison circuit leaves it at exactly 2^-n.
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .circuit import (
+    _rows_start,
     _simulate_rows,
     build_comparison_search,
     build_grover,
@@ -201,15 +205,26 @@ def _tv_sums(p: Distribution, q: Distribution) -> tuple[np.ndarray, int | None]:
     with float64 distances d when either table is float, else ``(s, h)``
     with integer sums s, each distance being s / 2^h, which
     ``_as_float(s, 2 * h)`` converts as ``float(DyadicReal(s, 0, h))``
-    does."""
+    does.  A float row equal to q entry for entry is at +0.0, as its sum
+    would be; only the other rows are subtracted and summed, each in the
+    order of the row alone."""
     if len(p) != len(q):
         raise ValueError("distributions live on different outcome spaces")
     if not (p.exact and q.exact):
-        # order="C": NumPy sums a row of a column-major difference (see
-        # _row_table) in another order, which moved the last bit of TVs.
-        diff = np.subtract(p.as_float_array(), q.as_float_array(), order="C")
-        sums = np.abs(diff, out=diff).sum(axis=-1)
-        return 0.5 * np.atleast_1d(sums), None
+        x, y = p.as_float_array(), q.as_float_array()
+        # A row equal to q's entry for entry is at distance +0.0, as x - x
+        # is +0.0 for finite x, whatever the sign of each zero.
+        equal = np.atleast_1d((x == y).all(axis=-1))
+        dist = np.zeros(len(equal))
+        if not equal.all():
+            rest = ~equal
+            # The other rows, gathered C-contiguous: NumPy sums a row of a
+            # column-major difference (see _row_table) in another order,
+            # which moved the last bit of TVs.
+            x, y = np.atleast_2d(x)[rest], y[rest] if y.ndim > 1 else y
+            diff = np.subtract(x, y, order="C")
+            dist[rest] = 0.5 * np.abs(diff, out=diff).sum(axis=-1)
+        return dist, None
     h = max(p.h, q.h)
     shifted = [(d.plane, h - d.h) for d in (p, q)]
     # Each |p - q| is below 2 * bound, so a row of them sums within int64
@@ -299,11 +314,16 @@ def _oracle_tables(n: int, seed: int = 0) -> np.ndarray:
     return _tables(n, [random_oracle(n, rng).table for _ in range(SAMPLED_SWEEP_COUNT)])
 
 
+def _batch_rows(n: int) -> int:
+    """Oracles on n bits in one full batch: max(1, _BATCH_AMPS >> 2n)."""
+    return max(1, _BATCH_AMPS >> (2 * n))
+
+
 def _batches(n: int, tables: np.ndarray):
-    """The column ``tables`` in slices of max(1, _BATCH_AMPS >> 2n) rows,
-    a power of two; a last, shorter run is cut into slices of falling
+    """The column ``tables`` in slices of :func:`_batch_rows` rows, a
+    power of two; a last, shorter run is cut into slices of falling
     powers of two.  Yields ``(slice, its sign table)``."""
-    rows = max(1, _BATCH_AMPS >> (2 * n))
+    rows = _batch_rows(n)
     start = 0
     while start < len(tables):
         size = 1 << (min(rows, len(tables) - start).bit_length() - 1)
@@ -318,11 +338,21 @@ def _verdicts(n: int, backend: str, tables: np.ndarray):
     diagonal target.  Yields per batch ``(tables, out, match, max
     deviation)``: oracle r's output is column r of ``out``'s plane viewed
     as (2^2n, R) (see :func:`compsearch.circuit._simulate_rows`), and the
-    last two are bool and float64 arrays with one entry per oracle."""
+    last two are bool and float64 arrays with one entry per oracle.
+
+    The ops before the phase oracle are the same in every batch of one
+    size, so when full batches run more than once, and each holds at most
+    _BATCH_AMPS amplitudes, they run once, and every full batch starts
+    from a copy of their result (see :func:`_simulate_rows`).  Only full
+    batches can repeat: the rest of the column is cut into distinct
+    powers of two."""
     # Each batch's sign table overrides the oracle the circuit is built with.
     circuit = build_comparison_search(n, BooleanOracle(n, 0))
+    rows, start = _batch_rows(n), None
+    if len(tables) >= 2 * rows and rows << (2 * n) <= _BATCH_AMPS:
+        start = _rows_start(circuit, rows, backend)
     for batch, signs in _batches(n, tables):
-        out = _simulate_rows(circuit, signs, backend)
+        out = _simulate_rows(circuit, signs, backend, start if len(batch) == rows else None)
         yield (batch, out, *_match_diagonal(out, signs))
 
 
@@ -362,8 +392,9 @@ def _row_table(out: StateVector, rows: int) -> Distribution:
     """The Born-rule tables of the ``rows`` oracles of ``out`` (see
     :func:`_verdicts`) as one row table, a column-major view of the plane
     squared by :meth:`StateVector._squares`; raises ValueError unless
-    every row sums to 1.  A float marginal of it is the one-table
-    marginal bit for bit only over a window that ends at the last qubit."""
+    every row sums to 1.  Its marginals and TV distances are, row for
+    row, the one-table ones bit for bit: :func:`marginal` and
+    :func:`_tv_sums` sum a float row in the order of the row alone."""
     plane, h = out._squares(1, out.num_states, 1)
     table = Distribution._of(plane.reshape(-1, rows).T, h)
     table._check_total()

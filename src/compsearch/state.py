@@ -108,9 +108,14 @@ def _qubit_range(m: int, first: int, last: int) -> tuple[int, int, int]:
 
 def _sum_out(plane: np.ndarray, pre: int, keep: int, post: int) -> np.ndarray:
     """``plane``'s last axis viewed as (pre, keep, post), summed over the
-    outer two; leading axes (rows) are kept."""
+    outer two; leading axes (rows) are kept.  Where post > 1, a float
+    plane that is not C-contiguous, such as a column-major row table, is
+    first made so: NumPy sums a strided plane in another order, and each
+    row's sums must be bit for bit those of the row alone."""
     if pre == post == 1:
         return plane
+    if post > 1 and plane.dtype.kind == "f":
+        plane = np.ascontiguousarray(plane)
     return plane.reshape(plane.shape[:-1] + (pre, keep, post)).sum(axis=(-3, -1))
 
 

@@ -79,8 +79,8 @@ def patch_rows(monkeypatch, edit) -> list[int]:
     returns the list of batch sizes run so far."""
     real, sizes = refutation._simulate_rows, []
 
-    def run(circuit, signs, backend):
-        out = real(circuit, signs, backend)
+    def run(circuit, signs, backend, start=None):
+        out = real(circuit, signs, backend, start)
         edit(out._plane.reshape(-1, len(signs)).T, signs, len(sizes))
         sizes.append(len(signs))
         return out
@@ -118,6 +118,70 @@ def test_check_oracles_keeps_a_first_batch_maximum(monkeypatch):
     all_match, max_dev = refutation._check_oracles(n, tables, cs.FLOAT)
     assert sizes == [4] * 4 and all_match
     assert max_dev == max(devs.values()) > max(devs[t] for t in tables[4:].tolist())
+
+
+def state_bits(s: StateVector) -> tuple:
+    """Everything a gate reads of a state: plane bytes and dtype, e, the
+    tracked bound and the qubits known to read 0."""
+    return s._plane.tobytes(), s._plane.dtype, s._e, s._bound, s._zeros
+
+
+@pytest.mark.parametrize("backend", cs.BACKENDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batches_from_the_held_start_equal_fresh_runs(monkeypatch, n, backend):
+    # Four rows a batch over eleven oracles: the two full batches start
+    # from one held start, the last three oracles run as 2 + 1 on their own.
+    batch_rows(monkeypatch, n, 4)
+    rng = np.random.Generator(np.random.PCG64(30 + n))
+    tables = state._tables(n, [cs.random_oracle(n, rng).table for _ in range(11)])
+    build = cs.build_comparison_search(n, cs.BooleanOracle(n, 0))
+    head = state_bits(circuit._rows_start(build, 4, backend))
+    real, runs, held = circuit._simulate_rows, [], []
+
+    def run(build, signs, backend, start=None):
+        out = real(build, signs, backend, start)
+        assert state_bits(out) == state_bits(real(build, signs, backend))
+        if start is not None:
+            held.append(start)
+            assert held[0] is start and state_bits(start) == head
+        runs.append((len(signs), start is not None))
+        return out
+
+    monkeypatch.setattr(refutation, "_simulate_rows", run)
+    for _ in refutation._verdicts(n, backend, tables):
+        if held:
+            assert state_bits(held[0]) == head
+    assert runs == [(4, True), (4, True), (2, False), (1, False)]
+    with pytest.raises(ValueError, match="cannot run 2 rows"):
+        real(build, np.ones((2, 1 << n), np.int64), backend, held[0])
+
+
+@pytest.mark.parametrize(
+    "n, count, backend, parent",
+    [(4, 1 << 16, cs.FLOAT, 3), (4, 1 << 16, cs.EXACT, 5), (8, 6, cs.FLOAT, 3), (8, 6, cs.EXACT, 5)],
+)
+def test_held_start_costs_one_plane(n, count, backend, parent):
+    # A multi-batch check holds one start plane beside each batch's own.
+    # Before starts were held it peaked below ``parent`` planes (2.5 and
+    # 4.7 at n = 4, 2.4 and 4.1 at n = 8, float and exact), counting an
+    # exact plane at its starting int8 width.
+    if count == 1 << 16:
+        tables = refutation._oracle_tables(n)
+    else:
+        rng = np.random.Generator(np.random.PCG64(2))
+        tables = state._tables(n, [cs.random_oracle(n, rng).table for _ in range(count)])
+    rows = refutation._batch_rows(n)
+    assert len(tables) >= 2 * rows and rows << (2 * n) == refutation._BATCH_AMPS
+    plane = (8 if backend == cs.FLOAT else 1) * refutation._BATCH_AMPS
+    refutation._check_oracles(n, tables, backend)  # warm up
+    tracemalloc.start()
+    try:
+        all_match, _ = refutation._check_oracles(n, tables, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all_match
+    assert peak < (parent + 1) * plane
 
 
 def oracle_batches(oracles, rows: int):
@@ -268,14 +332,9 @@ def test_row_statistics_equal_one_table_at_a_time(m):
     for column_major, exact in product((False, True), (False, True)):
         table = random_row_table(rng, rows, m, exact, column_major)
         other = random_row_table(rng, rows, m, exact, column_major)
-        spans = ranges
-        if column_major and not exact:
-            # A float marginal of a column-major row table is the one-table
-            # marginal bit for bit only over windows that end at qubit m.
-            spans = [(first, last) for first, last in ranges if last == m]
         to_one = tv_rows(table, other._row(3))
         row_by_row = tv_rows(table, other)
-        margs = {span: cs.marginal(table, *span) for span in spans}
+        margs = {span: cs.marginal(table, *span) for span in ranges}
         for r in range(rows):
             # Row r alone, as one contiguous table.
             one = Distribution._of(table.plane[r].copy(), table.h)
@@ -298,6 +357,68 @@ def test_row_statistics_equal_one_table_at_a_time(m):
                 if pre * post > 1:
                     literal = one.plane.reshape(pre, keep, post).sum(axis=(0, 2))
                     assert marg.plane[r].tobytes() == literal.tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_every_window_of_a_column_major_table_is_the_one_table_marginal(m):
+    # NumPy sums a strided plane in another order; window (2, 3) at m = 4
+    # differed in the last bit before the marginal made such a plane
+    # contiguous.
+    rng = np.random.Generator(np.random.PCG64(40 + m))
+    table = random_row_table(rng, 8, m, exact=False, column_major=True)
+    assert not table.plane.flags.c_contiguous
+    for first in range(1, m + 1):
+        for last in range(first, m + 1):
+            marg = cs.marginal(table, first, last)
+            for r in range(8):
+                want = cs.marginal(Distribution._of(table.plane[r].copy()), first, last)
+                assert marg.plane[r].tobytes() == want.plane.tobytes()
+
+
+def float_hex(values) -> list:
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def test_rows_equal_to_q_skip_the_sum_bit_for_bit():
+    # Row tables as _row_table views a batch: the transpose of a (2^m, R)
+    # array.  Rows 0-2 equal q, row 1 with -0.0 where q has +0.0 (and
+    # rows 0 and 2 with +0.0 where neg_q has -0.0), rows 3 and 4 are one
+    # ulp off q in their last or first entry, the rest are random.
+    rng = np.random.Generator(np.random.PCG64(12))
+    m, rows = 4, 8
+    q = rng.random(1 << m)
+    q[[2, 5]] = 0.0
+    q /= q.sum()
+    block = rng.random((1 << m, rows))
+    block /= block.sum(axis=0)
+    block[:, :5] = q[:, None]
+    block[[2, 5], 1] = -0.0
+    neg_q = q.copy()
+    neg_q[[2, 5]] = -0.0
+    block[-1, 3] = np.nextafter(q[-1], 1)
+    block[0, 4] = np.nextafter(q[0], 0)
+    cases = [
+        (Distribution._of(block.T), Distribution._of(q)),
+        (Distribution._of(block.T), Distribution._of(neg_q)),
+        (Distribution._of(block.T), Distribution._of(block.T[::-1].copy())),
+        (Distribution._of(block.T[5:]), Distribution._of(q)),
+        (Distribution._of(block.T[1].copy()), Distribution._of(q)),
+        (Distribution._of(block.T[3].copy()), Distribution._of(q)),
+    ]
+    for p, other in cases:
+        got, h = refutation._tv_sums(p, other)
+        assert h is None and got.dtype == np.float64
+        ps = p.plane[None] if p.plane.ndim == 1 else p.plane
+        want, literal = [], []
+        for r, row in enumerate(ps):
+            one = np.ascontiguousarray(row)
+            to = (other.plane if other.plane.ndim == 1 else other.plane[r]).copy()
+            want.append(cs.tv_distance(Distribution._of(one), Distribution._of(to)))
+            # The one-table formula before equal rows skipped it.
+            literal.append(0.5 * float(np.abs(one - to).sum()))
+        assert float_hex(got) == float_hex(want) == float_hex(literal)
+    first, _ = refutation._tv_sums(*cases[0])
+    assert float_hex(first[:3]) == ["0x0.0p+0"] * 3 and first[3:].all()
 
 
 def diagonal_cases(rng, n: int):
