@@ -27,10 +27,14 @@ instead: each output is a +-1 coefficient vector times a run, plus at
 most one more such term, which may read the run's partner, its
 amplitudes with one short qubit's bit flipped.  Either walk fills a few
 slot-sized buffers from a chunk's inputs before it writes any output in
-place.  A float chunk is first scaled by
-s = (1/sqrt(2))^e.  As fl(+-s x) = +-fl(s x) and fl(a + (-b)) =
-fl(a - b), signed zeros included, each amplitude is, on either walk,
-bit for bit the sum of fl(G[i, j] x_j) that unscaled steps would give.
+place.  Numpy's buffered ufunc loop copies operands whose contiguous
+runs are shorter than its buffer through that buffer, so where a slot's
+runs are, a placement's steps run with the buffer set to the run, which
+numpy then reads in place, and the caller's buffer size is restored
+after.  A float chunk is first scaled by s = (1/sqrt(2))^e.  As
+fl(+-s x) = +-fl(s x) and fl(a + (-b)) = fl(a - b), signed zeros
+included, each amplitude is, on either walk, bit for bit the sum of
+fl(G[i, j] x_j) that unscaled steps would give.
 An exact plane takes S as it is, and the state's exponent grows by e.
 On both backends the state's tracked bound is checked before any write
 (see :meth:`~compsearch.state.StateVector._make_room`), so a gate or
@@ -149,8 +153,9 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     walk covers that box alone, as the amplitudes outside it are 0 and
     stay so.  A float chunk is first scaled by (1/sqrt(2))^e.  The steps
     then fill the plan's buffers, allocated once per call, and write
-    each output in place by ufuncs with ``out=``.  An exact state's
-    exponent then grows by e.  On either backend the state's tracked
+    each output in place by ufuncs with ``out=``, under the ufunc buffer
+    size that the layout sets, if any; the caller's is restored, even
+    where a step raises.  An exact state's exponent then grows by e.  On either backend the state's tracked
     bound is checked first, so a gate raises OverflowError before any
     write, and then grows by the gate's growth times (1/sqrt(2))^e on a
     float plane; when every gate qubit is known to read 0, only gate
@@ -169,19 +174,24 @@ def _apply(state: StateVector, qubits: tuple[int, ...], gate: Gate) -> StateVect
     others = zeros & ~bits
     box = 1 << others.bit_count() >= _BOX
     axes, period, steps, temps, periods = _plan(gate._signs, m, qubits, box)
-    shape, slots, chunks, dims = _layout(
+    shape, slots, chunks, dims, bufsize = _layout(
         m, axes, plane.itemsize, period, zeros=others if box else 0
     )
     extra = [_pattern(p, dims[-1], plane.dtype) for p in periods]
     extra += [np.empty(dims, plane.dtype) for _ in range(temps)]
     view = plane.reshape(shape)
-    for chunk in chunks:
-        region = view[chunk] if chunk else view
-        if scale != 1:
-            np.multiply(region, scale, out=region)
-        arrays = [region[i] for i in slots] + extra
-        for ufunc, x, y, y_is_slot, out in steps:
-            ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+    old = np.setbufsize(bufsize) if bufsize else None
+    try:
+        for chunk in chunks:
+            region = view[chunk] if chunk else view
+            if scale != 1:
+                np.multiply(region, scale, out=region)
+            arrays = [region[i] for i in slots] + extra
+            for ufunc, x, y, y_is_slot, out in steps:
+                ufunc(arrays[x], arrays[y] if y_is_slot else y, out=arrays[out], order="C")
+    finally:
+        if bufsize:
+            np.setbufsize(old)
     state._zeros = zeros & ~bits
     state._bound *= growth * scale
     if exact:
@@ -209,14 +219,24 @@ def _check_placement(m: int, qubits: tuple[int, ...], dim: int) -> int:
 # Bytes per slot that one chunk of a gate covers, so that every step of
 # the chunk runs in cache; the post-axis length, in amplitudes, below
 # which a gate qubit is taken inside contiguous runs; the bytes that one
-# coefficient vector of a run covers; and the share of the plane, as
+# coefficient vector of a run covers; the share of the plane, as
 # 1/_BOX, that the box of amplitudes not known to be 0 may hold at most
 # for a gate to walk that box alone, as its strided views cost more per
-# amplitude than the full walk.
+# amplitude than the full walk; numpy's default ufunc buffer, in
+# elements; and the least bytes of a slot's contiguous run for a gate to
+# set the buffer to that run.  Numpy's buffered iterator copies every
+# operand whose runs are shorter than its buffer through the buffer, a
+# few runs at a time: on a 2-core VM an add on one 32 768-amplitude
+# float slot in runs of 512-2048 took 70-129 us, against 17-20 us in runs
+# of 8192 or more and 21-34 us with the buffer set to the run, whether or
+# not its operands overlapped.  Runs of 256 B ran slower unbuffered, and
+# runs of 1-2 KB faster, on an int8 plane of 24 qubits.
 _CHUNK = 1 << 17
 _SHORT = 256
 _PATTERN = 1 << 12
 _BOX = 8
+_BUFSIZE = 8192
+_RUN = 1 << 10
 
 
 @functools.lru_cache(maxsize=1024)
@@ -224,7 +244,7 @@ def _layout(
     m: int, qubits: tuple[int, ...], itemsize: int, period: int = 1, zeros: int = 0
 ) -> tuple:
     """How the kernel walks a plane of ``itemsize``-byte amplitudes around
-    the axis ``qubits``: ``(shape, slots, chunks, dims)``.
+    the axis ``qubits``: ``(shape, slots, chunks, dims, bufsize)``.
 
     ``shape`` views a plane as (pre, 2, [mid, 2,] post) around the sorted
     qubits, or as (2^m,) around none; ``slots`` holds, per slot, the
@@ -234,7 +254,13 @@ def _layout(
     ``_CHUNK`` bytes, and at least ``period`` amplitudes, per slot: whole
     outer indices while the rest is larger, then a slice of the next
     axis.  All chunks are alike, and ``dims`` is the shape of one of a
-    chunk's slots.
+    chunk's slots.  ``bufsize`` is the ufunc buffer size, in elements,
+    that the kernel walks the chunks with, or 0 to leave the caller's:
+    the slot's contiguous run, ``dims[-1]``, where that run is shorter
+    than ``_BUFSIZE``, at least ``_RUN`` bytes, and the slot larger than
+    one buffer.  Smaller slots fit in one buffer, and the gate then pays
+    nothing to set and restore it.  Such a run is a power of two of at
+    least 128 amplitudes, a multiple of 16 as numpy 1 requires.
 
     ``zeros`` marks qubits other than ``qubits`` (bit m - q for qubit q)
     whose amplitudes where they read 1 are left out: pre, mid and post
@@ -278,7 +304,9 @@ def _layout(
         chunks = [c + (cut,) for c in chunks for cut in cuts.get(axis, [slice(None)])]
     dims = [cuts[a][0].stop if a in cuts else n
             for a, n in enumerate(shape) if kinds[a] is not None]
-    return tuple(shape), tuple(slots), tuple(chunks), tuple(dims)
+    run = dims[-1]
+    bufsize = run if run < _BUFSIZE < np.prod(dims) and run * itemsize >= _RUN else 0
+    return tuple(shape), tuple(slots), tuple(chunks), tuple(dims), bufsize
 
 
 @functools.lru_cache(maxsize=1024)
@@ -496,8 +524,10 @@ def _apply_signs(state: StateVector, signs: np.ndarray, reg_start: int) -> State
     pre, _, post = _qubit_range(m, reg_start, reg_start + n - 1)
     state._make_room(1)
     view = state._plane.reshape(pre, size, post, rows)
-    # In the plane's own dtype, numpy runs no cast of every amplitude.
-    view *= signs.T.astype(view.dtype)[None, :, None, :]
+    # In the plane's own dtype, numpy runs no cast of every amplitude;
+    # row-major, the table is read along the batch axis, the plane's
+    # innermost, contiguously rather than 2^n entries apart.
+    view *= np.ascontiguousarray(signs.T, dtype=view.dtype)[None, :, None, :]
     if state.backend != EXACT:
         state._zeros = 0
     return state

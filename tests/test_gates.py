@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compsearch as cs
-from compsearch import BooleanOracle, DyadicReal, StateVector, gates
+from compsearch import BooleanOracle, DyadicReal, StateVector, gates, refutation
 from conftest import (
     EXACT_MATRICES,
     apply_ancilla_oracle,
@@ -582,7 +582,7 @@ class TestFloatKernelBitwise:
         placements = [(1,), (9,), (17,), (1, 2), (2, 1), (8, 10), (9, 3),
                       (16, 17), (17, 16), (1, 17), (17, 1)]
         layouts = [gates._layout(m, qubits, 8) for qubits in placements]
-        assert any(len(chunks) > 1 for _, _, chunks, _ in layouts)
+        assert any(len(chunks) > 1 for _, _, chunks, *_ in layouts)
         plans = {q: gates._plan(BITWISE_GATES[len(q)][0]._signs, m, q, False) for q in placements}
         assert {q for q, plan in plans.items() if plan[1] > 1} == {
             (17,), (8, 10), (16, 17), (17, 16), (1, 17), (17, 1)}
@@ -634,6 +634,27 @@ def sparse_exact_state(m: int, dtype, bound: int, rng: np.random.Generator) -> S
     return s
 
 
+def assert_exact_groups(s: StateVector, qubits: tuple[int, ...]) -> None:
+    """H or C on ``qubits`` of the sparse exact state ``s`` against
+    ``exact_apply`` on each group of 2^k amplitudes that differ only in
+    the gate's qubits and hold a nonzero input."""
+    m, k, dtype = s.num_qubits, len(qubits), s._plane.dtype
+    name = "H" if k == 1 else "C"
+    # Gate slot r's amplitudes sit at offset[r] from their group.
+    offset = [sum((r >> (k - 1 - t) & 1) << (m - q) for t, q in enumerate(qubits))
+              for r in range(1 << k)]
+    groups = {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()}
+    before = {g: [s.amplitude(g | d) for d in offset] for g in groups}
+    gates._apply(s, qubits, LIBRARY[name])
+    assert s._plane.dtype == dtype, qubits
+    for g, amps in before.items():
+        ref = exact_apply(amps, EXACT_MATRICES[name], tuple(range(1, k + 1)), k)
+        assert [s.amplitude(g | d) for d in offset] == ref, (qubits, g)
+    # No amplitude outside those groups may turn nonzero.
+    assert {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()} <= groups
+    assert s._bound >= int(np.abs(s._plane).max()), qubits
+
+
 class TestRunWalk:
     """Gates whose lowest qubit has a short post axis walk contiguous runs
     (``gates._plan``); on planes that span several chunks, they must
@@ -650,24 +671,8 @@ class TestRunWalk:
         bound = (1 << (8 * width - 2)) // 2 - 1
         rng = np.random.Generator(np.random.PCG64(60 + width))
         for qubits in run_placements(m)[[1, 2, 4, 8].index(width)::4]:
-            name = "H" if len(qubits) == 1 else "C"
-            gate = LIBRARY[name]
-            assert_run_walk(gate, m, qubits, width)
-            k = len(qubits)
-            # Gate slot r's amplitudes sit at offset[r] from their group.
-            offset = [sum((r >> (k - 1 - t) & 1) << (m - q) for t, q in enumerate(qubits))
-                      for r in range(1 << k)]
-            s = sparse_exact_state(m, dtype, bound, rng)
-            groups = {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()}
-            before = {g: [s.amplitude(g | d) for d in offset] for g in groups}
-            gates._apply(s, qubits, gate)
-            assert s._plane.dtype == dtype, qubits
-            for g, amps in before.items():
-                ref = exact_apply(amps, EXACT_MATRICES[name], tuple(range(1, k + 1)), k)
-                assert [s.amplitude(g | d) for d in offset] == ref, (qubits, g)
-            # No amplitude outside those groups may turn nonzero.
-            assert {x & ~offset[-1] for x in np.flatnonzero(s._plane).tolist()} <= groups
-            assert s._bound >= int(np.abs(s._plane).max()), qubits
+            assert_run_walk(LIBRARY["H" if len(qubits) == 1 else "C"], m, qubits, width)
+            assert_exact_groups(sparse_exact_state(m, dtype, bound, rng), qubits)
 
     def test_float_bitwise(self):
         m = run_width(8)
@@ -758,6 +763,149 @@ def test_workload_plans_pinned():
         # walks that box on the slot walk.
         slot = SLOT_H if len(qubits) == 1 else SLOT_C
         assert plan_of(gate, m, qubits, box=True) == (qubits, 1, *slot), (m, qubits)
+
+
+# The amplitude width, in bytes, at which each workload plane runs its
+# gates: the exact comparison circuit on 24 qubits stays int8, while
+# Grover and the sweep batch are float.
+WORKLOAD_ITEMSIZE = {24: 1, 12: 8, 17: 8}
+# Per workload placement that runs with numpy's ufunc buffer set to the
+# contiguous run of its slots: that run, in amplitudes.
+RUN_BUFFERS = {
+    (24, (12,)): 4096, (24, (13,)): 2048, (24, (14,)): 1024,
+    (24, (1, 13)): 2048, (24, (2, 14)): 1024, (24, (12, 24)): 4096,
+    (17, (5,)): 4096, (17, (6,)): 2048, (17, (7,)): 1024, (17, (8,)): 512,
+    (17, (1, 5)): 4096, (17, (2, 6)): 2048, (17, (3, 7)): 1024, (17, (4, 8)): 512,
+}
+
+
+def run_buffer(m: int, qubits: tuple[int, ...], itemsize: int) -> int:
+    """The ufunc buffer size that H or C on ``qubits`` of an m-qubit
+    plane of ``itemsize``-byte amplitudes runs with, or 0 for numpy's
+    own."""
+    gate = cs.hadamard() if len(qubits) == 1 else cs.comparison_gate()
+    axes, period = gates._plan(gate._signs, m, qubits, False)[:2]
+    return gates._layout(m, axes, itemsize, period)[4]
+
+
+def test_workload_run_buffers_pinned():
+    got = {(m, qubits): run_buffer(m, qubits, WORKLOAD_ITEMSIZE[m])
+           for m, qubits, *_ in WORKLOAD_PLANS}
+    assert {key: size for key, size in got.items() if size} == RUN_BUFFERS
+
+
+class TestRunBuffer:
+    """Slots whose contiguous runs are shorter than numpy's ufunc buffer
+    are walked with the buffer set to the run, so that numpy reads them
+    in place rather than copying them through its buffers; every value
+    stays the same, and the caller's buffer size is restored."""
+
+    def test_float_placements_bitwise(self):
+        m = 17
+        amps = signed_zero_state(m, np.random.Generator(np.random.PCG64(59)))
+        for (width, qubits), size in RUN_BUFFERS.items():
+            if width == m:
+                assert run_buffer(m, qubits, 8) == size
+                assert_float_kernel_bitwise(amps, qubits)
+
+    def test_int8_placements_match_reference(self):
+        # Runs of 1-4 KB on the 24-qubit int8 plane of the comparison
+        # circuit, integers just below the bound at which H or C widens.
+        m = 24
+        rng = np.random.Generator(np.random.PCG64(64))
+        for (width, qubits), size in RUN_BUFFERS.items():
+            if width == m:
+                assert run_buffer(m, qubits, 1) == size
+                assert_exact_groups(sparse_exact_state(m, np.int8, 31, rng), qubits)
+
+    def test_no_operand_is_copied(self):
+        # Through its buffers numpy copied three operands of 8192
+        # amplitudes per step: float C on (4, 8) of 17 qubits peaked at
+        # about 450 KB and H on qubit 7 at about 320 KB, against 256 and
+        # 128 KB of the plan's own buffers.
+        m = 17
+        s = StateVector.from_amplitudes(signed_zero_state(m, np.random.Generator(
+            np.random.PCG64(65))), cs.FLOAT)
+        for width, qubits in RUN_BUFFERS:
+            if width != m:
+                continue
+            gate = cs.hadamard() if len(qubits) == 1 else cs.comparison_gate()
+            axes, period, _, temps, periods = gates._plan(gate._signs, m, qubits, False)
+            dims = gates._layout(m, axes, 8, period)[3]
+            assert period == 1 and not periods, qubits
+            own = temps * int(np.prod(dims)) * 8
+            s._bound = 1.0
+            tracemalloc.start()
+            try:
+                gates._apply(s, qubits, gate)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < own + (16 << 10), (qubits, peak, own)
+
+    def test_caller_buffer_survives(self, monkeypatch):
+        m = 17
+        s = StateVector.from_amplitudes(np.ones(1 << m), cs.FLOAT)
+        h = cs.hadamard()
+        default = np.getbufsize()
+        for q, size in ((7, 1024), (1, 0)):
+            assert run_buffer(m, (q,), 8) == size
+            gates._apply(s, (q,), h)
+            assert np.getbufsize() == default, q
+        old = np.setbufsize(4096)
+        try:
+            gates._apply(s, (7,), h)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+        # A step that raises inside the walk, where the run buffer is set.
+        seen = []
+
+        def fail(x, y, out, order="C"):
+            seen.append(np.getbufsize())
+            raise RuntimeError("step failed")
+
+        plan = gates._plan
+
+        def failing_plan(*args):
+            axes, period, steps, temps, periods = plan(*args)
+            return axes, period, ((fail, 0, None, False, 0), *steps), temps, periods
+
+        monkeypatch.setattr(gates, "_plan", failing_plan)
+        with pytest.raises(RuntimeError, match="step failed"):
+            gates._apply(s, (7,), h)
+        assert seen == [1024]
+        assert np.getbufsize() == default
+
+    def test_small_planes_keep_numpy_buffer(self, monkeypatch):
+        # Grover's 4096 amplitudes: no slot is larger than one buffer,
+        # so no gate pays for setting and restoring it.
+        calls = []
+        monkeypatch.setattr(np, "setbufsize", lambda size: calls.append(size))
+        m = 12
+        ints = np.arange(1 << m) % 7 - 3
+        placements = [(q,) for q in range(1, m + 1)]
+        placements += [(p, q) for p in range(1, m + 1) for q in range(1, m + 1) if p != q]
+        for plane in (ints.astype(np.int8), ints.astype(float)):
+            for qubits in placements:
+                gate = cs.hadamard() if len(qubits) == 1 else cs.comparison_gate()
+                gates._apply(StateVector._from_plane(plane.copy()), qubits, gate)
+        assert calls == []
+
+    def test_a_sweep_batch_restores_the_caller_buffer(self, monkeypatch):
+        # One n = 4 batch, 512 oracles on 17 qubits, takes the run buffer
+        # and gives the caller's back.
+        calls = []
+        setbufsize = np.setbufsize
+        monkeypatch.setattr(np, "setbufsize", lambda size: calls.append(size) or setbufsize(size))
+        old = setbufsize(4096)
+        try:
+            all_match, _ = refutation._check_oracles(4, refutation._oracle_tables(4)[:512], cs.FLOAT)
+            assert np.getbufsize() == 4096
+        finally:
+            setbufsize(old)
+        assert all_match
+        assert calls and set(calls[1::2]) == {4096}
 
 
 def _run_word(word, backend: str = cs.EXACT, check=None, narrow: bool = False) -> StateVector:
